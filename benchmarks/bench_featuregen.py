@@ -7,6 +7,13 @@ pairs — then times each execution path of
 :meth:`repro.features.FeatureGenerator.transform` over a full Table II
 plan and writes rows/sec to ``BENCH_featuregen.json`` at the repo root.
 
+Every path is timed cold: the process-wide ``lru_cache`` memos of
+:mod:`repro.similarity.sequence` are cleared before each one, so no path
+reuses edit-distance results an earlier path computed.  The parallel
+path runs at the engine's default pool threshold
+(:data:`repro.features.columnar.PARALLEL_MIN_UNIQUE_PAIRS`); the report
+records whether the workload crossed it.
+
 Usage::
 
     python benchmarks/bench_featuregen.py [--pairs 6000] [--n-jobs 4]
@@ -33,7 +40,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.data.pairs import PairSet, RecordPair  # noqa: E402
 from repro.data.table import Table  # noqa: E402
 from repro.features import FeatureGenerator, autoem_feature_plan  # noqa: E402
+from repro.features.columnar import (  # noqa: E402
+    PARALLEL_MIN_UNIQUE_PAIRS,
+    _unique_value_pairs,
+    resolve_n_jobs,
+)
 from repro.features.types import DataType  # noqa: E402
+from repro.similarity import sequence  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_featuregen.json"
 
@@ -82,7 +95,16 @@ def build_workload(n_pairs: int = 6000, duplication: int = 4,
     return PairSet(table_a, table_b, pairs[:n_pairs])
 
 
+def clear_similarity_caches() -> None:
+    """Empty every ``lru_cache`` memo in :mod:`repro.similarity.sequence`."""
+    for value in vars(sequence).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 def _timed(func) -> tuple[float, np.ndarray]:
+    """Time ``func`` from cold similarity caches."""
+    clear_similarity_caches()
     start = time.perf_counter()
     result = func()
     return time.perf_counter() - start, result
@@ -98,9 +120,12 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
     pairs = build_workload(n_pairs=n_pairs, duplication=duplication,
                            seed=seed)
     plan = autoem_feature_plan(TYPES)
+    n_unique_value_pairs = sum(
+        len(_unique_value_pairs(pairs, attribute)[0])
+        for attribute in dict.fromkeys(a for a, _ in plan))
 
     naive_seconds, reference = _timed(
-        lambda: FeatureGenerator(plan, engine="naive").transform(pairs))
+        lambda: FeatureGenerator(plan).transform_naive(pairs))
 
     columnar_seconds, columnar = _timed(
         lambda: FeatureGenerator(plan).transform(pairs))
@@ -111,8 +136,7 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
         lambda: cached_generator.transform(pairs))
 
     parallel_seconds, parallel = _timed(
-        lambda: FeatureGenerator(plan, n_jobs=n_jobs,
-                                 parallel_threshold=0).transform(pairs))
+        lambda: FeatureGenerator(plan, n_jobs=n_jobs).transform(pairs))
 
     for name, matrix in (("columnar", columnar), ("cached", cached),
                          ("parallel", parallel)):
@@ -128,6 +152,7 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
         "workload": {
             "n_pairs": len(pairs),
             "n_unique_combos": max(1, n_pairs // duplication),
+            "n_unique_value_pairs": n_unique_value_pairs,
             "duplication": duplication,
             "n_features": len(plan),
             "seed": seed,
@@ -136,7 +161,10 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
             "naive": path(naive_seconds),
             "columnar": path(columnar_seconds),
             "columnar_cached": path(cached_seconds),
-            "parallel": path(parallel_seconds, n_jobs=n_jobs),
+            "parallel": path(
+                parallel_seconds, n_jobs=n_jobs,
+                pooled=(resolve_n_jobs(n_jobs) > 1 and n_unique_value_pairs
+                        >= PARALLEL_MIN_UNIQUE_PAIRS)),
         },
         "speedup_columnar_vs_naive": round(
             naive_seconds / max(columnar_seconds, 1e-9), 2),

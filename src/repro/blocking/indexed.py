@@ -22,18 +22,12 @@ built once, persisted, grown incrementally and probed by many batches
   across processes (token hashing uses
   :func:`~repro.similarity.tokenizers.stable_token_hash`, never the
   salted builtin ``hash``).
-
-Index builds parallelize over a process pool (``n_jobs``, same pattern
-as :mod:`repro.features.columnar`): rows are chunked, each worker builds
-a partial state, and partial states merge in chunk order — bit-identical
-to the sequential build.
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import abstractmethod
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Union
 
@@ -41,7 +35,7 @@ import numpy as np
 
 from ..data.pairs import PairSet
 from ..data.table import Record, Table
-from ..features.columnar import TokenCache, resolve_n_jobs
+from ..features.columnar import TokenCache
 from ..similarity.tokenizers import (
     QGRAM3,
     Tokenizer,
@@ -50,13 +44,6 @@ from ..similarity.tokenizers import (
 )
 from .base import BaseBlocker
 from .index import BlockIndex, BlockIndexError, table_chain_fingerprint
-
-#: Below this many rows a parallel index build is not worth the pool
-#: startup cost and the sequential path runs instead.
-PARALLEL_MIN_INDEX_RECORDS = 2048
-
-#: Smallest chunk of rows shipped to one index-build worker.
-_MIN_INDEX_CHUNK = 256
 
 #: The smallest prime above 2**32.  Universal-hash arithmetic
 #: ``(a*x + b) % _LSH_PRIME`` with ``a, b, x < _LSH_PRIME`` stays below
@@ -67,16 +54,15 @@ _LSH_PRIME = 4294967311
 class IndexedBlocker(BaseBlocker):
     """A blocker with an explicit index/probe split.
 
-    Subclasses provide the four state hooks (``_new_state`` /
-    ``_index_record`` / ``_probe_value`` / ``_merge_state``) plus
-    ``_config`` for the configuration fingerprint; this base class
-    provides index construction (optionally parallel), persistence with
-    fingerprint-keyed invalidation, and the plain ``block`` entry point.
+    Subclasses provide the three state hooks (``_new_state`` /
+    ``_index_record`` / ``_probe_value``) plus ``_config`` for the
+    configuration fingerprint; this base class provides index
+    construction, persistence with fingerprint-keyed invalidation, and
+    the plain ``block`` entry point.
     """
 
     #: Set by subclass constructors.
     attribute: str
-    n_jobs: int | None
 
     # -- configuration identity ----------------------------------------
 
@@ -112,10 +98,6 @@ class IndexedBlocker(BaseBlocker):
     def _probe_value(self, state: dict, text: str) -> set:
         """Record ids admitted against one probe attribute text."""
 
-    @abstractmethod
-    def _merge_state(self, state: dict, part: dict) -> None:
-        """Merge a worker's partial state into ``state`` (chunk order)."""
-
     def _state_block_sizes(self, state: dict) -> list[int]:
         """Sizes of the state's blocks (postings / buckets)."""
         return []
@@ -126,34 +108,8 @@ class IndexedBlocker(BaseBlocker):
         """Build the standing :class:`BlockIndex` over ``table``."""
         index = BlockIndex(self, table_name=table.name,
                            columns=table.columns)
-        n_jobs = resolve_n_jobs(self.n_jobs)
-        if n_jobs > 1 and table.num_rows >= PARALLEL_MIN_INDEX_RECORDS:
-            self._index_parallel(index, table, n_jobs)
-        else:
-            index.add_records(table)
+        index.add_records(table)
         return index
-
-    def _index_parallel(self, index: BlockIndex, table: Table,
-                        n_jobs: int) -> None:
-        """Chunk rows across a process pool; merge states in chunk order.
-
-        Record bookkeeping (schema check, content fingerprint) stays in
-        the parent so the chained digest is identical to a sequential
-        build; only the inverted-structure construction fans out.
-        """
-        items: list[tuple[object, str]] = []
-        for record in table:
-            index._register(record)
-            value = record.get(self.attribute)
-            if value is not None:
-                items.append((record.record_id, str(value)))
-        chunk = max(_MIN_INDEX_CHUNK, -(-len(items) // (2 * n_jobs)))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [pool.submit(_index_chunk, self,
-                                   items[start:start + chunk])
-                       for start in range(0, len(items), chunk)]
-            for future in futures:
-                self._merge_state(index.state, future.result())
 
     # -- blocking ------------------------------------------------------
 
@@ -192,15 +148,6 @@ class IndexedBlocker(BaseBlocker):
         return index
 
 
-def _index_chunk(blocker: IndexedBlocker,
-                 items: list[tuple[object, str]]) -> dict:
-    """Worker task: build a partial index state over one row chunk."""
-    state = blocker._new_state()
-    for record_id, text in items:
-        blocker._index_record(state, record_id, text)
-    return state
-
-
 class QGramBlocker(IndexedBlocker):
     """Exact q-gram overlap blocking with prefix-filter pruning.
 
@@ -216,8 +163,7 @@ class QGramBlocker(IndexedBlocker):
     """
 
     def __init__(self, attribute: str, q: int = 3, min_overlap: int = 1,
-                 token_cache: TokenCache | None = None,
-                 n_jobs: int | None = 1):
+                 token_cache: TokenCache | None = None):
         if not attribute:
             raise ValueError("attribute must be a non-empty column name")
         if q < 2:
@@ -232,7 +178,6 @@ class QGramBlocker(IndexedBlocker):
         self.tokenizer: Tokenizer = qgram_tokenizer(q)
         self.token_cache = TokenCache() if token_cache is None \
             else token_cache
-        self.n_jobs = n_jobs
 
     def _config(self) -> dict[str, object]:
         return {"attribute": self.attribute, "q": self.q,
@@ -280,12 +225,6 @@ class QGramBlocker(IndexedBlocker):
         return {record_id for record_id in candidates
                 if len(full & indexed[record_id]) >= self.min_overlap}
 
-    def _merge_state(self, state: dict, part: dict) -> None:
-        postings = state["postings"]
-        for token, ids in part["postings"].items():
-            postings.setdefault(token, []).extend(ids)
-        state["tokens"].update(part["tokens"])
-
     def _state_block_sizes(self, state: dict) -> list[int]:
         return [len(ids) for ids in state["postings"].values()]
 
@@ -323,8 +262,7 @@ class MinHashLSHBlocker(IndexedBlocker):
     def __init__(self, attribute: str, num_perm: int = 128,
                  bands: int = 32, rows: int | None = None,
                  tokenizer: Tokenizer = QGRAM3, random_state: int = 0,
-                 token_cache: TokenCache | None = None,
-                 n_jobs: int | None = 1):
+                 token_cache: TokenCache | None = None):
         if not attribute:
             raise ValueError("attribute must be a non-empty column name")
         if num_perm < 1:
@@ -350,7 +288,6 @@ class MinHashLSHBlocker(IndexedBlocker):
         self.random_state = random_state
         self.token_cache = TokenCache() if token_cache is None \
             else token_cache
-        self.n_jobs = n_jobs
         rng = np.random.default_rng(random_state)
         self._a = rng.integers(1, _LSH_PRIME, size=num_perm,
                                dtype=np.uint64)
@@ -427,11 +364,6 @@ class MinHashLSHBlocker(IndexedBlocker):
         for key in self._band_keys(signature):
             candidates.update(buckets.get(key, ()))
         return candidates
-
-    def _merge_state(self, state: dict, part: dict) -> None:
-        buckets = state["buckets"]
-        for key, ids in part["buckets"].items():
-            buckets.setdefault(key, []).extend(ids)
 
     def _state_block_sizes(self, state: dict) -> list[int]:
         return [len(ids) for ids in state["buckets"].values()]

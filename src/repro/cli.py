@@ -481,13 +481,11 @@ def _make_blocker(args):
 
     if args.blocker == "qgram":
         return QGramBlocker(args.block_on, q=args.q,
-                            min_overlap=args.min_overlap,
-                            n_jobs=args.n_jobs)
+                            min_overlap=args.min_overlap)
     if args.blocker == "minhash":
         return MinHashLSHBlocker(args.block_on, num_perm=args.num_perm,
                                  bands=args.bands,
-                                 random_state=args.random_state,
-                                 n_jobs=args.n_jobs)
+                                 random_state=args.random_state)
     if args.blocker == "overlap":
         return OverlapBlocker(args.block_on, min_overlap=args.min_overlap)
     return AttributeEquivalenceBlocker(args.block_on,
@@ -819,8 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     block.add_argument("--normalize", action="store_true",
                        help="case/whitespace-normalized comparison "
                             "(equivalence)")
-    block.add_argument("--n-jobs", type=int, default=1,
-                       help="index-build workers (-1 = all cores)")
     block.add_argument("--index-path", default=None,
                        help="persist / reuse the standing block index at "
                             "this path (qgram / minhash)")

@@ -83,12 +83,11 @@ class AutoMLEMActive:
     inner_forest_size:
         Tree count of the in-loop random forest whose vote fractions
         provide label confidence.
-    n_jobs:
-        Worker processes for featurizing the pool (``None`` defers to
-        the feature generator's own setting).
     automl_kwargs:
         Keyword arguments for the final :class:`AutoMLEM` stage (budget,
-        model space, seed, ...).
+        model space, seed, ...).  They also build the generator that
+        featurizes the pool when none is passed to :meth:`fit`, so
+        ``{"n_jobs": 2}`` featurizes the pool over two workers.
     trial_timeout / run_log:
         Per-trial time limit and JSONL telemetry path for the final
         AutoML stage (shorthand for the same keys in ``automl_kwargs``,
@@ -99,7 +98,7 @@ class AutoMLEMActive:
                  st_batch: int = 200, n_iterations: int = 20,
                  label_budget: int | None = None,
                  inner_forest_size: int = 32,
-                 query_strategy="uncertainty", n_jobs: int | None = None,
+                 query_strategy="uncertainty",
                  automl_kwargs: dict | None = None,
                  trial_timeout: float | None = None, run_log=None,
                  seed: int = 0):
@@ -113,7 +112,6 @@ class AutoMLEMActive:
         self.n_iterations = n_iterations
         self.label_budget = label_budget
         self.inner_forest_size = inner_forest_size
-        self.n_jobs = n_jobs
         self.query_strategy = make_strategy(query_strategy)
         self.automl_kwargs = dict(automl_kwargs or {})
         if trial_timeout is not None:
@@ -136,7 +134,7 @@ class AutoMLEMActive:
             matcher_probe = AutoMLEM(**self.automl_kwargs)
             feature_generator = (feature_generator
                                  or matcher_probe.make_feature_generator(pool))
-            X_pool = feature_generator.transform(pool, n_jobs=self.n_jobs)
+            X_pool = feature_generator.transform(pool)
         X_pool = np.asarray(X_pool, dtype=np.float64)
         if len(X_pool) != len(pool):
             raise ValueError(

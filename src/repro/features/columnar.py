@@ -168,8 +168,7 @@ def _unique_value_pairs(pairs: Sequence,
 def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
                        pairs: Sequence, *, n_jobs: int | None = 1,
                        token_cache: TokenCache | None = None,
-                       sequence_max_chars: int | None = None,
-                       parallel_threshold: int = PARALLEL_MIN_UNIQUE_PAIRS
+                       sequence_max_chars: int | None = None
                        ) -> np.ndarray:
     """Materialize a feature plan column-first over ``pairs``.
 
@@ -189,7 +188,7 @@ def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
         unique, inverse = _unique_value_pairs(pairs, attribute)
         per_attribute.append((slots, unique, inverse))
         total_unique += len(unique)
-    if n_jobs > 1 and total_unique >= parallel_threshold:
+    if n_jobs > 1 and total_unique >= PARALLEL_MIN_UNIQUE_PAIRS:
         _transform_parallel(matrix, per_attribute, n_jobs,
                             sequence_max_chars)
     else:

@@ -7,7 +7,7 @@ of tables; calling :meth:`FeatureGenerator.transform` on a
 float matrix with ``nan`` for missing values — imputation is a learned
 pipeline step, not the feature generator's job.
 
-Execution is columnar by default (:mod:`repro.features.columnar`):
+Execution is columnar (:mod:`repro.features.columnar`):
 value pairs are deduplicated per attribute, tokenization is shared
 across measures, and large transforms can fan out over a process pool
 via ``n_jobs``.  The original row-at-a-time loop survives as
@@ -26,11 +26,7 @@ from ..data.table import Table
 from ..similarity import get_measure
 from .autoem import autoem_feature_plan
 from .cache import FeatureMatrixCache, pairs_fingerprint, plan_fingerprint
-from .columnar import (
-    PARALLEL_MIN_UNIQUE_PAIRS,
-    TokenCache,
-    columnar_transform,
-)
+from .columnar import TokenCache, columnar_transform
 from .magellan import magellan_feature_plan
 from .types import DataType, infer_schema_types
 
@@ -45,13 +41,11 @@ class FeatureGenerator:
     exclude_attributes:
         Attributes to drop from the plan (e.g. ids or free-text fields a
         user wants to ignore).
-    engine:
-        ``"columnar"`` (default: deduplicated, cached batch execution)
-        or ``"naive"`` (the row-at-a-time reference loop).
     n_jobs:
-        Default worker count for :meth:`transform`; 1 = sequential,
-        ``-1`` = all cores.  The pool only engages above
-        ``parallel_threshold`` unique value pairs.
+        Worker count for :meth:`transform`; 1 = sequential, ``-1`` =
+        all cores.  The pool only engages above
+        :data:`~repro.features.columnar.PARALLEL_MIN_UNIQUE_PAIRS`
+        unique value pairs.
     sequence_max_chars:
         Per-generator prefix cap for the character-level DP measures;
         ``None`` uses the registry default
@@ -67,20 +61,14 @@ class FeatureGenerator:
 
     def __init__(self, plan: list[tuple[str, str]],
                  exclude_attributes: tuple[str, ...] = (), *,
-                 engine: str = "columnar", n_jobs: int = 1,
+                 n_jobs: int = 1,
                  sequence_max_chars: int | None = None,
-                 cache: FeatureMatrixCache | bool | None = None,
-                 parallel_threshold: int = PARALLEL_MIN_UNIQUE_PAIRS):
+                 cache: FeatureMatrixCache | bool | None = None):
         self.plan = [(a, m) for a, m in plan if a not in exclude_attributes]
         if not self.plan:
             raise ValueError("feature plan is empty")
-        if engine not in ("columnar", "naive"):
-            raise ValueError(
-                f"engine must be 'columnar' or 'naive', got {engine!r}")
-        self.engine = engine
         self.n_jobs = n_jobs
         self.sequence_max_chars = sequence_max_chars
-        self.parallel_threshold = parallel_threshold
         if cache is True:
             cache = FeatureMatrixCache()
         elif cache is False:
@@ -98,28 +86,18 @@ class FeatureGenerator:
     def num_features(self) -> int:
         return len(self.plan)
 
-    def transform(self, pairs: PairSet,
-                  n_jobs: int | None = None) -> np.ndarray:
-        """Compute the feature matrix for ``pairs`` (nan = missing).
-
-        ``n_jobs`` overrides the generator's default worker count for
-        this call only.
-        """
+    def transform(self, pairs: PairSet) -> np.ndarray:
+        """Compute the feature matrix for ``pairs`` (nan = missing)."""
         key = None
         if self.cache is not None:
             key = self._cache_key(pairs)
             cached = self.cache.lookup(key)
             if cached is not None:
                 return cached
-        if self.engine == "naive":
-            matrix = self.transform_naive(pairs)
-        else:
-            matrix = columnar_transform(
-                self._measures, pairs,
-                n_jobs=self.n_jobs if n_jobs is None else n_jobs,
-                token_cache=self._token_cache,
-                sequence_max_chars=self.sequence_max_chars,
-                parallel_threshold=self.parallel_threshold)
+        matrix = columnar_transform(
+            self._measures, pairs, n_jobs=self.n_jobs,
+            token_cache=self._token_cache,
+            sequence_max_chars=self.sequence_max_chars)
         if self.cache is not None:
             self.cache.store(key, matrix)
         return matrix
@@ -172,7 +150,7 @@ def make_magellan_features(table_a: Table, table_b: Table,
     """Table I generator for a table pair (types inferred if omitted).
 
     Extra keyword arguments (``n_jobs``, ``cache``,
-    ``sequence_max_chars``, ``engine``, ...) pass through to
+    ``sequence_max_chars``, ...) pass through to
     :class:`FeatureGenerator`.
     """
     if types is None:
@@ -188,7 +166,7 @@ def make_autoem_features(table_a: Table, table_b: Table,
     """Table II generator for a table pair (types inferred if omitted).
 
     Extra keyword arguments (``n_jobs``, ``cache``,
-    ``sequence_max_chars``, ``engine``, ...) pass through to
+    ``sequence_max_chars``, ...) pass through to
     :class:`FeatureGenerator`.
     """
     if types is None:

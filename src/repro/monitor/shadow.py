@@ -58,7 +58,6 @@ class ShadowEvaluator:
     def __init__(self, champion: ModelBundle, challenger: ModelBundle, *,
                  sample_rate: float = 0.25, seed: int = 0,
                  log: MonitorLog | str | Path | None = None,
-                 n_jobs: int = 1,
                  registry: ModelRegistry | None = None,
                  model_name: str | None = None,
                  challenger_version: str | None = None):
@@ -71,7 +70,7 @@ class ShadowEvaluator:
         self.registry = registry
         self.model_name = model_name
         self.challenger_version = challenger_version
-        self._generator = challenger.feature_generator(n_jobs=n_jobs)
+        self._generator = challenger.feature_generator()
         self._own_log = not isinstance(log, MonitorLog)
         self.log: MonitorLog | None = (
             log if isinstance(log, MonitorLog)

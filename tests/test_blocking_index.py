@@ -210,25 +210,6 @@ class TestRegistration:
         assert sizes and all(s >= 1 for s in sizes)
 
 
-class TestParallelBuild:
-    def test_parallel_build_equals_sequential(self, small_benchmark,
-                                              monkeypatch):
-        import repro.blocking.indexed as indexed
-
-        monkeypatch.setattr(indexed, "PARALLEL_MIN_INDEX_RECORDS", 1)
-        monkeypatch.setattr(indexed, "_MIN_INDEX_CHUNK", 8)
-        a, b = small_benchmark.table_a, small_benchmark.table_b
-        for make in (lambda n: QGramBlocker("name", min_overlap=2,
-                                            n_jobs=n),
-                     lambda n: MinHashLSHBlocker("name", num_perm=16,
-                                                 bands=4, random_state=0,
-                                                 n_jobs=n)):
-            sequential = make(1).index(b)
-            parallel = make(2).index(b)
-            assert parallel.fingerprint == sequential.fingerprint
-            assert probe_keys(parallel, a) == probe_keys(sequential, a)
-
-
 class TestConcurrentSnapshot:
     def test_as_table_races_with_growth(self, catalog):
         """Regression: ``as_table`` used to cache ``_table`` while

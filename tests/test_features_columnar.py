@@ -18,6 +18,7 @@ from repro.data import PairSet, RecordPair, Table
 from repro.features import (
     FeatureGenerator,
     FeatureMatrixCache,
+    columnar,
     make_autoem_features,
 )
 from repro.features.columnar import TokenCache, resolve_n_jobs
@@ -77,9 +78,10 @@ class TestEquivalence:
     def test_all_registered_measures_covered(self):
         assert len(FULL_PLAN) == 21
 
-    def test_parallel_matches_naive(self, duplicate_heavy_pairs):
-        generator = FeatureGenerator(FULL_PLAN, n_jobs=2,
-                                     parallel_threshold=0)
+    def test_parallel_matches_naive(self, duplicate_heavy_pairs,
+                                    monkeypatch):
+        monkeypatch.setattr(columnar, "PARALLEL_MIN_UNIQUE_PAIRS", 0)
+        generator = FeatureGenerator(FULL_PLAN, n_jobs=2)
         reference = generator.transform_naive(duplicate_heavy_pairs)
         np.testing.assert_array_equal(generator.transform(
             duplicate_heavy_pairs), reference)
@@ -97,12 +99,6 @@ class TestEquivalence:
         first = generator.transform(duplicate_heavy_pairs)
         second = generator.transform(duplicate_heavy_pairs)
         np.testing.assert_array_equal(first, second)
-
-    def test_engine_naive_selectable(self, duplicate_heavy_pairs):
-        naive = FeatureGenerator(FULL_PLAN, engine="naive")
-        np.testing.assert_array_equal(
-            naive.transform(duplicate_heavy_pairs),
-            naive.transform_naive(duplicate_heavy_pairs))
 
     def test_bool_and_float_values_not_conflated(self):
         # True and 1.0 hash equal but str() differently; dedup must
@@ -305,10 +301,6 @@ class TestMatrixCache:
 
 
 class TestKnobValidation:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            FeatureGenerator([("name", "lev_dist")], engine="gpu")
-
     def test_resolve_n_jobs(self):
         assert resolve_n_jobs(None) == 1
         assert resolve_n_jobs(3) == 3
