@@ -21,6 +21,14 @@ with no internal negative evidence are returned untouched, so
 refinement composes with the incremental clusterer without disturbing
 its incremental-equals-batch parity guarantee.
 
+The refiner is incremental.  :meth:`CorrelationClustering.observe`
+folds decisions into per-node positive and negative neighbour sets, and
+:meth:`CorrelationClustering.split` refines one component from them, so
+the internal-negative test and the pivot pass walk only that
+component's own edges.  :class:`~repro.resolve.store.EntityStore`
+splits only the components its newest decisions touched.  A refiner
+holds the edges of the one store it refines; give every store its own.
+
 Determinism: the pivot permutation is drawn from a
 ``numpy`` generator seeded by ``(seed, component canonical)`` — two
 refinements of the same decision set with the same seed produce
@@ -31,7 +39,8 @@ already order-independent content.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections import defaultdict
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -69,6 +78,10 @@ class CorrelationClustering:
         self.seed = int(seed)
         self.negative_threshold = negative_threshold
         self.min_component = int(min_component)
+        self._positive: defaultdict[NodeKey, set[NodeKey]] = \
+            defaultdict(set)
+        self._negative: defaultdict[NodeKey, set[NodeKey]] = \
+            defaultdict(set)
 
     def _is_negative(self, decision: MatchDecision) -> bool:
         if decision.matched:
@@ -76,9 +89,8 @@ class CorrelationClustering:
         return (self.negative_threshold is None
                 or decision.score < self.negative_threshold)
 
-    def _edge_signs(self, decisions: Iterable[MatchDecision]
-                    ) -> dict[tuple[NodeKey, NodeKey], bool]:
-        """Normalized endpoint pair → is-positive.
+    def observe(self, decisions: Iterable[MatchDecision]) -> None:
+        """Fold decisions into the per-node signed neighbour sets.
 
         Conflicting repeat judgments resolve by *content*, not stream
         position: any positive decision makes the pair positive, only
@@ -88,70 +100,63 @@ class CorrelationClustering:
         a "most recent wins" rule would make the refined partition
         depend on how a shuffled stream happened to interleave.
         """
-        signs: dict[tuple[NodeKey, NodeKey], bool] = {}
+        positive, negative = self._positive, self._negative
         for decision in decisions:
+            left, right = decision.left, decision.right
             if decision.matched:
-                signs[decision.key] = True
-            elif self._is_negative(decision):
-                signs.setdefault(decision.key, False)
-        return signs
+                positive[left].add(right)
+                positive[right].add(left)
+                if right in negative.get(left, ()):
+                    negative[left].discard(right)
+                    negative[right].discard(left)
+            elif self._is_negative(decision) \
+                    and right not in positive.get(left, ()):
+                negative[left].add(right)
+                negative[right].add(left)
 
-    def refine(self,
-               components: Mapping[NodeKey, tuple[NodeKey, ...]],
-               decisions: Iterable[MatchDecision]
-               ) -> dict[NodeKey, tuple[NodeKey, ...]]:
-        """Split over-merged components; returns a refined partition.
+    def split(self, canonical: NodeKey, members: tuple[NodeKey, ...]
+              ) -> list[tuple[NodeKey, ...]]:
+        """Refined clusters of one connected component.
 
-        ``components`` is :meth:`ConnectedComponents.components` output
-        (canonical → sorted members); ``decisions`` the full decision
-        stream the partition was built from.  The result has the same
-        shape, with every cluster re-keyed by its own minimum member.
+        ``canonical`` is the component's minimum member and ``members``
+        its sorted nodes (one :meth:`ConnectedComponents.components`
+        entry).  A component without internal negative evidence comes
+        back whole; otherwise the greedy pivot pass splits it, each
+        cluster sorted, so ``cluster[0]`` is its own minimum member.
+        Cost is linear in the component's signed edges.
         """
-        signs = self._edge_signs(decisions)
-        refined: dict[NodeKey, tuple[NodeKey, ...]] = {}
-        for canonical, members in components.items():
-            if len(members) < self.min_component or not \
-                    self._has_internal_negative(members, signs):
-                refined[canonical] = members
-                continue
-            for cluster in self._pivot(canonical, members, signs):
-                refined[cluster[0]] = cluster
-        return dict(sorted(refined.items(),
-                           key=lambda item: order_key(item[0])))
-
-    def _has_internal_negative(
-            self, members: tuple[NodeKey, ...],
-            signs: dict[tuple[NodeKey, NodeKey], bool]) -> bool:
         member_set = set(members)
-        for (left, right), positive in signs.items():
-            if not positive and left in member_set \
-                    and right in member_set:
-                return True
-        return False
-
-    def _pivot(self, canonical: NodeKey, members: tuple[NodeKey, ...],
-               signs: dict[tuple[NodeKey, NodeKey], bool]
-               ) -> list[tuple[NodeKey, ...]]:
-        """Greedy pivot clustering of one component's members."""
+        if len(members) < self.min_component or all(
+                member_set.isdisjoint(self._negative.get(node, ()))
+                for node in members):
+            return [members]
         rng = np.random.default_rng(
             [self.seed, stable_hash(canonical)])
-        order = [members[i] for i in rng.permutation(len(members))]
-        unclustered = set(members)
+        unclustered = member_set
         clusters: list[tuple[NodeKey, ...]] = []
-        for pivot in order:
+        for index in rng.permutation(len(members)):
+            pivot = members[index]
             if pivot not in unclustered:
                 continue
-            unclustered.discard(pivot)
-            cluster = [pivot]
-            for other in list(unclustered):
-                key = ((pivot, other)
-                       if order_key(pivot) <= order_key(other)
-                       else (other, pivot))
-                if signs.get(key, False):
-                    cluster.append(other)
-                    unclustered.discard(other)
+            cluster = self._positive.get(pivot, set()) & unclustered
+            cluster.add(pivot)
+            unclustered -= cluster
             clusters.append(tuple(sorted(cluster, key=order_key)))
         return clusters
+
+    # -- persistence ---------------------------------------------------
+
+    def __getstate__(self) -> dict[str, object]:
+        # The neighbour sets are derived from the owning store's
+        # decision log, which replays them after a load.
+        state = self.__dict__.copy()
+        del state["_positive"], state["_negative"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._positive = defaultdict(set)
+        self._negative = defaultdict(set)
 
     def __repr__(self) -> str:
         return (f"CorrelationClustering(seed={self.seed}, "

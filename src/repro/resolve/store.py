@@ -19,6 +19,16 @@ streaming decisions in.  The contract:
   canonical (minimum) member, so they are independent of decision
   arrival order and identical between incremental and batch
   clustering of the same decisions.
+* **One refined view** — every lookup (:meth:`~EntityStore.entity_of`,
+  the ids :meth:`~EntityStore.apply_result` returns,
+  :meth:`~EntityStore.entities`, :meth:`~EntityStore.members`,
+  :meth:`~EntityStore.golden`, :meth:`~EntityStore.golden_records`)
+  reads one partition: connected components, split by the ``refiner``
+  where negative evidence shows over-merging.  Writes only append to
+  the decision log; the first read after a write brings the view up to
+  date on the write side of the lock, re-splitting just the components
+  that decisions or newly registered records touched since the last
+  read.  Reads of an up-to-date view share the read side.
 * **Fingerprint-keyed persistence** — :meth:`save` writes an atomic
   ``snapshot-v%06d.pkl`` (staged ``.tmp`` + ``os.replace``) carrying
   the order-independent decision fingerprint; :meth:`load` verifies
@@ -36,7 +46,8 @@ from __future__ import annotations
 
 import os
 import pickle
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
@@ -51,6 +62,7 @@ from .decisions import (
     decisions_from_result,
     entity_id_for,
     node_key,
+    order_key,
 )
 from .fusion import RecordFusion
 from .metrics import ResolveLog
@@ -119,6 +131,8 @@ class EntityStore:
         Optional :class:`~repro.resolve.correlation.CorrelationClustering`
         applied on top of connected components wherever negative
         evidence shows over-merging.  ``None`` serves raw components.
+        The refiner keeps this store's signed edges, so it must not be
+        shared with another store.
     fusion:
         The :class:`~repro.resolve.fusion.RecordFusion` policy behind
         :meth:`golden`.
@@ -142,11 +156,22 @@ class EntityStore:
         # repro-guard: _records by _rw_lock
         # repro-guard: _version by _rw_lock
         # repro-guard: _last_delta by _rw_lock
+        # repro-guard: _entity_ids by _rw_lock
+        # repro-guard: _clusters by _rw_lock
+        # repro-guard: _observed by _rw_lock
+        # repro-guard: _new_nodes by _rw_lock
         self._cc = ConnectedComponents(threshold)
         self._decisions: list[MatchDecision] = []
         self._records: dict[NodeKey, Record] = {}
         self._version = 0
         self._last_delta: ResolveDelta | None = None
+        # The refined view: node -> entity id and entity id -> sorted
+        # members, current up to the first _observed decisions and
+        # every node except _new_nodes.  Derived state, never pickled.
+        self._entity_ids: dict[NodeKey, str] = {}
+        self._clusters: dict[str, tuple[NodeKey, ...]] = {}
+        self._observed = 0
+        self._new_nodes: set[NodeKey] = set()
         self._rw_lock = ReadWriteLock()
 
     # -- content -------------------------------------------------------
@@ -164,6 +189,10 @@ class EntityStore:
 
     @property
     def n_entities(self) -> int:
+        """Raw connected components, before refinement splits any.
+
+        With a ``refiner`` this can be fewer than ``len(entities())``.
+        """
         with self._rw_lock.read_locked():
             return self._cc.n_components
 
@@ -204,7 +233,9 @@ class EntityStore:
             for record in records:
                 node = node_key(side, record.record_id)
                 self._records[node] = record
-                self._cc.add_node(node)
+                if node not in self._cc:
+                    self._cc.add_node(node)
+                    self._new_nodes.add(node)
                 count += 1
         return count
 
@@ -215,30 +246,40 @@ class EntityStore:
 
         The store mutates under the exclusive write lock; the telemetry
         line (delta plus optional caller ``context``, e.g. a request
-        id) is written after release.
+        id) is written after release.  The refined view is brought up
+        to date by the next read, not here.
         """
         with self._rw_lock.write_locked():
-            nodes_before = self._cc.n_nodes
-            unions_before = self._cc.n_unions
-            attach_before = self._cc.n_attachments
-            merges_before = self._cc.n_entity_merges
-            self._decisions.extend(decisions)
-            self._cc.add_many(decisions)
-            self._version += 1
-            delta = ResolveDelta(
-                version=self._version,
-                n_decisions=len(decisions),
-                n_new_nodes=self._cc.n_nodes - nodes_before,
-                n_unions=self._cc.n_unions - unions_before,
-                n_attachments=self._cc.n_attachments - attach_before,
-                n_entity_merges=self._cc.n_entity_merges - merges_before,
-                n_components=self._cc.n_components,
-            )
-            self._last_delta = delta
+            delta = self._apply_locked(decisions)
+        self._log_delta(delta, context)
+        return delta
+
+    def _apply_locked(self, decisions: Sequence[MatchDecision]
+                      ) -> ResolveDelta:
+        nodes_before = self._cc.n_nodes
+        unions_before = self._cc.n_unions
+        attach_before = self._cc.n_attachments
+        merges_before = self._cc.n_entity_merges
+        self._decisions.extend(decisions)
+        self._cc.add_many(decisions)
+        self._version += 1
+        delta = ResolveDelta(
+            version=self._version,
+            n_decisions=len(decisions),
+            n_new_nodes=self._cc.n_nodes - nodes_before,
+            n_unions=self._cc.n_unions - unions_before,
+            n_attachments=self._cc.n_attachments - attach_before,
+            n_entity_merges=self._cc.n_entity_merges - merges_before,
+            n_components=self._cc.n_components,
+        )
+        self._last_delta = delta
+        return delta
+
+    def _log_delta(self, delta: ResolveDelta,
+                   context: Mapping[str, object] | None) -> None:
         if self.log is not None:
             self.log.resolve(**{**(dict(context) if context else {}),
                                 **delta.to_dict()})
-        return delta
 
     def apply_result(self, result: "MatchResult", *,
                      left_side: str = "a", right_side: str = "b",
@@ -249,7 +290,9 @@ class EntityStore:
         Stores both endpoint records of every pair (so golden records
         cover streamed data), applies the decisions, and maps each
         touched record — keyed ``"<side>:<record_id>"`` — to its
-        current entity id.
+        refined entity id, the same id :meth:`entity_of` and
+        :meth:`entities` report.  All of it happens in one write-lock
+        section, so the ids reflect this batch and no other caller's.
         """
         decisions = decisions_from_result(
             result, left_side=left_side, right_side=right_side)
@@ -262,23 +305,71 @@ class EntityStore:
             for node, record in touched.items():
                 self._records.setdefault(node, record)
                 self._cc.add_node(node)
-        self.apply(decisions, context=context)
+            delta = self._apply_locked(decisions)
+            self._refresh_locked()
+            ids = {entity_id_for(node): self._entity_ids[node]
+                   for node in sorted(touched, key=lambda n: (n[0],
+                                                              str(n[1])))}
+        self._log_delta(delta, context)
+        return ids
+
+    # -- the refined view ----------------------------------------------
+
+    def _refresh_locked(self) -> None:
+        """Bring the refined view up to date; callers hold the write side.
+
+        Only components holding an endpoint of a decision applied since
+        the last refresh, or a node registered since then, are
+        re-split; every other cluster is still current, because
+        components only ever grow by merging.
+        """
+        fresh = self._decisions[self._observed:]
+        self._observed = len(self._decisions)
+        if self.refiner is not None:
+            self.refiner.observe(fresh)
+        touched = self._new_nodes
+        touched.update(decision.left for decision in fresh)
+        touched.update(decision.right for decision in fresh)
+        self._new_nodes = set()
+        roots = {self._cc.find(node) for node in touched}
+        for root in roots:
+            members = self._cc.members(root)
+            for node in members:
+                self._clusters.pop(self._entity_ids.get(node, ""), None)
+            clusters = ([members] if self.refiner is None
+                        else self.refiner.split(members[0], members))
+            for cluster in clusters:
+                entity_id = entity_id_for(cluster[0])
+                self._clusters[entity_id] = cluster
+                for node in cluster:
+                    self._entity_ids[node] = entity_id
+
+    @contextmanager
+    def _fresh_view(self) -> Iterator[None]:
+        """Hold the lock over an up-to-date refined view.
+
+        A current view is read on the shared side.  The first read
+        after a write finds it stale, refreshes it on the write side
+        and answers there, so no reader sees a half-refreshed view.
+        """
         with self._rw_lock.read_locked():
-            return {entity_id_for(node):
-                    entity_id_for(self._cc.canonical(node))
-                    for node in sorted(touched, key=lambda n: (n[0],
-                                                               str(n[1])))}
+            if self._observed == len(self._decisions) \
+                    and not self._new_nodes:
+                yield
+                return
+        with self._rw_lock.write_locked():
+            self._refresh_locked()
+            yield
 
     # -- lookups -------------------------------------------------------
 
     def entity_of(self, record_id: Union[int, str],
                   side: str = "a") -> str | None:
-        """The entity id of one record, or ``None`` if never seen."""
+        """The refined entity id of one record, or ``None`` if never
+        seen; ``node in members(entity_of(node))`` always holds."""
         node = node_key(side, record_id)
-        with self._rw_lock.read_locked():
-            if node not in self._cc:
-                return None
-            return entity_id_for(self._cc.canonical(node))
+        with self._fresh_view():
+            return self._entity_ids.get(node)
 
     def entities(self) -> dict[str, tuple[NodeKey, ...]]:
         """The full current partition: entity id → sorted members.
@@ -286,22 +377,19 @@ class EntityStore:
         With a ``refiner`` configured, over-merged components (those
         carrying internal negative evidence) are split before ids are
         assigned; without one this is the raw connected-components
-        view.
+        view.  Entities come in canonical-member order.
         """
-        with self._rw_lock.read_locked():
-            components = self._cc.components()
-            if self.refiner is not None:
-                components = self.refiner.refine(components,
-                                                 self._decisions)
-        return {entity_id_for(canonical): members
-                for canonical, members in components.items()}
+        with self._fresh_view():
+            clusters = list(self._clusters.items())
+        return dict(sorted(clusters, key=lambda item: order_key(item[1][0])))
 
     def members(self, entity_id: str) -> tuple[NodeKey, ...]:
         """Sorted member nodes of ``entity_id``."""
-        try:
-            return self.entities()[entity_id]
-        except KeyError:
-            raise KeyError(f"unknown entity id {entity_id!r}") from None
+        with self._fresh_view():
+            members = self._clusters.get(entity_id)
+        if members is None:
+            raise KeyError(f"unknown entity id {entity_id!r}")
+        return members
 
     def record_of(self, node: NodeKey) -> Record | None:
         """The stored payload record for ``node``, if any."""
@@ -315,10 +403,12 @@ class EntityStore:
         skipped; an entity with no payload at all raises
         :class:`EntityStoreError`.
         """
-        members = self.members(entity_id)
-        with self._rw_lock.read_locked():
+        with self._fresh_view():
+            members = self._clusters.get(entity_id, ())
             records = [self._records[node] for node in members
                        if node in self._records]
+        if not members:
+            raise KeyError(f"unknown entity id {entity_id!r}")
         if not records:
             raise EntityStoreError(
                 f"entity {entity_id!r} has no stored records to fuse; "
@@ -327,14 +417,14 @@ class EntityStore:
 
     def golden_records(self) -> dict[str, dict[str, Value]]:
         """Golden records for every entity that has stored payloads."""
-        golden: dict[str, dict[str, Value]] = {}
-        for entity_id, members in self.entities().items():
-            with self._rw_lock.read_locked():
-                records = [self._records[node] for node in members
-                           if node in self._records]
-            if records:
-                golden[entity_id] = self.fusion.fuse(entity_id, records)
-        return golden
+        with self._fresh_view():
+            stored = [(members[0], entity_id,
+                       [self._records[node] for node in members
+                        if node in self._records])
+                      for entity_id, members in self._clusters.items()]
+        stored.sort(key=lambda item: order_key(item[0]))
+        return {entity_id: self.fusion.fuse(entity_id, records)
+                for _, entity_id, records in stored if records}
 
     def stats(self) -> dict[str, int | float]:
         """Store-level counters for telemetry and monitoring."""
@@ -359,11 +449,19 @@ class EntityStore:
         # plumbing, not store content.  A loaded snapshot starts silent;
         # callers reattach a log if they want one.
         state["log"] = None
+        for derived in ("_entity_ids", "_clusters", "_observed",
+                        "_new_nodes"):
+            del state[derived]
         return state
 
     def __setstate__(self, state: dict[str, object]) -> None:
         self.__dict__.update(state)
         self._rw_lock = ReadWriteLock()
+        # The first read rebuilds the view from the whole decision log.
+        self._entity_ids = {}
+        self._clusters = {}
+        self._observed = 0
+        self._new_nodes = set(self._cc)
 
     def save(self, directory: Union[str, Path]) -> Path:
         """Persist one atomic, versioned snapshot; returns its path.

@@ -17,6 +17,11 @@ union by rank and path compression, plus the bookkeeping that makes it
   per union.  ``tests/test_property_resolve.py`` drives this with
   hypothesis: any permutation and any batch partitioning of a decision
   stream yields bit-identical :meth:`components` output.
+* **Member lists** — every root keeps the list of its component's
+  nodes, merged small-into-large on :meth:`union`, so :meth:`members`
+  costs O(k log k) for a k-node component instead of a scan over every
+  node.  The lists are derived from the forest: they stay out of the
+  pickle and are rebuilt on load.
 * **Score-thresholded edges** — a decision merges only when the model
   said *match* and (optionally) its score clears ``threshold``;
   everything else still registers its endpoints, so singleton entities
@@ -31,7 +36,7 @@ the monitoring layer's cluster-churn trigger consumes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .decisions import MatchDecision, NodeKey, order_key
 
@@ -60,6 +65,7 @@ class ConnectedComponents:
         self._rank: dict[NodeKey, int] = {}
         self._size: dict[NodeKey, int] = {}
         self._min: dict[NodeKey, NodeKey] = {}
+        self._members: dict[NodeKey, list[NodeKey]] = {}
         self._n_components = 0
         self.n_unions = 0
         self.n_attachments = 0
@@ -81,6 +87,10 @@ class ConnectedComponents:
     def __len__(self) -> int:
         return len(self._parent)
 
+    def __iter__(self) -> Iterator[NodeKey]:
+        """Every registered node, in registration order."""
+        return iter(self._parent)
+
     def add_node(self, node: NodeKey) -> None:
         """Register ``node`` as a (possibly singleton) entity."""
         if node not in self._parent:
@@ -88,6 +98,7 @@ class ConnectedComponents:
             self._rank[node] = 0
             self._size[node] = 1
             self._min[node] = node
+            self._members[node] = [node]
             self._n_components += 1
 
     def find(self, node: NodeKey) -> NodeKey:
@@ -135,6 +146,11 @@ class ConnectedComponents:
         old_min = self._min.pop(root_b)
         if order_key(old_min) < order_key(self._min[root_a]):
             self._min[root_a] = old_min
+        kept, moved = self._members[root_a], self._members.pop(root_b)
+        if len(kept) < len(moved):
+            kept, moved = moved, kept
+        kept.extend(moved)
+        self._members[root_a] = kept
         self._n_components -= 1
         self.n_unions += 1
         return True
@@ -170,20 +186,14 @@ class ConnectedComponents:
         partitioning of the same decision set, which is the
         order-independence contract property tests pin down.
         """
-        grouped: dict[NodeKey, list[NodeKey]] = {}
-        for node in self._parent:
-            grouped.setdefault(self.canonical(node), []).append(node)
-        return {canonical: tuple(sorted(members, key=order_key))
-                for canonical, members
-                in sorted(grouped.items(),
-                          key=lambda item: order_key(item[0]))}
+        return {self._min[root]: tuple(sorted(members, key=order_key))
+                for root, members
+                in sorted(self._members.items(),
+                          key=lambda item: order_key(self._min[item[0]]))}
 
     def members(self, node: NodeKey) -> tuple[NodeKey, ...]:
-        """Sorted members of ``node``'s component (O(n) scan)."""
-        root = self.find(node)
-        return tuple(sorted(
-            (other for other in self._parent
-             if self.find(other) == root), key=order_key))
+        """Sorted members of ``node``'s component (O(k log k))."""
+        return tuple(sorted(self._members[self.find(node)], key=order_key))
 
     def sizes(self) -> list[int]:
         """All component sizes (input to the size histogram)."""
@@ -201,6 +211,19 @@ class ConnectedComponents:
             "entity_merge_rate": (self.n_entity_merges / self.n_unions
                                   if self.n_unions else 0.0),
         }
+
+    # -- persistence ---------------------------------------------------
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_members"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._members = {}
+        for node in self._parent:
+            self._members.setdefault(self.find(node), []).append(node)
 
     def __repr__(self) -> str:
         return (f"ConnectedComponents({self.n_nodes} nodes, "

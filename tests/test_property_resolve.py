@@ -1,12 +1,13 @@
 """Property-based tests for the resolve layer's determinism contracts.
 
-The ISSUE-level invariants: the clustering a decision stream induces is
-independent of decision order and of how the stream is cut into
-batches, and record fusion is a pure function of (members, seed) —
-never of encounter order.
+The invariants: the clustering a decision stream induces is independent
+of decision order and of how the stream is cut into batches, every
+entity-store lookup reads one refined partition, and record fusion is a
+pure function of (members, seed) — never of encounter order.
 """
 
 import numpy as np
+import resolve_oracle
 from hypothesis import given, settings, strategies as st
 
 from repro.data.table import Record
@@ -21,7 +22,8 @@ from repro.resolve import (
     seeded_choice,
 )
 
-node_ids = st.integers(0, 12)
+N_IDS = 13
+node_ids = st.integers(0, N_IDS - 1)
 sides = st.sampled_from(["a", "b"])
 
 
@@ -42,14 +44,30 @@ def decision_streams(draw, max_size=40):
     return decisions
 
 
-def clustered(decisions, refine=False):
+def clustered(decisions):
     cc = ConnectedComponents()
     cc.add_many(decisions)
-    components = cc.components()
-    if refine:
-        components = CorrelationClustering(seed=5).refine(components,
-                                                          decisions)
-    return components
+    return cc.components()
+
+
+def chunks(decisions, size):
+    return [decisions[start:start + size]
+            for start in range(0, len(decisions), size)]
+
+
+def assert_one_partition(store):
+    """Every lookup agrees with ``entities()``: each node's
+    ``entity_of`` id names the cluster it sits in."""
+    entities = store.entities()
+    for entity_id, members in entities.items():
+        assert store.members(entity_id) == members
+        for side, record_id in members:
+            assert store.entity_of(record_id, side=side) == entity_id
+    for side in ("a", "b"):
+        for record_id in range(N_IDS):
+            entity_id = store.entity_of(record_id, side=side)
+            if entity_id is not None:
+                assert (side, record_id) in store.members(entity_id)
 
 
 class TestClusteringInvariance:
@@ -75,18 +93,20 @@ class TestClusteringInvariance:
            st.integers(1, 7))
     def test_store_apply_matches_batch_recluster(self, decisions, rnd,
                                                  chunk):
-        """EntityStore end to end: shuffled, chunked apply() equals a
-        one-shot batch apply — including the refined view."""
+        """EntityStore end to end: shuffled, chunked apply() with reads
+        in between equals the quadratic batch oracle over one-shot
+        connected components — including the refined view."""
         shuffled = list(decisions)
         rnd.shuffle(shuffled)
         incremental = EntityStore(
             refiner=CorrelationClustering(seed=5))
-        for start in range(0, len(shuffled), chunk):
-            incremental.apply(shuffled[start:start + chunk])
-        batch = EntityStore(refiner=CorrelationClustering(seed=5))
-        batch.apply(decisions)
-        assert incremental.entities() == batch.entities()
-        assert incremental.fingerprint == batch.fingerprint
+        for batch in chunks(shuffled, chunk):
+            incremental.apply(batch)
+            if rnd.random() < 0.5:
+                incremental.entities()
+        assert incremental.entities() == resolve_oracle.batch_entities(
+            decisions, CorrelationClustering(seed=5))
+        assert incremental.fingerprint == decisions_fingerprint(decisions)
 
     @settings(max_examples=40, deadline=None)
     @given(decision_streams())
@@ -94,7 +114,9 @@ class TestClusteringInvariance:
         """Refinement only ever splits: every refined cluster sits
         wholly inside one connected component."""
         components = clustered(decisions)
-        refined = clustered(decisions, refine=True)
+        store = EntityStore(refiner=CorrelationClustering(seed=5))
+        store.apply(decisions)
+        refined = store.entities()
         component_of = {node: canonical
                         for canonical, members in components.items()
                         for node in members}
@@ -102,6 +124,36 @@ class TestClusteringInvariance:
             assert len({component_of[node] for node in cluster}) == 1
         assert sorted(node for m in refined.values() for node in m) == \
             sorted(node for m in components.values() for node in m)
+
+
+class TestOneRefinedPartition:
+    @settings(max_examples=60, deadline=None)
+    @given(decision_streams(), st.randoms(use_true_random=False),
+           st.integers(1, 7))
+    def test_lookups_agree_between_chunks_and_after_reload(
+            self, tmp_path_factory, decisions, rnd, chunk):
+        """With a refiner, ``node in members(entity_of(node))`` and
+        ``entity_of`` agrees with ``entities()`` — read between shuffled
+        chunks, with records registered in between, and again after a
+        save/load round trip."""
+        shuffled = list(decisions)
+        rnd.shuffle(shuffled)
+        batches = chunks(shuffled, chunk)
+        store = EntityStore(refiner=CorrelationClustering(seed=5))
+        registered = []
+        for number, batch in enumerate(batches):
+            if number == len(batches) // 2:
+                directory = tmp_path_factory.mktemp("store")
+                store = EntityStore.load(store.save(directory))
+                assert_one_partition(store)
+            store.apply(batch)
+            record_id = rnd.randrange(N_IDS)
+            side = rnd.choice("ab")
+            store.add_records(side, [Record(record_id, ["x"], ["v"])])
+            registered.append(node_key(side, record_id))
+            assert_one_partition(store)
+        assert store.entities() == resolve_oracle.batch_entities(
+            decisions, CorrelationClustering(seed=5), registered)
 
 
 values = st.one_of(st.text(max_size=6),

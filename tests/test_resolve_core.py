@@ -1,6 +1,9 @@
 """Unit tests for the resolve layer's decision and clustering cores."""
 
+import pickle
+
 import pytest
+import resolve_oracle
 
 from repro.resolve import (
     ConnectedComponents,
@@ -17,6 +20,18 @@ from repro.resolve import (
 
 def D(left, right, score=0.9, matched=True):
     return MatchDecision(node_key(*left), node_key(*right), score, matched)
+
+
+def refine(refiner, components, decisions):
+    """Refine ``components`` through the production path (``observe``
+    then ``split`` per component) and check the result against the
+    quadratic batch oracle; canonical → sorted members."""
+    refiner.observe(decisions)
+    refined = {cluster[0]: cluster
+               for canonical, members in components.items()
+               for cluster in refiner.split(canonical, members)}
+    assert refined == resolve_oracle.refine(refiner, components, decisions)
+    return refined
 
 
 class TestDecisions:
@@ -133,6 +148,19 @@ class TestConnectedComponents:
         assert cc.members(("b", 1)) == (("a", 1), ("b", 1))
         assert sorted(cc.sizes()) == [1, 1, 2]
 
+    def test_member_lists_survive_pickle_and_keep_merging(self):
+        cc = ConnectedComponents()
+        cc.add_many([D(("a", i), ("b", i)) for i in range(4)]
+                    + [D(("b", i), ("a", i + 1)) for i in range(2)])
+        before = cc.components()
+        assert "_members" not in cc.__getstate__()
+        loaded = pickle.loads(pickle.dumps(cc))
+        assert loaded.components() == before
+        assert loaded.members(("b", 1)) == before[("a", 0)]
+        loaded.add(D(("b", 2), ("a", 3)))
+        assert loaded.members(("a", 3)) == tuple(
+            sorted(before[("a", 0)] + before[("a", 3)], key=order_key))
+
 
 class TestCorrelationClustering:
     def test_splits_component_with_internal_negative(self):
@@ -143,8 +171,8 @@ class TestCorrelationClustering:
         cc = ConnectedComponents()
         cc.add_many(decisions)
         assert cc.n_components == 1
-        refined = CorrelationClustering(seed=0).refine(cc.components(),
-                                                       decisions)
+        refined = refine(CorrelationClustering(seed=0), cc.components(),
+                         decisions)
         assert len(refined) == 2
         members = sorted(refined.values())
         assert all(len(cluster) <= 2 for cluster in members)
@@ -155,8 +183,8 @@ class TestCorrelationClustering:
         decisions = [D(("a", 1), ("b", 1)), D(("b", 1), ("a", 2))]
         cc = ConnectedComponents()
         cc.add_many(decisions)
-        refined = CorrelationClustering().refine(cc.components(),
-                                                 decisions)
+        refined = refine(CorrelationClustering(), cc.components(),
+                         decisions)
         assert refined == cc.components()
 
     def test_min_component_leaves_pairs_alone(self):
@@ -164,8 +192,8 @@ class TestCorrelationClustering:
                      D(("a", 1), ("b", 1), 0.1, False)]
         cc = ConnectedComponents()
         cc.add_many(decisions)
-        refined = CorrelationClustering(min_component=3).refine(
-            cc.components(), decisions)
+        refined = refine(CorrelationClustering(min_component=3),
+                         cc.components(), decisions)
         assert refined == cc.components()
 
     def test_negative_threshold_ignores_borderline_negatives(self):
@@ -174,10 +202,10 @@ class TestCorrelationClustering:
         cc = ConnectedComponents()
         cc.add_many(decisions)
         strict = CorrelationClustering(negative_threshold=0.3)
-        assert strict.refine(cc.components(), decisions) == \
+        assert refine(strict, cc.components(), decisions) == \
             cc.components()
         loose = CorrelationClustering(negative_threshold=0.6)
-        assert len(loose.refine(cc.components(), decisions)) == 2
+        assert len(refine(loose, cc.components(), decisions)) == 2
 
     def test_refinement_is_seed_deterministic(self):
         decisions = [D(("a", i), ("b", i)) for i in range(6)]
@@ -186,11 +214,13 @@ class TestCorrelationClustering:
                       D(("a", 2), ("b", 4), 0.03, False)]
         cc = ConnectedComponents()
         cc.add_many(decisions)
-        first = CorrelationClustering(seed=11).refine(cc.components(),
-                                                      decisions)
-        second = CorrelationClustering(seed=11).refine(cc.components(),
-                                                       decisions)
+        first = refine(CorrelationClustering(seed=11), cc.components(),
+                       decisions)
+        second = refine(CorrelationClustering(seed=11), cc.components(),
+                        decisions)
         assert first == second
+        # the pivot pass really split something, so the seed mattered
+        assert len(first) > 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="negative_threshold"):

@@ -4,8 +4,11 @@ import pickle
 import threading
 
 import pytest
+import resolve_oracle
 
 from repro.automl.runner import read_run_log
+from repro.concurrency import lock_witness_enabled
+from repro.data.pairs import RecordPair
 from repro.data.table import Record
 from repro.resolve import (
     LATEST_POINTER,
@@ -26,6 +29,34 @@ def D(left, right, score=0.9, matched=True):
 
 def record(record_id, **attrs):
     return Record(record_id, list(attrs), list(attrs.values()))
+
+
+class Result:
+    """The slice of a serving ``MatchResult`` that ``apply_result``
+    reads: pairs, probabilities and thresholded predictions."""
+
+    def __init__(self, *scored):
+        self.pairs = [RecordPair(record(left, v=left), record(right, v=right))
+                      for left, right, _ in scored]
+        self.probabilities = [score for _, _, score in scored]
+        self.predictions = [score >= 0.5 for _, _, score in scored]
+
+
+class SpyRefiner(CorrelationClustering):
+    """Records the canonical of every component it is asked to split."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.split_calls = []
+
+    def split(self, canonical, members):
+        self.split_calls.append(canonical)
+        return super().split(canonical, members)
+
+
+#: Over-merged: a1 - b1 - a2 chained by positives, a1 - a2 negative.
+OVER_MERGED = [D(("a", 1), ("b", 1)), D(("b", 1), ("a", 2)),
+               D(("a", 1), ("a", 2), 0.05, False)]
 
 
 @pytest.fixture()
@@ -95,6 +126,78 @@ class TestEntityStore:
         assert len(raw.entities()) == 1
         assert len(refined.entities()) == 2
 
+    def test_every_lookup_reads_the_refined_partition(self):
+        store = EntityStore(refiner=CorrelationClustering(seed=0))
+        store.apply(OVER_MERGED)
+        entities = store.entities()
+        assert len(entities) == 2 and store.n_entities == 1
+        for entity_id, members in entities.items():
+            for side, record_id in members:
+                assert store.entity_of(record_id, side=side) == entity_id
+        # the split leaves one node outside the raw canonical's cluster
+        assert any(store.entity_of(record_id, side=side) != "a:1"
+                   for side, record_id in (("a", 2), ("b", 1)))
+
+    def test_apply_result_returns_refined_ids(self):
+        store = EntityStore(refiner=CorrelationClustering(seed=0))
+        # a1 - b1 - a2 chain into one entity; a negative a1 - a2 splits it
+        ids = store.apply_result(Result((1, 1, 0.9), (2, 1, 0.9)))
+        assert set(ids.values()) == {"a:1"}
+        store.apply([D(("a", 1), ("a", 2), 0.05, False)])
+        ids = store.apply_result(Result((2, 1, 0.9)))
+        for key, entity_id in ids.items():
+            side, record_id = key.split(":")
+            node = (side, int(record_id))
+            assert store.entity_of(int(record_id), side=side) == entity_id
+            assert node in store.members(entity_id)
+            assert store.golden(entity_id)
+
+    def test_reads_refresh_only_touched_components(self):
+        refiner = SpyRefiner(seed=0)
+        store = EntityStore(refiner=refiner)
+        store.apply(OVER_MERGED + [D(("a", 7), ("b", 7))])
+        assert refiner.split_calls == []          # writes never refine
+        store.entity_of(1)
+        assert sorted(refiner.split_calls) == [("a", 1), ("a", 7)]
+        refiner.split_calls.clear()
+        store.members("a:7")
+        store.golden_records()
+        assert refiner.split_calls == []          # the view is current
+        store.apply([D(("a", 7), ("b", 8))])
+        store.add_records("b", [record(9, v=9)])
+        assert store.entity_of(9, side="b") == "b:9"
+        assert sorted(refiner.split_calls) == [("a", 7), ("b", 9)]
+
+    def test_concurrent_writers_and_readers_share_one_partition(self):
+        store = EntityStore(refiner=CorrelationClustering(seed=0))
+        batches = [[D(("a", i), ("b", i)), D(("b", i), ("a", i + 1)),
+                    D(("a", i), ("a", i + 1), 0.05, False)]
+                   for i in range(0, 60, 2)]
+        errors = []
+
+        def worker(index):
+            try:
+                for batch in batches[index::4]:
+                    store.apply(batch)
+                    left, right = batch[0].left, batch[1].right
+                    for side, record_id in (left, right):
+                        entity_id = store.entity_of(record_id, side=side)
+                        assert (side, record_id) in store.members(entity_id)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        with lock_witness_enabled():
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert errors == []
+        decisions = [decision for batch in batches for decision in batch]
+        assert store.entities() == resolve_oracle.batch_entities(
+            decisions, CorrelationClustering(seed=0))
+
     def test_stats_surface(self, store):
         stats = store.stats()
         assert stats["version"] == 1
@@ -139,6 +242,36 @@ class TestPersistence:
         # the loaded store is live: locks were recreated on unpickle
         loaded.apply([D(("a", 9), ("b", 9))])
         assert loaded.version == 2
+
+    def test_members_after_load(self, tmp_path):
+        store = EntityStore(refiner=CorrelationClustering(seed=0))
+        store.add_records("b", [record(5, v=5)])
+        store.apply(OVER_MERGED + [D(("a", 7), ("b", 7)),
+                                   D(("b", 7), ("a", 8))])
+        loaded = EntityStore.load(store.save(tmp_path))
+        assert loaded.entities() == store.entities()
+        for entity_id, members in store.entities().items():
+            assert loaded.members(entity_id) == members
+        assert loaded.entity_of(5, side="b") == "b:5"
+        # the union-find member lists were rebuilt and keep merging
+        loaded.apply([D(("a", 8), ("b", 5))])
+        assert loaded.members("a:7") == (("a", 7), ("a", 8), ("b", 5),
+                                         ("b", 7))
+
+    def test_snapshot_holds_no_derived_state(self):
+        """The view, the refiner's signed edges and the union-find
+        member lists are rebuilt on load, never pickled, so the
+        snapshot layout (STORE_FORMAT_VERSION 1) is unchanged."""
+        store = EntityStore(refiner=CorrelationClustering(seed=0))
+        store.apply(OVER_MERGED)
+        store.entities()
+        state = store.__getstate__()
+        assert set(state) == {"refiner", "fusion", "log", "_cc",
+                              "_decisions", "_records", "_version",
+                              "_last_delta"}
+        assert set(state["refiner"].__getstate__()) == {
+            "seed", "negative_threshold", "min_component"}
+        assert "_members" not in state["_cc"].__getstate__()
 
     def test_save_drops_log_but_logs_the_snapshot(self, store, tmp_path):
         store.log = ResolveLog.ensure(tmp_path / "resolve.jsonl")
