@@ -7,9 +7,10 @@ pairs — then times each execution path of
 :meth:`repro.features.FeatureGenerator.transform` over a full Table II
 plan and writes rows/sec to ``BENCH_featuregen.json`` at the repo root.
 
-Every path is timed cold: the process-wide ``lru_cache`` memos of
-:mod:`repro.similarity.sequence` are cleared before each one, so no path
-reuses edit-distance results an earlier path computed.  The parallel
+Every path is timed cold: the process-wide memos of
+:mod:`repro.similarity.sequence` (the DP kernels' ``DP_MEMO`` and the
+Jaro ``lru_cache``) are cleared before each one, so no path reuses
+alignment or edit-distance scores an earlier path computed.  The parallel
 path runs at the engine's default pool threshold
 (:data:`repro.features.columnar.PARALLEL_MIN_UNIQUE_PAIRS`); the report
 records whether the workload crossed it.
@@ -96,7 +97,10 @@ def build_workload(n_pairs: int = 6000, duplication: int = 4,
 
 
 def clear_similarity_caches() -> None:
-    """Empty every ``lru_cache`` memo in :mod:`repro.similarity.sequence`."""
+    """Empty the similarity memos of :mod:`repro.similarity.sequence`:
+    the DP kernels' :data:`~repro.similarity.sequence.DP_MEMO` and every
+    ``lru_cache`` (Jaro)."""
+    sequence.DP_MEMO.clear()
     for value in vars(sequence).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()

@@ -17,7 +17,11 @@ the same work column-first:
 3. **Share tokenization.**  All set measures of a tokenizer family
    (SPACE, QGRAM3) read tokens from one :class:`TokenCache`, so each
    unique string is tokenized once per tokenizer, not once per measure.
-4. **Optional process pool.**  For large candidate sets the unique pairs
+4. **Batch the character DPs.**  Levenshtein, Needleman-Wunsch and
+   Smith-Waterman score an attribute's unique, prefix-capped value pairs
+   in one batched kernel call each
+   (:meth:`~repro.similarity.registry.SimilarityMeasure.score_column`).
+5. **Optional process pool.**  For large candidate sets the unique pairs
    are chunked across ``n_jobs`` workers; below
    :data:`PARALLEL_MIN_UNIQUE_PAIRS` total unique pairs the sequential
    path is used (pool startup would dominate).
@@ -116,10 +120,8 @@ def score_value_pairs(measures: Sequence["SimilarityMeasure"],
     cache = TokenCache() if token_cache is None else token_cache
     out = np.empty((len(value_pairs), len(measures)), dtype=np.float64)
     for j, measure in enumerate(measures):
-        score = measure.scorer(cache, sequence_max_chars)
-        column = out[:, j]
-        for k, (v1, v2) in enumerate(value_pairs):
-            column[k] = score(v1, v2)
+        out[:, j] = measure.score_column(value_pairs, cache,
+                                         sequence_max_chars)
     np.copyto(out, np.nan, where=np.isinf(out))
     return out
 

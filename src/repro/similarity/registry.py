@@ -13,8 +13,10 @@ imputation component later fills.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, MutableMapping
+from collections.abc import Callable, MutableMapping, Sequence
 from typing import Any
+
+import numpy as np
 
 from . import numeric as num
 from . import sequence as seq
@@ -28,7 +30,8 @@ from .tokenizers import QGRAM3, SPACE, Tokenizer
 #: tokens carries the identifying signal — the token-set measures cover
 #: the tail.  This module-level value is the *default*; callers that need
 #: a different cap pass ``sequence_max_chars`` to
-#: :meth:`SimilarityMeasure.__call__` / :meth:`SimilarityMeasure.scorer`
+#: :meth:`SimilarityMeasure.__call__` / :meth:`SimilarityMeasure.scorer` /
+#: :meth:`SimilarityMeasure.score_column`
 #: (``FeatureGenerator`` exposes it as a constructor knob).
 SEQUENCE_MAX_CHARS = 64
 
@@ -43,15 +46,21 @@ class SimilarityMeasure:
     """One named similarity measure, e.g. ``(Jaccard Similarity, Space)``.
 
     Call it with two raw attribute values; it handles missing values and
-    tokenization, returning a float (possibly ``nan``).
+    tokenization, returning a float (possibly ``nan``).  ``column``, when
+    given, scores a list of ``(s1, s2)`` string pairs at once and must
+    agree element for element with ``func``; :meth:`score_column` uses
+    it.
     """
 
     def __init__(self, name: str, func: Callable[..., float],
                  tokenizer: Tokenizer | None = None,
-                 kind: str = "string"):
+                 kind: str = "string",
+                 column: Callable[[list[tuple[str, str]]], np.ndarray]
+                 | None = None):
         self.name = name
         self.kind = kind  # "string" | "numeric" | "boolean"
         self._func = func
+        self._column = column
         self.tokenizer = tokenizer
         self._capped = name in _CAPPED_SEQUENCE_MEASURES
 
@@ -143,6 +152,31 @@ class SimilarityMeasure:
             return func(str(v1), str(v2))
         return score_sequence
 
+    def score_column(self, value_pairs: Sequence[tuple[object, object]],
+                     token_cache: MutableMapping[Any, Any] | None = None,
+                     sequence_max_chars: int | None = None) -> np.ndarray:
+        """Scores of raw ``(v1, v2)`` pairs, one float per pair.
+
+        Equal, element for element, to the :meth:`scorer` applied to each
+        pair.  Measures with a column function (the prefix-capped
+        character DPs) score all pairs with no missing side in one
+        batched call.
+        """
+        if self._column is None:
+            score = self.scorer(token_cache, sequence_max_chars)
+            return np.fromiter((score(v1, v2) for v1, v2 in value_pairs),
+                               dtype=np.float64, count=len(value_pairs))
+        cap = (SEQUENCE_MAX_CHARS if sequence_max_chars is None
+               else sequence_max_chars)
+        present = [k for k, (v1, v2) in enumerate(value_pairs)
+                   if v1 is not None and v2 is not None]
+        out = np.full(len(value_pairs), np.nan)
+        if present:
+            strings = [(str(v1)[:cap], str(v2)[:cap])
+                       for v1, v2 in (value_pairs[k] for k in present)]
+            out[present] = self._column(strings)
+        return out
+
     def __repr__(self) -> str:
         tok = self.tokenizer.name if self.tokenizer else "N/A"
         return f"SimilarityMeasure({self.name!r}, tokenizer={tok})"
@@ -150,13 +184,17 @@ class SimilarityMeasure:
 
 def _measures() -> dict[str, SimilarityMeasure]:
     string = [
-        SimilarityMeasure("lev_dist", seq.levenshtein_distance),
-        SimilarityMeasure("lev_sim", seq.levenshtein_similarity),
+        SimilarityMeasure("lev_dist", seq.levenshtein_distance,
+                          column=seq.levenshtein_distances),
+        SimilarityMeasure("lev_sim", seq.levenshtein_similarity,
+                          column=seq.levenshtein_similarities),
         SimilarityMeasure("jaro", seq.jaro_similarity),
         SimilarityMeasure("exact_match", seq.exact_match),
         SimilarityMeasure("jaro_winkler", seq.jaro_winkler_similarity),
-        SimilarityMeasure("needleman_wunsch", seq.needleman_wunsch),
-        SimilarityMeasure("smith_waterman", seq.smith_waterman),
+        SimilarityMeasure("needleman_wunsch", seq.needleman_wunsch,
+                          column=seq.needleman_wunsch_scores),
+        SimilarityMeasure("smith_waterman", seq.smith_waterman,
+                          column=seq.smith_waterman_scores),
         SimilarityMeasure("monge_elkan", _monge_elkan_on_words),
         SimilarityMeasure("overlap_space", sets.overlap_coefficient, SPACE),
         SimilarityMeasure("dice_space", sets.dice_similarity, SPACE),

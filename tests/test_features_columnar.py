@@ -8,6 +8,8 @@ measure.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.similarity import (
     ALL_STRING_MEASURES,
 )
 from repro.similarity import registry as simreg
+from repro.similarity import sequence
 from repro.similarity.registry import SimilarityMeasure
 
 #: A plan exercising all 21 registered measures over a mixed schema.
@@ -317,8 +320,6 @@ class TestKnobValidation:
         assert ("space", "c") in cache
 
     def test_token_cache_safe_under_concurrent_writers(self):
-        import threading
-
         cache = TokenCache(max_entries=64)
         n_threads, per_thread = 8, 500
         barrier = threading.Barrier(n_threads)
@@ -363,3 +364,77 @@ class TestValueDedupKeys:
         generator = FeatureGenerator(plan)
         np.testing.assert_array_equal(generator.transform(pairs),
                                       generator.transform_naive(pairs))
+
+
+class TestSharedDPMemo:
+    """The process-wide DP memo under the threads a MatchService runs."""
+
+    WORDS = ("sony", "samsung", "hdmi", "cable", "black", "1080p", "lcd",
+             "tv", "remote", "wireless", "mount", "stand")
+
+    def _pair_sets(self):
+        rng = np.random.default_rng(11)
+
+        def rows(n):
+            return [[" ".join(rng.choice(self.WORDS,
+                                         size=rng.integers(1, 14))),
+                     float(rng.integers(100)), bool(rng.integers(2))]
+                    for _ in range(n)]
+
+        rows_a, rows_b = rows(12), rows(12)
+        shared = [(int(rng.integers(12)), int(rng.integers(12)))
+                  for _ in range(40)]
+        # Each thread's set overlaps every other's through ``shared``.
+        return [make_pairs(rows_a, rows_b,
+                           shared[t * 5:t * 5 + 20]
+                           + [(int(rng.integers(12)), int(rng.integers(12)))
+                              for _ in range(10)])
+                for t in range(4)]
+
+    def test_concurrent_transforms_with_mid_run_eviction(self, monkeypatch):
+        pair_sets = self._pair_sets()
+        sequential = FeatureGenerator(FULL_PLAN)
+        sequence.DP_MEMO.clear()
+        expected = [sequential.transform(ps) for ps in pair_sets]
+        # Far fewer entries than the unique DP keys of one transform, so
+        # the memo empties wholesale many times while threads read it.
+        assert len(sequence.DP_MEMO) > 16
+        monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES", 16)
+        sequence.DP_MEMO.clear()
+        generator = FeatureGenerator(FULL_PLAN)
+        n_threads, rounds = 4, 3
+        barrier = threading.Barrier(n_threads)
+        results: dict[tuple[int, int], np.ndarray] = {}
+        errors: list[BaseException] = []
+
+        def worker(thread_index):
+            try:
+                barrier.wait()
+                for r in range(rounds):
+                    k = (thread_index + r) % len(pair_sets)
+                    results[(thread_index, r)] = generator.transform(
+                        pair_sets[k])
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-update often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == n_threads * rounds
+        for (thread_index, r), matrix in results.items():
+            k = (thread_index + r) % len(pair_sets)
+            np.testing.assert_array_equal(matrix, expected[k])
+        # An insert that would cross the bound empties the memo first,
+        # so it never holds more than the bound or one kernel batch (at
+        # most the 30 value pairs of a pair set).
+        assert len(sequence.DP_MEMO) <= 30
