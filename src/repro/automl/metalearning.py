@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import persist
+
 META_FEATURE_NAMES = (
     "log_n_samples", "log_n_features", "positive_rate", "missing_fraction",
     "mean_feature_mean", "mean_feature_std", "mean_abs_correlation",
@@ -107,8 +109,7 @@ class ConfigPortfolio:
                     "meta_features": e.meta_features.tolist(),
                     "config": e.config, "score": e.score}
                    for e in self.entries]
-        Path(path).write_text(json.dumps(payload, indent=2),
-                              encoding="utf-8")
+        persist.atomic_write(path, json.dumps(payload, indent=2))
 
     @classmethod
     def load(cls, path: str | Path) -> "ConfigPortfolio":

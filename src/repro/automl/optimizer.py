@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .. import persist
 from ..ml.metrics import f1_score
 from .components import ConfiguredPipeline, build_pipeline
-from .runner import RunLog, TrialRunner, _json_default
+from .runner import RunLog, TrialRunner, _json_default, read_run_log
 from .search import make_search
 from .space import ConfigurationSpace
 
@@ -91,13 +91,11 @@ class OptimizationHistory:
         return sum(1 for t in self.trials if t.error is not None)
 
     def save(self, path) -> None:
-        """Write the trials as JSONL (one ``trial`` record per line)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            for trial in self.trials:
-                fh.write(json.dumps(trial.to_record(),
-                                    default=_json_default) + "\n")
+        """Write the trials as JSONL (one ``trial`` record per line),
+        atomically (:func:`repro.persist.atomic_write`)."""
+        persist.atomic_write(path, "".join(
+            json.dumps(trial.to_record(), default=_json_default) + "\n"
+            for trial in self.trials))
 
     @classmethod
     def load(cls, path) -> "OptimizationHistory":
@@ -106,16 +104,9 @@ class OptimizationHistory:
         Non-trial records (the run log's ``summary``) are skipped, so
         the telemetry file of an interrupted run loads directly.
         """
-        history = cls()
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("type", "trial") == "trial":
-                    history.add(TrialResult.from_record(record))
-        return history
+        return cls([TrialResult.from_record(record)
+                    for record in read_run_log(path)
+                    if record.get("type", "trial") == "trial"])
 
     def __len__(self) -> int:
         return len(self.trials)

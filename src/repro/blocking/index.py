@@ -11,7 +11,8 @@ objects.  It supports:
   probe output to one built from the concatenated table in one pass
   (``tests/test_blocking_index.py`` enforces the parity).
 * **Persistence with fingerprint-keyed invalidation** — :meth:`save` /
-  :meth:`load` round-trip the index through one pickle file, and
+  :meth:`load` round-trip the index through one checked pickle file
+  (:mod:`repro.persist`), and
   :meth:`IndexedBlocker.build_or_load
   <repro.blocking.indexed.IndexedBlocker.build_or_load>` reuses a saved
   index only when both the blocker-configuration fingerprint and the
@@ -27,13 +28,12 @@ build over the same records in the same order.
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
+from .. import persist
 from ..concurrency import ReadWriteLock
 from ..data.pairs import PairSet, RecordPair
 from ..data.table import Record, Table
@@ -47,10 +47,12 @@ if TYPE_CHECKING:
     from .indexed import IndexedBlocker
 
 #: Bumped whenever the pickled layout changes incompatibly.
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+
+INDEX_KIND = "block index"
 
 
-class BlockIndexError(ValueError):
+class BlockIndexError(persist.CorruptArtifactError):
     """A persisted index file is unreadable or inconsistent."""
 
 
@@ -232,51 +234,23 @@ class BlockIndex:
 
     def save(self, path: Union[str, Path]) -> None:
         """Persist the full index (blocker included) atomically."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # The read lock keeps add_records out while pickling walks the
         # live structures, so the payload is one consistent state.
         with self._rw_lock.read_locked():
-            payload = {
-                "format_version": INDEX_FORMAT_VERSION,
-                "blocker_fingerprint": self.blocker.fingerprint,
-                "content_fingerprint": self._fingerprint,
-                "index": self,
-            }
-            staged = path.with_name(path.name + ".tmp")
-            with staged.open("wb") as handle:
-                pickle.dump(payload, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(staged, path)
+            data = persist.checked_pickle(
+                INDEX_KIND, INDEX_FORMAT_VERSION, self,
+                blocker_fingerprint=self.blocker.fingerprint)
+        persist.atomic_write(path, data)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "BlockIndex":
-        """Load a persisted index, verifying format and fingerprints."""
-        path = Path(path)
-        try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError) as exc:
-            raise BlockIndexError(f"{path} is not a readable block index: "
-                              f"{exc}") from exc
-        if not isinstance(payload, dict):
-            raise BlockIndexError(f"{path} does not contain a block index")
-        if payload.get("format_version") != INDEX_FORMAT_VERSION:
-            raise BlockIndexError(
-                f"{path} has unsupported block-index format "
-                f"{payload.get('format_version')!r} "
-                f"(expected {INDEX_FORMAT_VERSION})")
-        index = payload["index"]
-        if not isinstance(index, cls):
-            raise BlockIndexError(f"{path} does not contain a BlockIndex")
-        if payload.get("blocker_fingerprint") != index.blocker.fingerprint:
+        """Load a persisted index, verifying checksum, format, type and
+        blocker fingerprint (:class:`BlockIndexError` on any failure)."""
+        index, meta = persist.load_checked(
+            path, INDEX_KIND, INDEX_FORMAT_VERSION, cls, BlockIndexError)
+        if meta.get("blocker_fingerprint") != index.blocker.fingerprint:
             raise BlockIndexError(
                 f"{path} blocker fingerprint does not match its payload "
-                f"(corrupt or hand-edited index)")
-        if payload.get("content_fingerprint") != index.fingerprint:
-            raise BlockIndexError(
-                f"{path} content fingerprint does not match its payload "
                 f"(corrupt or hand-edited index)")
         return index
 

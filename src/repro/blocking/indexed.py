@@ -123,9 +123,6 @@ class IndexedBlocker(BaseBlocker):
                             table: Table) -> BlockIndex | None:
         """A saved index at ``path`` iff it is still valid for this
         blocker over exactly ``table``'s records; ``None`` otherwise."""
-        path = Path(path)
-        if not path.exists():
-            return None
         try:
             index = BlockIndex.load(path)
         except (OSError, BlockIndexError):

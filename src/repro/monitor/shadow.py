@@ -181,9 +181,9 @@ class ShadowEvaluator:
     def promote(self) -> str:
         """Make the challenger the registry champion; returns its version.
 
-        Atomically rewrites the model's ``LATEST`` pointer (tmp file +
-        ``os.replace``), so concurrent readers see either the old or
-        the new champion, never a partial pointer.  Requires registry
+        Atomically rewrites the model's ``LATEST`` pointer
+        (:mod:`repro.persist`), so concurrent readers see either the old
+        or the new champion, never a partial pointer.  Requires registry
         coordinates (:meth:`from_registry`).
         """
         if (self.registry is None or self.model_name is None

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .. import persist
 from .drift import DriftReport
 
 
@@ -104,11 +105,10 @@ class RetrainPlan:
                    details=dict(payload.get("details") or {}))
 
     def save(self, path: str | Path) -> Path:
-        """Write the plan as JSON; returns the path."""
+        """Write the plan as JSON, atomically; returns the path."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), sort_keys=True,
-                                   indent=2) + "\n", encoding="utf-8")
+        persist.atomic_write(path, json.dumps(self.as_dict(), sort_keys=True,
+                                              indent=2) + "\n")
         return path
 
     @classmethod

@@ -29,12 +29,11 @@ streaming decisions in.  The contract:
   date on the write side of the lock, re-splitting just the components
   that decisions or newly registered records touched since the last
   read.  Reads of an up-to-date view share the read side.
-* **Fingerprint-keyed persistence** — :meth:`save` writes an atomic
-  ``snapshot-v%06d.pkl`` (staged ``.tmp`` + ``os.replace``) carrying
+* **Fingerprint-keyed persistence** — :meth:`save` writes an atomic,
+  checksummed ``snapshot-v%06d.pkl`` (:mod:`repro.persist`) carrying
   the order-independent decision fingerprint; :meth:`load` verifies
-  format version and fingerprint before trusting a snapshot, the same
-  content-keyed invalidation convention as the block index and the
-  feature cache.
+  checksum, format version and fingerprint before trusting a snapshot,
+  the same convention as the block index.
 
 Telemetry (:class:`~repro.resolve.metrics.ResolveLog`) is emitted
 *outside* the write lock: the delta is computed under the lock, the
@@ -44,14 +43,14 @@ internal lock inside ``_rw_lock``.
 
 from __future__ import annotations
 
-import os
-import pickle
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
+from .. import persist
 from ..concurrency import ReadWriteLock
 from ..data.table import Record, Value
 from .correlation import CorrelationClustering
@@ -72,13 +71,17 @@ if TYPE_CHECKING:
     from ..serve.matcher import MatchResult
 
 #: Bumped whenever the pickled snapshot layout changes incompatibly.
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
+
+STORE_KIND = "entity-store snapshot"
 
 #: Name of the pointer file naming the latest snapshot in a directory.
-LATEST_POINTER = "LATEST"
+LATEST_POINTER = persist.LATEST
+
+_SNAPSHOT_RE = re.compile(r"snapshot-v(\d{6,})\.pkl")
 
 
-class EntityStoreError(ValueError):
+class EntityStoreError(persist.CorruptArtifactError):
     """A persisted entity-store snapshot is unreadable or inconsistent."""
 
 
@@ -466,34 +469,22 @@ class EntityStore:
     def save(self, directory: Union[str, Path]) -> Path:
         """Persist one atomic, versioned snapshot; returns its path.
 
-        Writes ``snapshot-v%06d.pkl`` for the current version via a
-        staged ``.tmp`` + ``os.replace``, then repoints the ``LATEST``
-        file the same way — a reader following ``LATEST`` always finds
-        a complete snapshot, even mid-save.
+        Writes ``snapshot-v%06d.pkl`` for the current version, then
+        repoints the ``LATEST`` file (:mod:`repro.persist`) — a reader
+        following ``LATEST`` always finds a complete snapshot, even
+        mid-save.
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         # The read lock keeps apply() out while pickling walks the live
         # structures, so the payload is one consistent version.
         with self._rw_lock.read_locked():
             version = self._version
             fingerprint = decisions_fingerprint(self._decisions)
-            path = directory / f"snapshot-v{version:06d}.pkl"
-            payload = {
-                "format_version": STORE_FORMAT_VERSION,
-                "store_version": version,
-                "decisions_fingerprint": fingerprint,
-                "store": self,
-            }
-            staged = path.with_name(path.name + ".tmp")
-            with staged.open("wb") as handle:
-                pickle.dump(payload, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(staged, path)
-        pointer = directory / LATEST_POINTER
-        pointer_staged = pointer.with_name(pointer.name + ".tmp")
-        pointer_staged.write_text(path.name + "\n", encoding="utf-8")
-        os.replace(pointer_staged, pointer)
+            data = persist.checked_pickle(
+                STORE_KIND, STORE_FORMAT_VERSION, self,
+                decisions_fingerprint=fingerprint)
+        path = Path(directory) / f"snapshot-v{version:06d}.pkl"
+        persist.atomic_write(path, data)
+        persist.write_pointer(path.parent, path.name)
         if self.log is not None:
             self.log.snapshot(store_version=version, path=str(path),
                               decisions_fingerprint=fingerprint)
@@ -502,37 +493,19 @@ class EntityStore:
     @classmethod
     def load(cls, target: Union[str, Path]) -> "EntityStore":
         """Load a snapshot file, or a directory's ``LATEST`` snapshot,
-        verifying format version and decision fingerprint."""
+        verifying checksum, format, type and decision fingerprint
+        (:class:`EntityStoreError` on any failure)."""
         target = Path(target)
         if target.is_dir():
-            pointer = target / LATEST_POINTER
-            if not pointer.exists():
+            name = persist.read_pointer(target, _SNAPSHOT_RE, Path.is_file)
+            if name is None:
                 raise EntityStoreError(
-                    f"{target} has no {LATEST_POINTER} pointer; nothing "
-                    f"was ever saved there")
-            name = pointer.read_text(encoding="utf-8").strip()
+                    f"{target} has no {LATEST_POINTER} pointer and no "
+                    f"snapshot; nothing was ever saved there")
             target = target / name
-        try:
-            with target.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError) as exc:
-            raise EntityStoreError(
-                f"{target} is not a readable entity-store snapshot: "
-                f"{exc}") from exc
-        if not isinstance(payload, dict):
-            raise EntityStoreError(
-                f"{target} does not contain an entity-store snapshot")
-        if payload.get("format_version") != STORE_FORMAT_VERSION:
-            raise EntityStoreError(
-                f"{target} has unsupported entity-store format "
-                f"{payload.get('format_version')!r} "
-                f"(expected {STORE_FORMAT_VERSION})")
-        store = payload["store"]
-        if not isinstance(store, cls):
-            raise EntityStoreError(
-                f"{target} does not contain an EntityStore")
-        if payload.get("decisions_fingerprint") != \
+        store, meta = persist.load_checked(
+            target, STORE_KIND, STORE_FORMAT_VERSION, cls, EntityStoreError)
+        if meta.get("decisions_fingerprint") != \
                 decisions_fingerprint(store._decisions):
             raise EntityStoreError(
                 f"{target} decision fingerprint does not match its "

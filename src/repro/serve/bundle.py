@@ -27,16 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-import shutil
-import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from .. import persist
 from ..core.thresholding import apply_threshold
 from ..data.table import Table
 from ..features.vectorize import FeatureGenerator
@@ -52,8 +50,9 @@ class BundleError(Exception):
     """Base class for bundle save/load failures."""
 
 
-class BundleIntegrityError(BundleError):
-    """The bundle's contents do not match its recorded checksums."""
+class BundleIntegrityError(BundleError, persist.CorruptArtifactError):
+    """The bundle's contents are unreadable or do not match its recorded
+    checksums."""
 
 
 class SchemaMismatchError(BundleError):
@@ -213,8 +212,9 @@ class ModelBundle:
         """Write the bundle directory atomically; returns its path.
 
         The directory is assembled under a temporary name next to the
-        target and moved into place with one ``os.replace``, so readers
-        never observe a half-written bundle.
+        target and moved into place with one rename
+        (:func:`repro.persist.replace_directory`), so readers never
+        observe a half-written bundle.
         """
         path = Path(path)
         if path.exists():
@@ -225,24 +225,14 @@ class ModelBundle:
                 raise BundleError(
                     f"refusing to overwrite {path}: it exists but does not "
                     f"look like a bundle (no {MANIFEST_NAME})")
-        path.parent.mkdir(parents=True, exist_ok=True)
         pipeline_bytes = pickle.dumps(self.predictor, protocol=4)
         payload = self._manifest_payload(_sha256(pipeline_bytes))
         payload["fingerprint"] = _sha256(
             _canonical_json(payload).encode("utf-8"))
-        staging = Path(tempfile.mkdtemp(dir=path.parent,
-                                        prefix=f".{path.name}.tmp-"))
-        try:
-            (staging / PIPELINE_NAME).write_bytes(pipeline_bytes)
-            (staging / MANIFEST_NAME).write_text(
-                json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8")
-            if path.exists():
-                shutil.rmtree(path)
-            os.replace(staging, path)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
+        manifest = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        persist.replace_directory(path, {
+            PIPELINE_NAME: pipeline_bytes,
+            MANIFEST_NAME: manifest.encode("utf-8")})
         return path
 
     @classmethod
@@ -253,13 +243,18 @@ class ModelBundle:
         if not manifest_path.exists():
             raise BundleError(f"{path} is not a model bundle "
                               f"(missing {MANIFEST_NAME})")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        version = manifest.get("format_version")
+        try:
+            manifest = json.loads(manifest_path.read_bytes())
+            pipeline_bytes = (path / PIPELINE_NAME).read_bytes()
+        except (ValueError, FileNotFoundError) as exc:
+            raise BundleIntegrityError(
+                f"{path}: unreadable bundle ({exc})") from exc
+        version = manifest.get("format_version") \
+            if isinstance(manifest, dict) else None
         if version != FORMAT_VERSION:
-            raise BundleError(
+            raise BundleIntegrityError(
                 f"unsupported bundle format_version {version!r} "
                 f"(this build reads version {FORMAT_VERSION})")
-        pipeline_bytes = (path / PIPELINE_NAME).read_bytes()
         expected = manifest.get("checksums", {}).get(PIPELINE_NAME)
         actual = _sha256(pipeline_bytes)
         if actual != expected:

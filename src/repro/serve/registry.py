@@ -10,23 +10,20 @@ filesystem layout connecting the two::
         LATEST          # text file naming the newest version
 
 ``register`` assigns the next version number and publishes the bundle
-with atomic renames (bundle staging via :meth:`ModelBundle.save`, then a
-tmp-file + ``os.replace`` for ``LATEST``), so concurrent readers always
-see either the previous latest version or the new one — never a partial
-bundle.
+(:meth:`ModelBundle.save`), then repoints ``LATEST``, both through
+:mod:`repro.persist`, so concurrent readers always see either the
+previous latest version or the new one — never a partial bundle.
 """
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 from pathlib import Path
 
+from .. import persist
 from .bundle import MANIFEST_NAME, BundleError, ModelBundle
 
-LATEST_NAME = "LATEST"
-_VERSION_RE = re.compile(r"^v(\d{4,})$")
+_VERSION_RE = re.compile(r"v(\d{4,})")
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
@@ -48,10 +45,10 @@ class ModelRegistry:
         """Store ``bundle`` as the next version of ``name``; returns it."""
         self._check_name(name)
         model_dir = self.root / name
-        model_dir.mkdir(parents=True, exist_ok=True)
-        version = self._next_version(model_dir)
+        versions = persist.entries(model_dir, _VERSION_RE, _is_bundle)
+        version = f"v{int(versions[-1][1:]) + 1 if versions else 1:04d}"
         bundle.save(model_dir / version)
-        self._write_latest(model_dir, version)
+        persist.write_pointer(model_dir, version)
         return version
 
     @staticmethod
@@ -61,49 +58,19 @@ class ModelRegistry:
                 f"invalid model name {name!r}: use letters, digits, "
                 f"'.', '_' or '-' (no path separators)")
 
-    def _next_version(self, model_dir: Path) -> str:
-        versions = self._versions(model_dir)
-        last = int(_VERSION_RE.match(versions[-1]).group(1)) if versions \
-            else 0
-        return f"v{last + 1:04d}"
-
-    @staticmethod
-    def _write_latest(model_dir: Path, version: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=model_dir, prefix=".latest-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(version + "\n")
-            os.replace(tmp, model_dir / LATEST_NAME)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     # -- resolution -----------------------------------------------------
-
-    @staticmethod
-    def _versions(model_dir: Path) -> list[str]:
-        if not model_dir.is_dir():
-            return []
-        found = [entry.name for entry in model_dir.iterdir()
-                 if _VERSION_RE.match(entry.name)
-                 and (entry / MANIFEST_NAME).exists()]
-        return sorted(found)
 
     def list(self) -> dict[str, list[str]]:
         """All registered models: ``{name: [versions, oldest first]}``."""
-        out: dict[str, list[str]] = {}
-        for entry in sorted(self.root.iterdir()):
-            if entry.is_dir():
-                versions = self._versions(entry)
-                if versions:
-                    out[entry.name] = versions
-        return out
+        listed = ((entry.name, persist.entries(entry, _VERSION_RE, _is_bundle))
+                  for entry in sorted(self.root.iterdir()))
+        return {name: versions for name, versions in listed if versions}
 
     def versions(self, name: str) -> list[str]:
         """All published versions of ``name``, oldest first."""
         self._check_name(name)
-        versions = self._versions(self.root / name)
+        versions = persist.entries(self.root / name, _VERSION_RE,
+                                   _is_bundle)
         if not versions:
             raise KeyError(f"no model named {name!r} in registry "
                            f"{self.root}")
@@ -112,39 +79,32 @@ class ModelRegistry:
     def latest(self, name: str) -> str:
         """The version ``LATEST`` points at (the serving champion).
 
-        A missing or stale pointer (no file, or a version whose bundle
-        is gone) falls back to a directory scan — and rewrites
-        ``LATEST`` to the scan result, so one corrupted pointer heals
-        itself instead of forcing every future reader down the
-        slow path.
+        A missing, stale or garbage pointer falls back to a directory
+        scan — and ``LATEST`` is rewritten to the scan result, so one
+        corrupted pointer heals itself instead of forcing every future
+        reader down the slow path (:func:`repro.persist.read_pointer`).
         """
-        model_dir = self.root / name
-        latest_file = model_dir / LATEST_NAME
-        if latest_file.exists():
-            version = latest_file.read_text(encoding="utf-8").strip()
-            if (model_dir / version / MANIFEST_NAME).exists():
-                return version
-        versions = self._versions(model_dir)
-        if not versions:
+        version = persist.read_pointer(self.root / name, _VERSION_RE,
+                                       _is_bundle)
+        if version is None:
             raise KeyError(f"no model named {name!r} in registry "
                            f"{self.root}")
-        self._write_latest(model_dir, versions[-1])
-        return versions[-1]
+        return version
 
     def promote(self, name: str, version: str) -> str:
         """Atomically point ``LATEST`` at an existing ``version``.
 
         The shadow-evaluation path to a new champion: the challenger is
-        already a registered version; promotion is one tmp-file +
-        ``os.replace`` of the pointer, so concurrent readers see either
-        the old champion or the new one, never a partial pointer.
+        already a registered version; promotion is one atomic pointer
+        write, so concurrent readers see either the old champion or the
+        new one, never a partial pointer.
         Returns the promoted version.
         """
         model_dir = self.root / name
-        if not (model_dir / version / MANIFEST_NAME).exists():
+        if not _is_bundle(model_dir / version):
             raise KeyError(f"no bundle for {name!r} version {version!r} "
                            f"in registry {self.root}")
-        self._write_latest(model_dir, version)
+        persist.write_pointer(model_dir, version)
         return version
 
     def path(self, name: str, version: str | None = None) -> Path:
@@ -152,7 +112,7 @@ class ModelRegistry:
         if version is None:
             version = self.latest(name)
         bundle_dir = self.root / name / version
-        if not (bundle_dir / MANIFEST_NAME).exists():
+        if not _is_bundle(bundle_dir):
             raise KeyError(f"no bundle for {name!r} version {version!r} "
                            f"in registry {self.root}")
         return bundle_dir
@@ -172,3 +132,7 @@ class ModelRegistry:
         models = self.list()
         return (f"ModelRegistry({str(self.root)!r}, {len(models)} models, "
                 f"{sum(len(v) for v in models.values())} versions)")
+
+
+def _is_bundle(entry: Path) -> bool:
+    return (entry / MANIFEST_NAME).exists()

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro import persist
 from repro.blocking import (
     BlockIndex,
     BlockIndexError,
@@ -11,6 +12,7 @@ from repro.blocking import (
     QGramBlocker,
     table_chain_fingerprint,
 )
+from repro.blocking.index import INDEX_FORMAT_VERSION, INDEX_KIND
 from repro.data import Table
 
 
@@ -167,27 +169,26 @@ class TestCorruption:
 
     def test_wrong_payload_type_raises(self, tmp_path):
         path = tmp_path / "list.idx"
-        path.write_bytes(pickle.dumps([1, 2, 3]))
+        path.write_bytes(persist.checked_pickle(
+            INDEX_KIND, INDEX_FORMAT_VERSION, [1, 2, 3]))
         with pytest.raises(BlockIndexError, match="block index"):
             BlockIndex.load(path)
 
     def test_format_version_mismatch_raises(self, tmp_path, catalog):
         index = QGramBlocker("name").index(catalog)
         path = tmp_path / "v0.idx"
-        index.save(path)
-        payload = pickle.loads(path.read_bytes())
-        payload["format_version"] = 0
-        path.write_bytes(pickle.dumps(payload))
+        path.write_bytes(persist.checked_pickle(
+            INDEX_KIND, 0, index,
+            blocker_fingerprint=index.blocker.fingerprint))
         with pytest.raises(BlockIndexError, match="format"):
             BlockIndex.load(path)
 
     def test_tampered_fingerprint_raises(self, tmp_path, catalog):
         index = QGramBlocker("name").index(catalog)
         path = tmp_path / "tampered.idx"
-        index.save(path)
-        payload = pickle.loads(path.read_bytes())
-        payload["content_fingerprint"] = "0" * 40
-        path.write_bytes(pickle.dumps(payload))
+        path.write_bytes(persist.checked_pickle(
+            INDEX_KIND, INDEX_FORMAT_VERSION, index,
+            blocker_fingerprint="0" * 40))
         with pytest.raises(BlockIndexError, match="fingerprint"):
             BlockIndex.load(path)
 

@@ -1,11 +1,11 @@
 """Unit tests for the versioned EntityStore and its persistence."""
 
-import pickle
 import threading
 
 import pytest
 import resolve_oracle
 
+from repro import persist
 from repro.automl.runner import read_run_log
 from repro.concurrency import lock_witness_enabled
 from repro.data.pairs import RecordPair
@@ -21,6 +21,7 @@ from repro.resolve import (
     ResolveLog,
     node_key,
 )
+from repro.resolve.store import STORE_KIND
 
 
 def D(left, right, score=0.9, matched=True):
@@ -261,7 +262,7 @@ class TestPersistence:
     def test_snapshot_holds_no_derived_state(self):
         """The view, the refiner's signed edges and the union-find
         member lists are rebuilt on load, never pickled, so the
-        snapshot layout (STORE_FORMAT_VERSION 1) is unchanged."""
+        snapshot holds only the decision log and its inputs."""
         store = EntityStore(refiner=CorrelationClustering(seed=0))
         store.apply(OVER_MERGED)
         store.entities()
@@ -294,23 +295,24 @@ class TestPersistence:
 
     def test_wrong_payload_shape(self, tmp_path):
         target = tmp_path / "snap.pkl"
-        target.write_bytes(pickle.dumps([1, 2, 3]))
+        target.write_bytes(persist.checked_pickle(
+            STORE_KIND, STORE_FORMAT_VERSION, [1, 2, 3]))
         with pytest.raises(EntityStoreError, match="does not contain"):
             EntityStore.load(target)
 
     def test_format_version_mismatch(self, store, tmp_path):
-        path = store.save(tmp_path)
-        payload = pickle.loads(path.read_bytes())
-        payload["format_version"] = STORE_FORMAT_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
+        path = tmp_path / "snap.pkl"
+        path.write_bytes(persist.checked_pickle(
+            STORE_KIND, STORE_FORMAT_VERSION + 1, store,
+            decisions_fingerprint=store.fingerprint))
         with pytest.raises(EntityStoreError, match="unsupported"):
             EntityStore.load(path)
 
     def test_fingerprint_mismatch(self, store, tmp_path):
-        path = store.save(tmp_path)
-        payload = pickle.loads(path.read_bytes())
-        payload["decisions_fingerprint"] = "0" * 64
-        path.write_bytes(pickle.dumps(payload))
+        path = tmp_path / "snap.pkl"
+        path.write_bytes(persist.checked_pickle(
+            STORE_KIND, STORE_FORMAT_VERSION, store,
+            decisions_fingerprint="0" * 64))
         with pytest.raises(EntityStoreError, match="fingerprint"):
             EntityStore.load(path)
 

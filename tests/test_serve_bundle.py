@@ -105,6 +105,54 @@ class TestIntegrity:
         with pytest.raises(BundleError, match="not a model bundle"):
             ModelBundle.load(tmp_path / "empty")
 
+    def test_truncated_manifest_raises(self, bundle, tmp_path):
+        bundle.save(tmp_path / "b")
+        manifest_path = tmp_path / "b" / MANIFEST_NAME
+        manifest_path.write_bytes(manifest_path.read_bytes()[:40])
+        with pytest.raises(BundleIntegrityError, match="unreadable"):
+            ModelBundle.load(tmp_path / "b")
+
+    def test_garbage_manifest_raises(self, bundle, tmp_path):
+        bundle.save(tmp_path / "b")
+        (tmp_path / "b" / MANIFEST_NAME).write_bytes(b"\xff\x00 garbage")
+        with pytest.raises(BundleIntegrityError, match="unreadable"):
+            ModelBundle.load(tmp_path / "b")
+
+    def test_missing_pipeline_raises(self, bundle, tmp_path):
+        bundle.save(tmp_path / "b")
+        (tmp_path / "b" / PIPELINE_NAME).unlink()
+        with pytest.raises(BundleIntegrityError, match=PIPELINE_NAME):
+            ModelBundle.load(tmp_path / "b")
+
+    def test_failed_overwrite_restores_old_bundle(self, bundle, tmp_path,
+                                                  monkeypatch):
+        """Overwriting moves the old bundle aside, and moves it back if
+        the new one cannot be renamed into place."""
+        import os
+
+        from repro import persist
+
+        target = tmp_path / "b"
+        bundle.save(target)
+        real_replace = os.replace
+        failed = []
+
+        def flaky_replace(src, dst):
+            if dst == target and not failed:
+                failed.append(src)
+                raise OSError("injected: rename failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(persist.os, "replace", flaky_replace)
+        edited = ModelBundle(bundle.predictor, bundle.plan, bundle.schema,
+                             threshold=0.9)
+        with pytest.raises(OSError, match="injected"):
+            edited.save(target, overwrite=True)
+        monkeypatch.undo()
+        assert failed
+        assert ModelBundle.load(target).fingerprint == bundle.fingerprint
+        assert [p.name for p in tmp_path.iterdir()] == ["b"]
+
 
 class TestSchema:
     def test_check_schema_accepts_training_tables(self, trained_em,
