@@ -14,12 +14,10 @@ from .metalearning import (
 )
 from .optimizer import AutoML, OptimizationHistory, TrialResult
 from .runner import (
-    RunLog,
     TrialOutcome,
     TrialRunner,
     TrialTimeout,
     format_error,
-    read_run_log,
 )
 from .search import RandomSearch, SMACSearch, TPESearch, make_search
 from .space import (
@@ -46,7 +44,6 @@ __all__ = [
     "Hyperparameter",
     "OptimizationHistory",
     "RandomSearch",
-    "RunLog",
     "SMACSearch",
     "TPESearch",
     "TrialOutcome",
@@ -54,7 +51,6 @@ __all__ = [
     "TrialRunner",
     "TrialTimeout",
     "format_error",
-    "read_run_log",
     "UniformFloat",
     "UniformInt",
     "build_config_space",

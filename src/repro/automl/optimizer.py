@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import persist
+from ..events import EventLog, _json_default, read_events
 from ..ml.metrics import f1_score
 from .components import ConfiguredPipeline, build_pipeline
-from .runner import RunLog, TrialRunner, _json_default, read_run_log
+from .runner import TrialRunner
 from .search import make_search
 from .space import ConfigurationSpace
 
@@ -105,11 +106,20 @@ class OptimizationHistory:
         the telemetry file of an interrupted run loads directly.
         """
         return cls([TrialResult.from_record(record)
-                    for record in read_run_log(path)
+                    for record in read_events(path)
                     if record.get("type", "trial") == "trial"])
 
     def __len__(self) -> int:
         return len(self.trials)
+
+
+def _log_trial(log: EventLog | None, index: int, trial: TrialResult,
+               incumbent: float | None) -> None:
+    if log is not None:
+        log.event("trial", index=index, config=trial.config,
+                  score=trial.score, elapsed=trial.elapsed,
+                  error=trial.error, random_state=trial.random_state,
+                  incumbent_score=incumbent)
 
 
 class AutoML:
@@ -136,8 +146,10 @@ class AutoML:
         :class:`~repro.automl.runner.TrialRunner`.  A timed-out trial is
         scored as failed; the search continues.
     run_log:
-        Path (or open :class:`~repro.automl.runner.RunLog`) for JSONL
-        telemetry: one record per trial plus a run summary.
+        Path (or open :class:`~repro.events.EventLog`) for JSONL
+        telemetry: one ``trial`` record per trial plus a run
+        ``summary``.  A path is rewritten and closed when :meth:`fit`
+        returns or raises; an open log is left open.
     resume_from:
         Path to a prior run log / saved history, or an
         :class:`OptimizationHistory`; its trials are replayed into this
@@ -190,6 +202,12 @@ class AutoML:
         ``run_context`` is merged into the run log's summary record
         (callers use it for e.g. feature-cache hit/miss stats).
         """
+        with EventLog.opened(self.run_log) as log:
+            return self._fit(log, X_train, y_train, X_valid, y_valid,
+                             run_context)
+
+    def _fit(self, log: EventLog | None, X_train, y_train, X_valid,
+             y_valid, run_context: dict | None) -> "AutoML":
         X_train = np.asarray(X_train, dtype=np.float64)
         X_valid = np.asarray(X_valid, dtype=np.float64)
         y_train = np.asarray(y_train)
@@ -198,7 +216,6 @@ class AutoML:
         self.history_ = self._resume_history()
         runner = TrialRunner(timeout=self.trial_timeout,
                              isolation=self.trial_isolation)
-        log = RunLog.ensure(self.run_log)
         evaluated: list[tuple[dict, float]] = [
             (t.config, t.score if t.error is None else 0.0)
             for t in self.history_.trials]
@@ -209,12 +226,8 @@ class AutoML:
             if trial.error is None:
                 incumbent = (trial.score if incumbent is None
                              else max(incumbent, trial.score))
-            if log is not None:  # re-emit replayed trials: log == whole run
-                log.trial(index=index, config=trial.config,
-                          score=trial.score, elapsed=trial.elapsed,
-                          error=trial.error,
-                          random_state=trial.random_state,
-                          incumbent_score=incumbent)
+            # Re-emit replayed trials: the log holds the whole run.
+            _log_trial(log, index, trial, incumbent)
         # Keep the pipeline-seed stream aligned with an uninterrupted
         # run: skip the draws the replayed trials consumed.
         for _ in self.history_.trials:
@@ -241,11 +254,7 @@ class AutoML:
             else:
                 # Penalize failing regions so the surrogate avoids them.
                 evaluated.append((config, 0.0))
-            if log is not None:
-                log.trial(index=iteration, config=config,
-                          score=trial.score, elapsed=trial.elapsed,
-                          error=trial.error, random_state=random_state,
-                          incumbent_score=incumbent)
+            _log_trial(log, iteration, trial, incumbent)
             if self.verbose:
                 status = (f"{trial.score:.4f}" if trial.error is None
                           else f"error({trial.error})")
@@ -271,8 +280,8 @@ class AutoML:
                 ensemble_size=self.ensemble_size, scorer=self.scorer,
                 seed=self.seed)
         if log is not None:
-            log.summary(
-                n_trials=len(self.history_),
+            log.event(
+                "summary", n_trials=len(self.history_),
                 n_failed=self.history_.n_failed,
                 best_score=self.best_score_,
                 best_config=self.best_config_,
@@ -285,8 +294,6 @@ class AutoML:
                 trial_timeout=self.trial_timeout,
                 isolation=runner.effective_isolation,
                 **dict(run_context or {}))
-            if log is not self.run_log:  # opened here -> close here
-                log.close()
         return self
 
     def _evaluate(self, config: dict, random_state: int, X_train, y_train,

@@ -1,4 +1,4 @@
-"""Fault-isolated trial execution and structured run telemetry.
+"""Fault-isolated trial execution.
 
 The AutoML loop (Section III-A) evaluates arbitrary pipeline
 configurations, and arbitrary configurations fail in arbitrary ways: a
@@ -10,31 +10,29 @@ stall or kill the run — auto-sklearn (Feurer et al., NeurIPS 2015) gets
 this by evaluating every configuration in a budgeted subprocess and
 logging each trial durably.
 
-This module provides the same substrate in three pieces:
+This module provides the same substrate:
 
 * :class:`TrialRunner` — runs one trial callable under a per-trial time
   limit with a chosen isolation mode (``signal`` alarm, forked
   ``subprocess``, or inline ``none``) and converts *every* non-fatal
   exception into a :class:`TrialOutcome` error string with a traceback
   summary.  ``KeyboardInterrupt``/``SystemExit`` still propagate.
-* :class:`RunLog` — an append-per-record JSONL writer: one ``trial``
-  record per evaluation plus a final ``summary`` record, so a crashed or
-  interrupted search leaves a durable, resumable trace.
-* :func:`read_run_log` / :func:`format_error` — small helpers shared by
-  the optimizer's ``OptimizationHistory.save``/``load``.
+* :func:`format_error` — the one-line error summary a failed trial
+  records.
+
+Each trial lands in the run's :class:`~repro.events.EventLog` as a
+``trial`` record, so a crashed or interrupted search leaves a durable,
+resumable trace (see :mod:`repro.automl.optimizer`).
 """
 
 from __future__ import annotations
 
-import json
 import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 ISOLATION_MODES = ("auto", "signal", "subprocess", "none")
 
@@ -227,98 +225,3 @@ class TrialRunner:
 
 class _RemoteTrialError(Exception):
     """A trial failed in the worker; the message is already formatted."""
-
-
-# -- telemetry ----------------------------------------------------------
-
-
-def _json_default(value):
-    """Best-effort serializer for config values (numpy scalars etc.)."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return repr(value)
-
-
-class RunLog:
-    """Structured JSONL telemetry for one AutoML run.
-
-    One JSON object per line, written (and flushed) as soon as each
-    record exists, so an interrupted run keeps everything up to its last
-    completed trial.  Two record types:
-
-    * ``{"type": "trial", "index", "config", "score", "elapsed",
-      "error", "random_state", "incumbent_score"}`` — one per trial;
-    * ``{"type": "summary", "n_trials", "n_failed", "best_score",
-      "best_config", "search", "seed", "wall_time", "trial_time",
-      "trial_timeout", "isolation", ...}`` — once at the end, plus any
-      caller-supplied context (e.g. feature-cache hit/miss stats).
-
-    Writes are serialized by an internal lock so concurrent writers
-    (e.g. :class:`~repro.serve.telemetry.RequestLog` fed by a
-    :class:`~repro.serve.service.MatchService` worker pool) always emit
-    whole, non-interleaved lines, and :meth:`close` is idempotent even
-    when several threads race it.  The lock is private by design: all
-    file access must go through :meth:`write`/:meth:`close` — the
-    ``REP008`` lint rule rejects any other ``._fh`` access.
-    """
-
-    def __init__(self, path, append: bool = False):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._fh = self.path.open("a" if append else "w",
-                                  encoding="utf-8")
-
-    @classmethod
-    def ensure(cls, target) -> "RunLog | None":
-        """Coerce ``None`` | path | RunLog to an open RunLog (or None)."""
-        if target is None or isinstance(target, cls):
-            return target
-        return cls(target)
-
-    def write(self, record: dict) -> None:
-        # Serialize the line outside the lock (it can be slow for large
-        # configs), then write-and-flush atomically under it.
-        line = json.dumps(record, default=_json_default) + "\n"
-        with self._lock:
-            if self._fh.closed:
-                raise ValueError(f"RunLog {self.path} is closed")
-            self._fh.write(line)
-            self._fh.flush()
-
-    def trial(self, index: int, config: dict, score: float, elapsed: float,
-              error: str | None, random_state: int | None,
-              incumbent_score: float | None) -> None:
-        self.write({"type": "trial", "index": index, "config": config,
-                    "score": score, "elapsed": elapsed, "error": error,
-                    "random_state": random_state,
-                    "incumbent_score": incumbent_score})
-
-    def summary(self, **fields) -> None:
-        self.write({"type": "summary", **fields})
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
-
-    def __enter__(self) -> "RunLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def read_run_log(path) -> list[dict]:
-    """All records of a JSONL run log (blank lines skipped)."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

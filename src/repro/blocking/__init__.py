@@ -27,7 +27,6 @@ from .compose import CascadeBlocker, IntersectionBlocker, UnionBlocker
 from .index import BlockIndex, BlockIndexError, table_chain_fingerprint
 from .indexed import IndexedBlocker, MinHashLSHBlocker, QGramBlocker
 from .metrics import (
-    BlockingLog,
     BlockingReport,
     block_size_histogram,
     evaluate_blocking,
@@ -41,7 +40,6 @@ __all__ = [
     "BaseBlocker",
     "BlockIndex",
     "BlockIndexError",
-    "BlockingLog",
     "BlockingReport",
     "CascadeBlocker",
     "IndexedBlocker",

@@ -15,21 +15,22 @@ reduction can have wildly different worst-case blocks (one giant block
 is a quadratic probe bomb; many small blocks are not).
 
 :func:`evaluate_blocking` runs a blocker end-to-end and bundles the
-numbers into a :class:`BlockingReport`; :class:`BlockingLog` writes the
-same records as JSONL telemetry, the blocking-run counterpart of the
-AutoML trial log (``repro block`` and
-:func:`repro.experiments.run_blocking_study` both route through it).
+numbers into a :class:`BlockingReport`, optionally written as one
+``blocking`` record of a :class:`~repro.events.EventLog` (``repro
+block`` and :func:`repro.experiments.run_blocking_study` both route
+through it).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..automl.runner import RunLog
 from ..data.pairs import MATCH, PairSet
 from ..data.table import Table
+from ..events import EventLog
 from .base import BaseBlocker
 
 if TYPE_CHECKING:
@@ -120,33 +121,19 @@ class BlockingReport:
         }
 
 
-class BlockingLog(RunLog):
-    """JSONL blocking telemetry — same file format and lifecycle as the
-    AutoML :class:`~repro.automl.runner.RunLog`.
-
-    Record types: ``{"type": "blocking", ...}`` per evaluated blocker
-    (a :meth:`BlockingReport.to_dict` payload plus caller context) and
-    the inherited ``{"type": "summary", ...}``.
-    """
-
-    def blocking(self, **fields: object) -> None:
-        self.write({"type": "blocking", **fields})
-
-
 def evaluate_blocking(blocker: BaseBlocker, table_a: Table, table_b: Table,
                       gold_pairs: set[tuple] | None = None,
                       index: "BlockIndex | None" = None,
-                      run_log: "BlockingLog | str | None" = None,
+                      run_log: EventLog | str | Path | None = None,
                       **context: object) -> BlockingReport:
     """Run ``blocker`` over the tables and measure the result.
 
     ``gold_pairs`` (keys of true matches) enables pair completeness;
     without it completeness is reported as the vacuous 1.0.  Passing a
     prebuilt ``index`` (matching the blocker over ``table_b``) times the
-    probe-only path instead of index+probe.  ``run_log`` appends one
-    ``"blocking"`` record (plus any ``context`` fields) to a
-    :class:`BlockingLog`; an owned log (opened from a path here) is
-    closed before returning.
+    probe-only path instead of index+probe.  ``run_log`` receives one
+    ``"blocking"`` record (plus any ``context`` fields); a path is
+    rewritten, an open :class:`~repro.events.EventLog` appended to.
     """
     gold = gold_pairs or set()
     start = time.perf_counter()
@@ -169,12 +156,7 @@ def evaluate_blocking(blocker: BaseBlocker, table_a: Table, table_b: Table,
         elapsed=elapsed,
         block_sizes=block_size_histogram(sizes) if sizes else {},
     )
-    owns_log = run_log is not None and not isinstance(run_log, RunLog)
-    log = BlockingLog.ensure(run_log)
-    if log is not None:
-        try:
-            log.blocking(**report.to_dict(), **context)
-        finally:
-            if owns_log:
-                log.close()
+    with EventLog.opened(run_log) as log:
+        if log is not None:
+            log.event("blocking", **report.to_dict(), **context)
     return report

@@ -95,7 +95,7 @@ def _cmd_match(args) -> int:
                            model_space="all" if args.all_models
                            else "random_forest", n_jobs=args.n_jobs,
                            trial_timeout=args.trial_timeout,
-                           run_log=args.run_log,
+                           run_log=args.log,
                            resume_from=args.resume_from,
                            seed=args.seed)
     elif args.system == "magellan":
@@ -224,7 +224,7 @@ def _cmd_predict(args) -> int:
     pairs = read_pairs(data / args.pairs, table_a, table_b)
     with BatchMatcher(bundle, batch_size=args.batch_size,
                       n_jobs=args.n_jobs,
-                      request_log=args.request_log) as matcher:
+                      request_log=args.log) as matcher:
         result = matcher.match_pairs(pairs)
     if args.output:
         _write_predictions(result, args.output)
@@ -258,7 +258,7 @@ def _cmd_serve_batch(args) -> int:
     blocker = OverlapBlocker(args.block_on, min_overlap=args.min_overlap)
     with BatchMatcher(bundle, blocker, batch_size=args.batch_size,
                       n_jobs=args.n_jobs,
-                      request_log=args.request_log) as matcher:
+                      request_log=args.log) as matcher:
         result = matcher.match(table_a, table_b)
     if args.output:
         _write_predictions(result, args.output)
@@ -275,6 +275,7 @@ def _cmd_serve_stream(args) -> int:
     import csv
 
     from .blocking import QGramBlocker
+    from .events import EventLog
     from .serve import MatchService, ServiceOverloaded, StreamMatcher
 
     bundle = _resolve_bundle(args)
@@ -296,77 +297,77 @@ def _cmd_serve_stream(args) -> int:
     records = list(table_a)
     batches = [records[start:start + args.batch_rows]
                for start in range(0, len(records), args.batch_rows)]
-    store = None
-    if args.resolve:
-        from .resolve import CorrelationClustering, EntityStore, ResolveLog
+    # The matcher and the store write through one handle, so their
+    # records interleave whole instead of overwriting each other.
+    with EventLog.opened(args.log) as log:
+        store = None
+        if args.resolve:
+            from .resolve import CorrelationClustering, EntityStore
 
-        store = EntityStore(
-            refiner=CorrelationClustering(seed=args.seed),
-            log=ResolveLog.ensure(args.resolve_log))
-    matcher = StreamMatcher(bundle, index=index,
-                            max_batch_rows=args.batch_size,
-                            n_jobs=args.n_jobs,
-                            request_log=args.request_log,
-                            resolver=store)
-    with MatchService(matcher, workers=args.workers,
-                      max_queue=args.max_queue,
-                      overflow=args.overflow) as service:
-        futures = []
-        for batch in batches:
-            try:
-                futures.append(service.submit_records(batch))
-            except ServiceOverloaded:
-                # Load shed at the door is the contract of reject mode,
-                # not a crash; the metrics snapshot reports the count.
-                continue
-        results = [future.result() for future in futures]
-    snapshot = matcher.metrics.snapshot()
-    if args.output:
-        with Path(args.output).open("w", newline="",
-                                    encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["ltable_id", "rtable_id", "probability",
-                             "prediction"])
-            for result in results:
-                for pair, probability, prediction in zip(
-                        result.pairs, result.probabilities,
-                        result.predictions):
-                    writer.writerow([pair.left.record_id,
-                                     pair.right.record_id,
-                                     f"{probability:.6f}", int(prediction)])
-        total = sum(len(result) for result in results)
-        print(f"wrote {total} scored candidates to {args.output}")
-    n_pairs = sum(len(result) for result in results)
-    n_matches = sum(result.n_matches for result in results)
-    print(f"{len(batches)} record batches x {args.workers} workers -> "
-          f"{n_pairs} candidates -> {n_matches} matches "
-          f"(max queue depth {snapshot['max_queue_depth']}, "
-          f"{snapshot['rejected']} rejected, "
-          f"{snapshot['pairs_per_second']:.0f} pairs/s)")
-    if store is not None:
-        stats = store.stats()
-        print(f"resolved {stats['n_nodes']} records into "
-              f"{stats['n_components']} entities "
-              f"(store v{stats['version']}, "
-              f"entity-merge rate {stats['entity_merge_rate']:.3f})")
-        if args.store:
-            path = store.save(args.store)
-            print(f"saved entity-store snapshot {path}")
-        if store.log is not None:
-            store.log.summary(**store.stats())
-            store.log.close()
-    return 0
+            store = EntityStore(refiner=CorrelationClustering(seed=args.seed),
+                                log=log)
+        matcher = StreamMatcher(bundle, index=index,
+                                max_batch_rows=args.batch_size,
+                                n_jobs=args.n_jobs, request_log=log,
+                                resolver=store)
+        with MatchService(matcher, workers=args.workers,
+                          max_queue=args.max_queue,
+                          overflow=args.overflow) as service:
+            futures = []
+            for batch in batches:
+                try:
+                    futures.append(service.submit_records(batch))
+                except ServiceOverloaded:
+                    # Load shed at the door is the contract of reject mode,
+                    # not a crash; the metrics snapshot reports the count.
+                    continue
+            results = [future.result() for future in futures]
+        snapshot = matcher.metrics.snapshot()
+        if args.output:
+            with Path(args.output).open("w", newline="",
+                                        encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["ltable_id", "rtable_id", "probability",
+                                 "prediction"])
+                for result in results:
+                    for pair, probability, prediction in zip(
+                            result.pairs, result.probabilities,
+                            result.predictions):
+                        writer.writerow([pair.left.record_id,
+                                         pair.right.record_id,
+                                         f"{probability:.6f}", int(prediction)])
+            total = sum(len(result) for result in results)
+            print(f"wrote {total} scored candidates to {args.output}")
+        n_pairs = sum(len(result) for result in results)
+        n_matches = sum(result.n_matches for result in results)
+        print(f"{len(batches)} record batches x {args.workers} workers -> "
+              f"{n_pairs} candidates -> {n_matches} matches "
+              f"(max queue depth {snapshot['max_queue_depth']}, "
+              f"{snapshot['rejected']} rejected, "
+              f"{snapshot['pairs_per_second']:.0f} pairs/s)")
+        if store is not None:
+            stats = store.stats()
+            print(f"resolved {stats['n_nodes']} records into "
+                  f"{stats['n_components']} entities "
+                  f"(store v{stats['version']}, "
+                  f"entity-merge rate {stats['entity_merge_rate']:.3f})")
+            if args.store:
+                path = store.save(args.store)
+                print(f"saved entity-store snapshot {path}")
+            if log is not None:
+                log.event("summary", **store.stats())
+        return 0
 
 
 def _cmd_resolve(args) -> int:
     import csv
 
     from .blocking import gold_pair_keys
+    from .events import EventLog
     from .resolve import (
         CorrelationClustering,
         EntityStore,
         RecordFusion,
-        ResolveLog,
         decisions_from_result,
         evaluate_clustering,
         gold_decisions,
@@ -414,60 +415,60 @@ def _cmd_resolve(args) -> int:
             raise SystemExit(f"--fuse expects ATTR=RESOLVER, "
                              f"got {override!r}")
         per_attribute[attribute] = resolver
-    store = EntityStore(
-        threshold=args.threshold,
-        refiner=(None if args.no_refine
-                 else CorrelationClustering(seed=args.seed)),
-        fusion=RecordFusion(default=args.default_resolver,
-                            per_attribute=per_attribute, seed=args.seed),
-        log=ResolveLog.ensure(args.resolve_log))
-    store.add_records("a", {pair.left.record_id: pair.left
-                            for pair in pairs}.values())
-    store.add_records("b", {pair.right.record_id: pair.right
-                            for pair in pairs}.values())
-    store.apply(decisions, context={"source": "cli-resolve"})
+    with EventLog.opened(args.log) as log:
+        store = EntityStore(
+            threshold=args.threshold,
+            refiner=(None if args.no_refine
+                     else CorrelationClustering(seed=args.seed)),
+            fusion=RecordFusion(default=args.default_resolver,
+                                per_attribute=per_attribute, seed=args.seed),
+            log=log)
+        store.add_records("a", {pair.left.record_id: pair.left
+                                for pair in pairs}.values())
+        store.add_records("b", {pair.right.record_id: pair.right
+                                for pair in pairs}.values())
+        store.apply(decisions, context={"source": "cli-resolve"})
 
-    entities = store.entities()
-    print(f"{len(pairs)} decisions -> {len(entities)} entities "
-          f"(store v{store.version}, "
-          f"fingerprint {store.fingerprint[:16]})")
-    if gold is not None:
-        components = {members[0]: members
-                      for members in entities.values()}
-        report = evaluate_clustering(components, gold)
-        f1_note = (f"  (pairwise-decision f1={pairwise_f1:.4f})"
-                   if pairwise_f1 is not None else "")
-        print(f"cluster precision={report.pairwise_precision:.4f} "
-              f"recall={report.pairwise_recall:.4f} "
-              f"f1={report.pairwise_f1:.4f} "
-              f"ari={report.adjusted_rand_index:.4f}{f1_note}")
-        sizes = " ".join(f"{bucket}:{count}" for bucket, count
-                         in report.cluster_sizes.items())
-        print(f"cluster sizes: {sizes}")
-    if args.output:
-        golden = store.golden_records()
-        columns: list[str] = []
-        for record in golden.values():
-            for column in record:
-                if column not in columns:
-                    columns.append(column)
-        with Path(args.output).open("w", newline="",
-                                    encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["entity_id", "n_members", *columns])
-            for entity_id in sorted(golden):
-                writer.writerow([entity_id,
-                                 len(store.members(entity_id)),
-                                 *[golden[entity_id].get(column)
-                                   for column in columns]])
-        print(f"wrote {len(golden)} golden records to {args.output}")
-    if args.store:
-        path = store.save(args.store)
-        print(f"saved entity-store snapshot {path}")
-    if store.log is not None:
-        store.log.summary(**store.stats())
-        store.log.close()
-    return 0
+        entities = store.entities()
+        print(f"{len(pairs)} decisions -> {len(entities)} entities "
+              f"(store v{store.version}, "
+              f"fingerprint {store.fingerprint[:16]})")
+        if gold is not None:
+            components = {members[0]: members
+                          for members in entities.values()}
+            report = evaluate_clustering(components, gold)
+            f1_note = (f"  (pairwise-decision f1={pairwise_f1:.4f})"
+                       if pairwise_f1 is not None else "")
+            print(f"cluster precision={report.pairwise_precision:.4f} "
+                  f"recall={report.pairwise_recall:.4f} "
+                  f"f1={report.pairwise_f1:.4f} "
+                  f"ari={report.adjusted_rand_index:.4f}{f1_note}")
+            sizes = " ".join(f"{bucket}:{count}" for bucket, count
+                             in report.cluster_sizes.items())
+            print(f"cluster sizes: {sizes}")
+        if args.output:
+            golden = store.golden_records()
+            columns: list[str] = []
+            for record in golden.values():
+                for column in record:
+                    if column not in columns:
+                        columns.append(column)
+            with Path(args.output).open("w", newline="",
+                                        encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["entity_id", "n_members", *columns])
+                for entity_id in sorted(golden):
+                    writer.writerow([entity_id,
+                                     len(store.members(entity_id)),
+                                     *[golden[entity_id].get(column)
+                                       for column in columns]])
+            print(f"wrote {len(golden)} golden records to {args.output}")
+        if args.store:
+            path = store.save(args.store)
+            print(f"saved entity-store snapshot {path}")
+        if log is not None:
+            log.event("summary", **store.stats())
+        return 0
 
 
 def _make_blocker(args):
@@ -526,7 +527,7 @@ def _cmd_block(args) -> int:
         else:
             index = blocker.index(table_b)
     report = evaluate_blocking(blocker, table_a, table_b, gold,
-                               index=index, run_log=args.run_log,
+                               index=index, run_log=args.log,
                                dataset=None if args.data_dir
                                else args.dataset)
     if args.output:
@@ -595,8 +596,10 @@ def _add_serve_args(parser) -> None:
     parser.add_argument("--batch-size", type=int, default=4096,
                         help="featurization micro-batch row cap")
     parser.add_argument("--n-jobs", type=int, default=1)
-    parser.add_argument("--request-log", default=None,
-                        help="append JSONL request telemetry here")
+    parser.add_argument("--log", default=None, metavar="PATH",
+                        help="write JSONL request telemetry (one record "
+                             "per request + a metrics summary) to this "
+                             "event log; the file is rewritten")
     parser.add_argument("--output", default=None,
                         help="write scored pairs CSV here")
 
@@ -642,10 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "timed-out pipeline is scored as a failed "
                             "trial and the search continues "
                             "(automl-em only)")
-    match.add_argument("--run-log", default=None,
+    match.add_argument("--log", default=None, metavar="PATH",
                        help="write JSONL trial telemetry (one record per "
-                            "trial + a run summary) to this path "
-                            "(automl-em only)")
+                            "trial + a run summary) to this event log; "
+                            "the file is rewritten (automl-em only)")
     match.add_argument("--resume-from", default=None,
                        help="resume the search from a prior run log / "
                             "saved history JSONL (automl-em only)")
@@ -737,14 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_stream.add_argument("--resolve", action="store_true",
                               help="fold every scored request into a "
                                    "standing EntityStore and report "
-                                   "entity assignments")
+                                   "entity assignments (its resolve "
+                                   "records go to --log too)")
     serve_stream.add_argument("--store", default=None,
                               help="save an entity-store snapshot to "
                                    "this directory on exit (with "
                                    "--resolve)")
-    serve_stream.add_argument("--resolve-log", default=None,
-                              help="append JSONL resolve telemetry here "
-                                   "(with --resolve)")
 
     resolve = commands.add_parser(
         "resolve",
@@ -786,8 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--store", default=None,
                          help="save an entity-store snapshot to this "
                               "directory")
-    resolve.add_argument("--resolve-log", default=None,
-                         help="append JSONL resolve telemetry here")
+    resolve.add_argument("--log", default=None, metavar="PATH",
+                         help="write JSONL resolve telemetry to this "
+                              "event log; the file is rewritten")
 
     block = commands.add_parser(
         "block",
@@ -820,8 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
     block.add_argument("--index-path", default=None,
                        help="persist / reuse the standing block index at "
                             "this path (qgram / minhash)")
-    block.add_argument("--run-log", default=None,
-                       help="append one JSONL blocking record here")
+    block.add_argument("--log", default=None, metavar="PATH",
+                       help="write one JSONL blocking record to this "
+                            "event log; the file is rewritten")
     block.add_argument("--output", default=None,
                        help="write the candidate pairs CSV here")
 

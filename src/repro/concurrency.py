@@ -361,7 +361,7 @@ class EventGate:
 
     >>> gate = EventGate(100)
     >>> if gate.tick():            # in any worker thread
-    ...     log.drift(monitor.report().as_dict())
+    ...     log.event("drift", **monitor.report().as_dict())
     """
 
     def __init__(self, interval: int):

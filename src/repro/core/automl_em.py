@@ -57,8 +57,8 @@ class AutoMLEM:
         :class:`~repro.automl.runner.TrialRunner`.
     run_log:
         Optional JSONL telemetry path (or open
-        :class:`~repro.automl.runner.RunLog`): one record per trial
-        plus a run summary that includes feature-cache hit/miss stats.
+        :class:`~repro.events.EventLog`): one record per trial plus a
+        run summary that includes feature-cache hit/miss stats.
     capture_reference_profile:
         When True (default), :meth:`fit` records a streaming
         :class:`~repro.features.profile.ReferenceProfile` of the

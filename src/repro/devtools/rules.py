@@ -320,31 +320,31 @@ class MutableDefaultArgument(Rule):
                         "mutable default argument is shared across calls")
 
 
-class RunLogHandleBypass(Rule):
-    """REP008: direct access to a RunLog's private file handle.
+class EventLogHandleBypass(Rule):
+    """REP008: direct access to an EventLog's private file handle.
 
-    ``RunLog.write`` serializes writes under a lock so concurrent
+    ``EventLog.event`` serializes writes under a lock so concurrent
     writers (the serving worker pool, a racing ``close``) emit whole
     JSONL lines.  Reaching for ``._fh`` from outside the class bypasses
     that lock and reintroduces interleaved lines — all file access must
-    go through ``write()`` / ``close()``.  Only the defining module
-    (``repro.automl.runner``) may touch the handle.
+    go through ``event()`` / ``close()``.  Only the defining module
+    (``repro.events``) may touch the handle.
     """
 
     code = "REP008"
-    summary = "RunLog._fh accessed outside repro.automl.runner"
-    hint = ("go through RunLog.write()/close(); they hold the lock that "
-            "keeps JSONL lines whole under concurrent writers")
+    summary = "EventLog._fh accessed outside repro.events"
+    hint = ("go through EventLog.event()/close(); they hold the lock "
+            "that keeps JSONL lines whole under concurrent writers")
     scope = ("repro.",)
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        if ctx.module == "repro.automl.runner":
+        if ctx.module == "repro.events":
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Attribute) and node.attr == "_fh":
                 yield self.violation(
                     ctx, node,
-                    "'._fh' access bypasses the RunLog write lock")
+                    "'._fh' access bypasses the EventLog write lock")
 
 
 #: Every per-file rule, in catalog order.
@@ -355,5 +355,5 @@ ALL_RULES: tuple[Rule, ...] = (
     PickleUnsafeAttribute(),
     FloatEquality(),
     MutableDefaultArgument(),
-    RunLogHandleBypass(),
+    EventLogHandleBypass(),
 )

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..blocking import (
     AttributeEquivalenceBlocker,
-    BlockingLog,
     IndexedBlocker,
     MinHashLSHBlocker,
     OverlapBlocker,
@@ -18,6 +17,7 @@ from ..blocking import (
 from ..core import AutoMLEM
 from ..core.active import AutoMLEMActive
 from ..data.pairs import MATCH
+from ..events import EventLog
 from .configs import FAST, ExperimentConfig
 from .results import ResultTable
 from .runners import _next_blocking_log, load_bundle
@@ -144,8 +144,9 @@ def run_blocking_study(dataset: str = "fodors_zagats", seed: int = 1,
     pair set; every blocker in the catalog runs over the full A x B
     tables, and one ``"blocking"`` JSONL record per blocker lands in the
     same telemetry stream as the AutoML trial logs (``run_log`` path or
-    open :class:`BlockingLog`; default: a ``blocking-run-*.jsonl`` file
-    under the runner :data:`~repro.experiments.runners.RUN_LOG_DIR`).
+    open :class:`~repro.events.EventLog`; default: a
+    ``blocking-run-*.jsonl`` file under the runner
+    :data:`~repro.experiments.runners.RUN_LOG_DIR`).
 
     Indexed blockers are timed in two parts — standing-index build and
     probe — because that split is what the serving path cares about
@@ -166,9 +167,8 @@ def run_blocking_study(dataset: str = "fodors_zagats", seed: int = 1,
         f"(cross product = {cross_product} pairs)",
         ["blocker", "candidates", "reduction_pct", "recall_pct",
          "index_time", "block_time"])
-    log = BlockingLog.ensure(run_log if run_log is not None
-                             else _next_blocking_log())
-    try:
+    with EventLog.opened(run_log if run_log is not None
+                         else _next_blocking_log()) as log:
         for name, blocker in blockers.items():
             try:
                 index = None
@@ -189,10 +189,7 @@ def run_blocking_study(dataset: str = "fodors_zagats", seed: int = 1,
                 recall_pct=100.0 * report.pair_completeness,
                 index_time=index_time, block_time=report.elapsed)
         if log is not None:
-            log.summary(dataset=dataset, n_blockers=len(table.rows))
-    finally:
-        if log is not None and not isinstance(run_log, BlockingLog):
-            log.close()
+            log.event("summary", dataset=dataset, n_blockers=len(table.rows))
     return table
 
 

@@ -11,10 +11,12 @@ watches it and decides when the AutoML loop should run again:
 * :mod:`~repro.monitor.triggers` — pluggable :class:`TriggerPolicy`
   registry emitting :class:`RetrainPlan` records consumable by
   ``AutoMLEM(resume_from=...)``;
-* :mod:`~repro.monitor.log` — :class:`MonitorLog` JSONL telemetry with
-  a deterministic replay view;
 * :mod:`~repro.monitor.traffic` — seeded control/drifted synthetic
   traffic for smoke runs and closed-loop tests.
+
+Monitoring writes ``drift``, ``shadow``, ``trigger`` and ``promotion``
+records to a :class:`~repro.events.EventLog`;
+:func:`~repro.events.deterministic_view` is their replay contract.
 
 Unlike the content-pure feature/serve layers, monitoring legitimately
 reads the wall clock (staleness, latency overhead) — ``repro.monitor``
@@ -22,7 +24,6 @@ is the one package REP002 exempts.
 """
 
 from .drift import DriftReport, FeatureDrift, FeatureDriftMonitor
-from .log import MonitorLog, deterministic_view, read_monitor_log
 from .shadow import ShadowEvaluator
 from .stats import fractions, ks_statistic, psi
 from .traffic import DRIFT_PROFILE, corrupt_table, drifted_pairs, request_batches
@@ -49,7 +50,6 @@ __all__ = [
     "DriftTrigger",
     "FeatureDrift",
     "FeatureDriftMonitor",
-    "MonitorLog",
     "MonitorStatus",
     "RetrainPlan",
     "ShadowEvaluator",
@@ -58,12 +58,10 @@ __all__ = [
     "bundle_age_seconds",
     "corrupt_table",
     "default_policies",
-    "deterministic_view",
     "drifted_pairs",
     "evaluate_policies",
     "fractions",
     "ks_statistic",
     "psi",
-    "read_monitor_log",
     "request_batches",
 ]

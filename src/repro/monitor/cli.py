@@ -5,14 +5,14 @@ observe → retrain loop without writing Python:
 
 * ``watch`` — serve synthetic traffic (optionally drifted through the
   corruption operators) against a bundle with a live
-  :class:`~repro.monitor.drift.FeatureDriftMonitor`, appending periodic
-  drift records to a :class:`~repro.monitor.log.MonitorLog` and
-  evaluating the trigger policies at the end;
+  :class:`~repro.monitor.drift.FeatureDriftMonitor`, writing periodic
+  drift records to a :class:`~repro.events.EventLog` and evaluating the
+  trigger policies at the end;
 * ``shadow`` — replay traffic through the registry champion with a
   challenger shadow-scored alongside, printing the disagreement
   summary (and optionally promoting on a threshold);
 * ``promote`` — flip a registry model's ``LATEST`` pointer;
-* ``report`` — summarize an existing monitor log.
+* ``report`` — summarize an existing event log (any layer's records).
 
 ``watch --train`` makes the command self-contained: when the bundle
 path does not exist yet, a small AutoML-EM run trains and exports one
@@ -27,8 +27,8 @@ import json
 from pathlib import Path
 from typing import Any
 
+from ..events import EventLog, deterministic_view, read_events
 from .drift import FeatureDriftMonitor
-from .log import MonitorLog, deterministic_view, read_monitor_log
 from .shadow import ShadowEvaluator
 from .traffic import drifted_pairs, request_batches
 from .triggers import (
@@ -98,20 +98,21 @@ def cmd_watch(args: argparse.Namespace) -> int:
     pairs = _load_benchmark_pairs(args)
     if args.drift > 0:
         pairs = drifted_pairs(pairs, factor=args.drift, seed=args.seed)
-    log = MonitorLog(args.out) if args.out else None
     matcher = StreamMatcher(bundle, monitor=monitor)
     n_batches = 0
-    try:
+    with EventLog.opened(args.log) as log, matcher:
         for batch in request_batches(pairs, args.batch_pairs,
                                      n_batches=args.batches,
                                      seed=args.seed):
             matcher.submit(batch)
             n_batches += 1
             if log is not None and n_batches % args.interval == 0:
-                log.drift(monitor.report().as_dict(), batch=n_batches)
+                log.event("drift", batch=n_batches,
+                          **monitor.report().as_dict())
         report = monitor.report()
         if log is not None:
-            log.drift(report.as_dict(), batch=n_batches, final=True)
+            log.event("drift", batch=n_batches, final=True,
+                      **report.as_dict())
         _print_drift_report(report.as_dict())
         status = MonitorStatus(
             drift=report, metrics=matcher.metrics.snapshot(),
@@ -123,16 +124,12 @@ def cmd_watch(args: argparse.Namespace) -> int:
         if plan is not None:
             print(f"retrain trigger fired [{plan.policy}]: {plan.reason}")
             if log is not None:
-                log.trigger(plan.as_dict())
+                log.event("trigger", **plan.as_dict())
             if args.emit_plan:
                 plan.save(args.emit_plan)
                 print(f"wrote retrain plan to {args.emit_plan}")
         else:
             print("no retrain trigger fired")
-    finally:
-        if log is not None:
-            log.close()
-        matcher.close()
     if args.fail_on_drift and report.drifted:
         return 2
     return 0
@@ -144,7 +141,7 @@ def cmd_shadow(args: argparse.Namespace) -> int:
     evaluator = ShadowEvaluator.from_registry(
         args.registry, args.model_name, args.challenger,
         champion_version=args.champion, sample_rate=args.sample_rate,
-        seed=args.seed, log=args.out)
+        seed=args.seed, log=args.log)
     pairs = _load_benchmark_pairs(args)
     if args.drift > 0:
         pairs = drifted_pairs(pairs, factor=args.drift, seed=args.seed)
@@ -181,15 +178,15 @@ def cmd_promote(args: argparse.Namespace) -> int:
     previous = registry.latest(args.model_name)
     version = registry.promote(args.model_name, args.to)
     print(f"promoted {args.model_name}: {previous} -> {version}")
-    if args.out:
-        with MonitorLog(args.out, append=True) as log:
-            log.promotion(model_name=args.model_name, promoted=version,
-                          previous=previous)
+    with EventLog.opened(args.log, append=True) as log:
+        if log is not None:
+            log.event("promotion", model_name=args.model_name,
+                      promoted=version, previous=previous)
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    records = read_monitor_log(args.log)
+    records = read_events(args.log)
     if args.deterministic:
         for record in deterministic_view(records):
             print(json.dumps(record, sort_keys=True))
@@ -256,8 +253,9 @@ def add_monitor_parser(commands: Any) -> None:
                        help="emit a drift record every N batches")
     watch.add_argument("--min-rows", type=int, default=100,
                        help="live rows before a drift verdict")
-    watch.add_argument("--out", default=None,
-                       help="append MonitorLog JSONL here")
+    watch.add_argument("--log", default=None, metavar="PATH",
+                       help="write drift and trigger records to this "
+                            "JSONL event log (the file is rewritten)")
     watch.add_argument("--max-requests", type=int, default=None,
                        help="staleness trigger: request-count limit")
     watch.add_argument("--resume-from", default=None,
@@ -279,8 +277,9 @@ def add_monitor_parser(commands: Any) -> None:
                         help="champion version (default: LATEST)")
     shadow.add_argument("--sample-rate", type=float, default=0.25)
     _add_traffic_args(shadow)
-    shadow.add_argument("--out", default=None,
-                        help="append MonitorLog JSONL here")
+    shadow.add_argument("--log", default=None, metavar="PATH",
+                        help="write shadow and promotion records to this "
+                             "JSONL event log (the file is rewritten)")
     shadow.add_argument("--promote-below", type=float, default=None,
                         help="promote the challenger when disagreement "
                              "rate is at or below this")
@@ -291,13 +290,13 @@ def add_monitor_parser(commands: Any) -> None:
     promote.add_argument("--model-name", required=True)
     promote.add_argument("--to", required=True,
                          help="version to promote (e.g. v0002)")
-    promote.add_argument("--out", default=None,
-                         help="append a promotion record to this "
-                              "MonitorLog JSONL")
+    promote.add_argument("--log", default=None, metavar="PATH",
+                         help="append a promotion record to this JSONL "
+                              "event log (existing records are kept)")
 
     report = sub.add_parser(
-        "report", help="summarize a monitor JSONL log")
-    report.add_argument("log", help="monitor log path")
+        "report", help="summarize a JSONL event log")
+    report.add_argument("log", help="event log path")
     report.add_argument("--deterministic", action="store_true",
                         help="print the deterministic (timing-stripped) "
                              "record view instead of a summary")

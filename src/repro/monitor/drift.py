@@ -115,7 +115,7 @@ class DriftReport:
         raise KeyError(f"no feature named {name!r} in the report")
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready payload (deterministic; logged by MonitorLog)."""
+        """JSON-ready payload (deterministic; the ``drift`` event body)."""
         return {
             "n_rows": self.n_rows,
             "sufficient": self.sufficient,

@@ -7,7 +7,7 @@ pairs is re-scored — featurized with the challenger's own plan and
 scored by the challenger's predictor — off the response path.  The
 evaluator accumulates the disagreement rate, score deltas and the
 challenger's latency overhead, appends per-request ``shadow`` records
-to a :class:`~repro.monitor.log.MonitorLog`, and once the numbers
+to a :class:`~repro.events.EventLog`, and once the numbers
 justify it, :meth:`promote` atomically flips the registry ``LATEST``
 pointer so subsequent loads serve the challenger.
 
@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, cast
 
 import numpy as np
 
 from ..data.pairs import PairSet
+from ..events import EventLog
 from ..serve.bundle import ModelBundle
 from ..serve.registry import ModelRegistry
-from .log import MonitorLog
 
 
 class ShadowEvaluator:
@@ -48,8 +49,9 @@ class ShadowEvaluator:
     seed:
         Seeds the sampling stream.
     log:
-        Optional :class:`MonitorLog` (or path) receiving one ``shadow``
-        record per observed request.
+        Optional :class:`~repro.events.EventLog` (left open) or path
+        (rewritten, and closed by :meth:`close`) receiving one
+        ``shadow`` record per observed request.
     registry / model_name / challenger_version:
         Registry coordinates enabling :meth:`promote`; filled
         automatically by :meth:`from_registry`.
@@ -57,7 +59,7 @@ class ShadowEvaluator:
 
     def __init__(self, champion: ModelBundle, challenger: ModelBundle, *,
                  sample_rate: float = 0.25, seed: int = 0,
-                 log: MonitorLog | str | Path | None = None,
+                 log: EventLog | str | Path | None = None,
                  registry: ModelRegistry | None = None,
                  model_name: str | None = None,
                  challenger_version: str | None = None):
@@ -71,10 +73,8 @@ class ShadowEvaluator:
         self.model_name = model_name
         self.challenger_version = challenger_version
         self._generator = challenger.feature_generator()
-        self._own_log = not isinstance(log, MonitorLog)
-        self.log: MonitorLog | None = (
-            log if isinstance(log, MonitorLog)
-            else MonitorLog(log) if log is not None else None)
+        self._exit = ExitStack()
+        self.log = self._exit.enter_context(EventLog.opened(log))
         self._lock = threading.Lock()
         self._rng = np.random.default_rng(seed)
         self._n_requests = 0
@@ -140,8 +140,8 @@ class ShadowEvaluator:
                                       float(deltas.max()))
             self._challenger_time += challenger_latency
             if self.log is not None:
-                self.log.shadow(
-                    n_pairs=len(pairs), n_sampled=len(indices),
+                self.log.event(
+                    "shadow", n_pairs=len(pairs), n_sampled=len(indices),
                     n_disagreements=disagreements,
                     mean_abs_delta=float(deltas.mean()),
                     max_abs_delta=float(deltas.max()),
@@ -195,17 +195,16 @@ class ShadowEvaluator:
         version = self.registry.promote(self.model_name,
                                         self.challenger_version)
         if self.log is not None:
-            self.log.promotion(model_name=self.model_name,
-                               promoted=version, previous=previous,
-                               summary=self.summary())
+            self.log.event("promotion", model_name=self.model_name,
+                           promoted=version, previous=previous,
+                           summary=self.summary())
         return version
 
     def close(self) -> None:
-        """Write a final shadow summary and close an owned log."""
+        """Write a final shadow summary; close a log opened from a path."""
         if self.log is not None:
-            self.log.shadow(final=True, **self.summary())
-            if self._own_log:
-                self.log.close()
+            self.log.event("shadow", final=True, **self.summary())
+        self._exit.close()
 
     def __enter__(self) -> "ShadowEvaluator":
         return self

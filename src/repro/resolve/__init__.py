@@ -14,8 +14,7 @@ them the rest of the way to *entities*:
 5. :mod:`~repro.resolve.store` — the thread-safe, versioned
    :class:`EntityStore` the serving path writes through;
 6. :mod:`~repro.resolve.metrics` — cluster-quality evaluation
-   (pairwise P/R/F1, ARI, size histogram) and :class:`ResolveLog`
-   telemetry.
+   (pairwise P/R/F1, ARI, size histogram).
 """
 
 from .correlation import CorrelationClustering
@@ -43,7 +42,6 @@ from .fusion import (
 )
 from .metrics import (
     ClusterQualityReport,
-    ResolveLog,
     adjusted_rand_index,
     evaluate_clustering,
     pairwise_cluster_pairs,
@@ -74,7 +72,6 @@ __all__ = [
     "NumericMedianResolver",
     "RecordFusion",
     "ResolveDelta",
-    "ResolveLog",
     "STORE_FORMAT_VERSION",
     "adjusted_rand_index",
     "decisions_fingerprint",

@@ -16,9 +16,9 @@ positive into a giant wrong entity.  The standard instruments:
   blocking layer's histogram), because one mega-entity is a data
   disaster that averages hide.
 
-:class:`ResolveLog` is the subsystem's JSONL telemetry stream — the
-resolve counterpart of ``BlockingLog`` / ``MonitorLog``, sharing the
-:class:`~repro.automl.runner.RunLog` line format and lifecycle.
+The subsystem's telemetry (``resolve`` and ``snapshot`` records) goes
+to the :class:`~repro.events.EventLog` every layer shares; see
+:class:`~repro.resolve.store.EntityStore`.
 """
 
 from __future__ import annotations
@@ -28,27 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..automl.runner import RunLog
 from ..blocking.metrics import block_size_histogram
 from .decisions import MatchDecision, NodeKey, node_key
 from .unionfind import ConnectedComponents
-
-
-class ResolveLog(RunLog):
-    """JSONL resolve telemetry — same file format and lifecycle as the
-    AutoML :class:`~repro.automl.runner.RunLog`.
-
-    Record types: ``{"type": "resolve", ...}`` per applied decision
-    batch (a :meth:`~repro.resolve.store.ResolveDelta.to_dict` payload
-    plus caller context), ``{"type": "snapshot", ...}`` per persisted
-    store version, and the inherited ``{"type": "summary", ...}``.
-    """
-
-    def resolve(self, **fields: object) -> None:
-        self.write({"type": "resolve", **fields})
-
-    def snapshot(self, **fields: object) -> None:
-        self.write({"type": "snapshot", **fields})
 
 
 def pairwise_cluster_pairs(

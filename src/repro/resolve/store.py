@@ -35,8 +35,8 @@ streaming decisions in.  The contract:
   checksum, format version and fingerprint before trusting a snapshot,
   the same convention as the block index.
 
-Telemetry (:class:`~repro.resolve.metrics.ResolveLog`) is emitted
-*outside* the write lock: the delta is computed under the lock, the
+Telemetry (``resolve`` and ``snapshot`` records of an
+:class:`~repro.events.EventLog`) is emitted *outside* the write lock: the delta is computed under the lock, the
 JSONL line is written after release, so the store never nests the log's
 internal lock inside ``_rw_lock``.
 """
@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Union
 from .. import persist
 from ..concurrency import ReadWriteLock
 from ..data.table import Record, Value
+from ..events import EventLog
 from .correlation import CorrelationClustering
 from .decisions import (
     MatchDecision,
@@ -64,7 +65,6 @@ from .decisions import (
     order_key,
 )
 from .fusion import RecordFusion
-from .metrics import ResolveLog
 from .unionfind import ConnectedComponents
 
 if TYPE_CHECKING:
@@ -140,15 +140,15 @@ class EntityStore:
         The :class:`~repro.resolve.fusion.RecordFusion` policy behind
         :meth:`golden`.
     log:
-        Optional :class:`~repro.resolve.metrics.ResolveLog`; every
-        :meth:`apply` and :meth:`save` emits one JSONL line (written
-        outside the store lock).
+        Optional open :class:`~repro.events.EventLog` (its opener
+        closes it); every :meth:`apply` and :meth:`save` emits one
+        JSONL line (written outside the store lock).
     """
 
     def __init__(self, threshold: float | None = None,
                  refiner: CorrelationClustering | None = None,
                  fusion: RecordFusion | None = None,
-                 log: ResolveLog | None = None):
+                 log: EventLog | None = None):
         self.refiner = refiner
         self.fusion = fusion if fusion is not None else RecordFusion()
         self.log = log
@@ -281,8 +281,8 @@ class EntityStore:
     def _log_delta(self, delta: ResolveDelta,
                    context: Mapping[str, object] | None) -> None:
         if self.log is not None:
-            self.log.resolve(**{**(dict(context) if context else {}),
-                                **delta.to_dict()})
+            self.log.event("resolve",
+                           **{**(context or {}), **delta.to_dict()})
 
     def apply_result(self, result: "MatchResult", *,
                      left_side: str = "a", right_side: str = "b",
@@ -486,8 +486,8 @@ class EntityStore:
         persist.atomic_write(path, data)
         persist.write_pointer(path.parent, path.name)
         if self.log is not None:
-            self.log.snapshot(store_version=version, path=str(path),
-                              decisions_fingerprint=fingerprint)
+            self.log.event("snapshot", store_version=version,
+                           path=str(path), decisions_fingerprint=fingerprint)
         return path
 
     @classmethod

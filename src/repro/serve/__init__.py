@@ -10,8 +10,8 @@ artifact and back into predictions:
   ``<name>/<version>/`` with atomic writes;
 * :class:`BatchMatcher` / :class:`StreamMatcher` — the blocking →
   micro-batched featurization → predict serving path, with
-  :class:`ServeMetrics` counters and JSONL :class:`RequestLog`
-  telemetry;
+  :class:`ServeMetrics` counters and ``request`` records in a JSONL
+  :class:`~repro.events.EventLog`;
 * :class:`MatchService` — a thread-pool front-end over one
   :class:`StreamMatcher` with a bounded request queue and configurable
   backpressure (:class:`ServiceOverloaded` on overflow in reject mode).
@@ -42,7 +42,7 @@ from .matcher import (
 )
 from .registry import ModelRegistry
 from .service import MatchService, ServiceOverloaded
-from .telemetry import RequestLog, ServeMetrics
+from .telemetry import ServeMetrics
 
 __all__ = [
     "FORMAT_VERSION",
@@ -55,7 +55,6 @@ __all__ = [
     "ModelRegistry",
     "MonitorTap",
     "NoStandingIndexError",
-    "RequestLog",
     "ResolverTap",
     "ShadowTap",
     "ServeMetrics",

@@ -13,8 +13,11 @@ serving session.
 :class:`StreamMatcher` is the incremental variant: callers submit
 candidate-pair batches as they arrive; every request is timed and
 counted in a :class:`~repro.serve.telemetry.ServeMetrics`, and
-optionally appended to a JSONL
-:class:`~repro.serve.telemetry.RequestLog`.  Given a standing
+optionally written as a ``request`` record of a JSONL
+:class:`~repro.events.EventLog`.  A request's latency covers candidate
+generation (blocking or the index probe), scoring and every tap, and a
+request that fails anywhere on that path is counted as an error and
+logged with its ``request_id``.  Given a standing
 :class:`~repro.blocking.index.BlockIndex`, a stream can also accept raw
 *records* (:meth:`StreamMatcher.submit_records`): each batch is blocked
 against the index — no per-batch re-indexing of the catalog table — and
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
@@ -37,10 +41,11 @@ import numpy as np
 from ..blocking.index import BlockIndex
 from ..data.pairs import PairSet
 from ..data.table import Record, Table
+from ..events import EventLog
 from ..features.cache import FeatureMatrixCache
 from ..ml.metrics import precision_recall_f1
 from .bundle import ModelBundle
-from .telemetry import RequestLog, ServeMetrics
+from .telemetry import ServeMetrics
 
 
 class NoStandingIndexError(RuntimeError, ValueError):
@@ -141,15 +146,16 @@ class _MatcherBase:
 
     def __init__(self, bundle: ModelBundle, *, n_jobs: int = 1,
                  cache: FeatureMatrixCache | bool | None = None,
-                 request_log: RequestLog | str | Path | None = None,
+                 request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
         self.bundle = bundle
         self.generator = bundle.feature_generator(n_jobs=n_jobs, cache=cache)
         self.metrics = ServeMetrics()
-        self._own_log = not isinstance(request_log, RequestLog)
-        self.request_log = RequestLog.ensure(request_log)
+        self._exit = ExitStack()
+        self.request_log = self._exit.enter_context(
+            EventLog.opened(request_log))
         self._request_ids = itertools.count(1)
         self.monitor = monitor
         self.shadow = shadow
@@ -184,39 +190,52 @@ class _MatcherBase:
         return MatchResult(pairs, probabilities, predictions,
                            n_batches=n_batches, max_batch_rows=max_rows)
 
-    def _serve(self, pairs: PairSet, batch_size: int | None,
-               kind: str) -> MatchResult:
+    def _serve(self, candidates: Callable[[], PairSet],
+               batch_size: int | None, kind: str) -> MatchResult:
+        """Serve one request whose pairs ``candidates()`` produces.
+
+        The request clock runs from candidate generation through the
+        resolver tap; the shadow tap gets the scoring time only, so its
+        champion/challenger overhead compares like with like.
+        """
         request_id = f"{kind}-{next(self._request_ids):06d}"
         started = time.monotonic()
+        pairs: PairSet | None = None
         try:
+            pairs = candidates()
+            scoring_started = time.monotonic()
             result = self._score_pairs(pairs, batch_size)
+            if self.shadow is not None:
+                self.shadow.observe(pairs, result.probabilities,
+                                    result.predictions,
+                                    time.monotonic() - scoring_started)
+            if self.resolver is not None:
+                result.entities = self.resolver.apply_result(
+                    result, context={"request_id": request_id, "kind": kind})
         except Exception as exc:
+            n_pairs = None if pairs is None else len(pairs)
             self.metrics.observe_error(error_type=type(exc).__name__)
             if self.request_log is not None:
-                self.request_log.request(
-                    request_id=request_id, kind=kind, n_pairs=len(pairs),
-                    error=f"{type(exc).__name__}: {exc}",
+                self.request_log.event(
+                    "request", request_id=request_id, kind=kind,
+                    n_pairs=n_pairs, error=f"{type(exc).__name__}: {exc}",
                     latency=time.monotonic() - started)
             # Keep the failing request identifiable downstream: tag the
             # exception so callers (and, on 3.11+, the traceback itself)
             # can correlate it with the request log.
             exc.request_id = request_id  # type: ignore[attr-defined]
             if hasattr(exc, "add_note"):
-                exc.add_note(f"while serving request {request_id} "
-                             f"({len(pairs)} candidate pairs)")
+                size = ("" if n_pairs is None
+                        else f" ({n_pairs} candidate pairs)")
+                exc.add_note(f"while serving request {request_id}{size}")
             raise
         latency = time.monotonic() - started
         self.metrics.observe(len(result), result.n_matches, latency,
                              max_batch_rows=result.max_batch_rows)
-        if self.shadow is not None:
-            self.shadow.observe(pairs, result.probabilities,
-                                result.predictions, latency)
-        if self.resolver is not None:
-            result.entities = self.resolver.apply_result(
-                result, context={"request_id": request_id, "kind": kind})
         if self.request_log is not None:
-            self.request_log.request(
-                request_id=request_id, kind=kind, n_pairs=len(result),
+            self.request_log.event(
+                "request", request_id=request_id, kind=kind,
+                n_pairs=len(result),
                 n_matches=result.n_matches, n_batches=result.n_batches,
                 max_batch_rows=result.max_batch_rows, latency=latency,
                 n_entities=(len(set(result.entities.values()))
@@ -225,11 +244,10 @@ class _MatcherBase:
         return result
 
     def close(self) -> None:
-        """Write a final metrics summary and close an owned request log."""
+        """Write a final metrics summary; close a log opened from a path."""
         if self.request_log is not None:
-            self.request_log.summary(**self.metrics.snapshot())
-            if self._own_log:
-                self.request_log.close()
+            self.request_log.event("summary", **self.metrics.snapshot())
+        self._exit.close()
 
     def __enter__(self) -> "_MatcherBase":
         return self
@@ -258,7 +276,9 @@ class BatchMatcher(_MatcherBase):
     n_jobs / cache:
         Forwarded to the bundle's :class:`FeatureGenerator`.
     request_log:
-        Optional JSONL telemetry path (or open :class:`RequestLog`).
+        Optional JSONL telemetry: a path (rewritten, and closed by
+        :meth:`close`) or an open :class:`~repro.events.EventLog` (left
+        open).
     monitor / shadow:
         Optional monitoring taps (:class:`MonitorTap` per scored
         micro-batch, :class:`ShadowTap` per served request) — see
@@ -273,7 +293,7 @@ class BatchMatcher(_MatcherBase):
     def __init__(self, bundle: ModelBundle, blocker: Blocker | None = None,
                  *, batch_size: int = 4096, n_jobs: int = 1,
                  cache: FeatureMatrixCache | bool | None = None,
-                 request_log: RequestLog | str | Path | None = None,
+                 request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
@@ -292,12 +312,13 @@ class BatchMatcher(_MatcherBase):
                 "BatchMatcher.match needs a blocker; construct with "
                 "blocker=... or score pre-blocked pairs via match_pairs")
         self.bundle.check_schema(table_a, table_b)
-        candidates = self.blocker.block(table_a, table_b)
-        return self._serve(candidates, self.batch_size, kind="batch")
+        blocker = self.blocker
+        return self._serve(lambda: blocker.block(table_a, table_b),
+                           self.batch_size, kind="batch")
 
     def match_pairs(self, pairs: PairSet) -> MatchResult:
         """Score an existing candidate :class:`PairSet`."""
-        return self._serve(pairs, self.batch_size, kind="batch")
+        return self._serve(lambda: pairs, self.batch_size, kind="batch")
 
 
 class StreamMatcher(_MatcherBase):
@@ -327,7 +348,7 @@ class StreamMatcher(_MatcherBase):
                  index: BlockIndex | None = None,
                  max_batch_rows: int | None = None, n_jobs: int = 1,
                  cache: FeatureMatrixCache | bool | None = None,
-                 request_log: RequestLog | str | Path | None = None,
+                 request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
@@ -342,7 +363,7 @@ class StreamMatcher(_MatcherBase):
 
     def submit(self, pairs: PairSet) -> MatchResult:
         """Score one incoming batch of candidate pairs."""
-        return self._serve(pairs, self.max_batch_rows, kind="stream")
+        return self._serve(lambda: pairs, self.max_batch_rows, kind="stream")
 
     def _as_table(self, records: Union[Table, Iterable[Record]]) -> Table:
         """Coerce an incoming record batch to a probe-side Table."""
@@ -381,8 +402,9 @@ class StreamMatcher(_MatcherBase):
                 "StreamMatcher.submit_records needs a standing block "
                 "index; construct with index=blocker.index(catalog) or "
                 "index=BlockIndex.load(path)")
-        candidates = self.index.probe(self._as_table(records))
-        return self._serve(candidates, self.max_batch_rows, kind="stream")
+        index = self.index
+        return self._serve(lambda: index.probe(self._as_table(records)),
+                           self.max_batch_rows, kind="stream")
 
     def extend_index(self, records: Union[Table, Iterable[Record]]) -> int:
         """Fold newly arrived catalog records into the standing index;

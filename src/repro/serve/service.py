@@ -12,8 +12,9 @@ the stack — the RLock-guarded
 reader–writer discipline on :class:`~repro.blocking.index.BlockIndex`
 (probes share the read side, :meth:`MatchService.extend_index` takes
 the exclusive write side) and the serialized
-:class:`~repro.automl.runner.RunLog` writes (see DESIGN.md §12 for the
-full inventory).
+:class:`~repro.events.EventLog` writes, so a matcher, its shadow
+evaluator and its entity store can share one log (see DESIGN.md §12
+for the full inventory).
 
 Backpressure is explicit and configurable.  The queue is bounded by
 ``max_queue``; when it is full:

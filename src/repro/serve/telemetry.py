@@ -1,20 +1,17 @@
-"""Serving telemetry: request counters and JSONL request logs.
+"""Serving telemetry: request counters.
 
 :class:`ServeMetrics` aggregates per-request latency / throughput /
 error counters behind a lock (a streaming matcher may be driven from
 several threads); ``snapshot()`` returns a plain dict safe to ship to a
-dashboard.  :class:`RequestLog` extends the AutoML run log
-(:class:`repro.automl.runner.RunLog`) with a ``request`` record type, so
-serving telemetry shares the run log's JSONL conventions: one flushed
-JSON object per line, durable up to the last completed request.
+dashboard.  The per-request JSONL records go to the matcher's
+:class:`~repro.events.EventLog` (``request`` records and a final
+``summary`` holding a :meth:`ServeMetrics.snapshot`).
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-
-from ..automl.runner import RunLog
 
 #: Fixed latency-histogram bucket upper bounds in seconds (Prometheus
 #: style: roughly exponential, final bucket open-ended).  Fixed buckets
@@ -146,14 +143,3 @@ class ServeMetrics:
                 f"{snap['pairs']} pairs, {snap['errors']} errors, "
                 f"{snap['pairs_per_second']:.0f} pairs/s)")
 
-
-class RequestLog(RunLog):
-    """JSONL request telemetry for a serving session.
-
-    Record types: ``{"type": "request", ...}`` per served request and
-    the inherited ``{"type": "summary", ...}`` (a final
-    :meth:`ServeMetrics.snapshot`).
-    """
-
-    def request(self, **fields: object) -> None:
-        self.write({"type": "request", **fields})

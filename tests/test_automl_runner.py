@@ -10,12 +10,34 @@ import pytest
 from repro.automl import (
     AutoML,
     OptimizationHistory,
-    RunLog,
     TrialResult,
     TrialRunner,
     build_config_space,
-    read_run_log,
 )
+from repro.automl.optimizer import _log_trial
+from repro.events import EventLog, read_events
+
+#: Two trials and a summary exactly as the previous run-log writer put
+#: them on disk; old logs must keep resuming.
+LEGACY_RUN_LOG = (
+    '{"type": "trial", "index": 0, "config": {"classifier:__choice__": '
+    '"random_forest", "random_forest:n_estimators": 8}, "score": 0.75, '
+    '"elapsed": 0.12, "error": null, "random_state": 1608637542, '
+    '"incumbent_score": 0.75}\n'
+    '{"type": "trial", "index": 1, "config": {"classifier:__choice__": '
+    '"random_forest", "random_forest:n_estimators": 8}, "score": 0.0, '
+    '"elapsed": 0.01, "error": "MemoryError: boom [at runner.py:156 in '
+    'run]", "random_state": 1273642419, "incumbent_score": 0.75}\n'
+    '{"type": "summary", "n_trials": 2, "n_failed": 1, "best_score": 0.75}\n'
+)
+
+
+def _trial(log, index, config, score, error=None, random_state=None,
+           incumbent_score=None, elapsed=0.0):
+    """Write one ``trial`` record with the optimizer's field order."""
+    log.event("trial", index=index, config=config, score=score,
+              elapsed=elapsed, error=error, random_state=random_state,
+              incumbent_score=incumbent_score)
 
 
 class TestTrialRunner:
@@ -134,46 +156,47 @@ class TestSubprocessIsolation:
 class TestRunLog:
     def test_trial_and_summary_records(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with RunLog(path) as log:
-            log.trial(index=0, config={"x": 1}, score=0.5, elapsed=0.01,
-                      error=None, random_state=42, incumbent_score=0.5)
-            log.trial(index=1, config={"x": 2}, score=0.0, elapsed=0.02,
-                      error="ValueError: no", random_state=43,
-                      incumbent_score=0.5)
-            log.summary(n_trials=2, best_score=0.5)
-        records = read_run_log(path)
+        with EventLog.opened(path) as log:
+            _trial(log, 0, {"x": 1}, 0.5, elapsed=0.01, random_state=42,
+                   incumbent_score=0.5)
+            _trial(log, 1, {"x": 2}, 0.0, elapsed=0.02,
+                   error="ValueError: no", random_state=43,
+                   incumbent_score=0.5)
+            log.event("summary", n_trials=2, best_score=0.5)
+        records = read_events(path)
         assert [r["type"] for r in records] == ["trial", "trial", "summary"]
         assert records[1]["error"] == "ValueError: no"
         assert records[2]["best_score"] == 0.5
 
     def test_numpy_values_serialize(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with RunLog(path) as log:
-            log.trial(index=0, config={"k": np.int64(3),
-                                       "f": np.float64(0.25)},
-                      score=np.float64(0.5), elapsed=0.0, error=None,
-                      random_state=np.int64(7), incumbent_score=None)
-        record = read_run_log(path)[0]
+        with EventLog.opened(path) as log:
+            _trial(log, 0, {"k": np.int64(3), "f": np.float64(0.25)},
+                   np.float64(0.5), random_state=np.int64(7))
+        record = read_events(path)[0]
         assert record["config"] == {"k": 3, "f": 0.25}
         assert record["random_state"] == 7
 
     def test_ensure(self, tmp_path):
-        assert RunLog.ensure(None) is None
-        log = RunLog(tmp_path / "a.jsonl")
-        assert RunLog.ensure(log) is log
-        coerced = RunLog.ensure(tmp_path / "b.jsonl")
-        assert isinstance(coerced, RunLog)
-        coerced.close()
-        log.close()
+        """``opened`` is the one ownership rule: None stays None, a
+        passed-in log is left open, a path is opened and closed."""
+        with EventLog.opened(None) as log:
+            assert log is None
+        with EventLog.opened(tmp_path / "a.jsonl") as shared:
+            with EventLog.opened(shared) as log:
+                assert log is shared
+            shared.event("summary")  # still open: the caller owns it
+        with pytest.raises(ValueError, match="closed"):
+            shared.event("summary")
+        assert [r["type"] for r in read_events(tmp_path / "a.jsonl")] == \
+            ["summary"]
 
     def test_records_are_flushed_immediately(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        log = RunLog(path)
-        log.trial(index=0, config={}, score=1.0, elapsed=0.0, error=None,
-                  random_state=None, incumbent_score=1.0)
-        # Readable *before* close: an interrupted run keeps its trials.
-        assert len(read_run_log(path)) == 1
-        log.close()
+        with EventLog.opened(path) as log:
+            _trial(log, 0, {}, 1.0, incumbent_score=1.0)
+            # Readable *before* close: an interrupted run keeps its trials.
+            assert len(read_events(path)) == 1
 
 
 class TestHistoryPersistence:
@@ -201,13 +224,34 @@ class TestHistoryPersistence:
 
     def test_load_skips_summary_records(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with RunLog(path) as log:
-            log.trial(index=0, config={"a": 1}, score=0.4, elapsed=0.0,
-                      error=None, random_state=5, incumbent_score=0.4)
-            log.summary(n_trials=1, best_score=0.4)
+        with EventLog.opened(path) as log:
+            _trial(log, 0, {"a": 1}, 0.4, random_state=5,
+                   incumbent_score=0.4)
+            log.event("summary", n_trials=1, best_score=0.4)
         loaded = OptimizationHistory.load(path)
         assert len(loaded) == 1
         assert loaded.best.score == 0.4
+
+    def test_load_resumes_a_log_written_by_the_previous_writer(
+            self, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(LEGACY_RUN_LOG, encoding="utf-8")
+        loaded = OptimizationHistory.load(path)
+        assert [t.random_state for t in loaded.trials] == \
+            [1608637542, 1273642419]
+        assert loaded.n_failed == 1
+        assert loaded.best.score == pytest.approx(0.75)
+        assert loaded.best.config["random_forest:n_estimators"] == 8
+
+    def test_trial_records_are_byte_compatible(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        trial = TrialResult({"classifier:__choice__": "random_forest",
+                             "random_forest:n_estimators": np.int64(8)},
+                            0.75, 0.12, None, random_state=1608637542)
+        with EventLog.opened(path) as log:
+            _log_trial(log, 0, trial, 0.75)
+        assert path.read_text(encoding="utf-8") == \
+            LEGACY_RUN_LOG.splitlines(keepends=True)[0]
 
     def test_save_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "history.jsonl"
@@ -273,7 +317,7 @@ class TestAutoMLIntegration:
         _inject_failures(monkeypatch, {2},
                          lambda: MemoryError("trial ate all the RAM"))
         automl.fit(X_tr, y_tr, X_va, y_va)
-        records = read_run_log(path)
+        records = read_events(path)
         trials = [r for r in records if r["type"] == "trial"]
         summaries = [r for r in records if r["type"] == "summary"]
         assert len(trials) == 5
@@ -319,7 +363,7 @@ class TestAutoMLIntegration:
             assert replayed.score == prior.score
             assert replayed.random_state == prior.random_state
         # the resumed run's log contains the *whole* run
-        trials = [r for r in read_run_log(resumed_log)
+        trials = [r for r in read_events(resumed_log)
                   if r["type"] == "trial"]
         assert len(trials) == 6
         assert resumed.best_score_ >= first.best_score_
@@ -391,7 +435,7 @@ class TestAutoMLIntegration:
                     if t.error and "TrialTimeout" in t.error]
         assert len(timeouts) == 1
         assert automl.best_score_ >= 0.0
-        logged = [r for r in read_run_log(path) if r["type"] == "trial"]
+        logged = [r for r in read_events(path) if r["type"] == "trial"]
         assert sum(1 for r in logged
                    if r["error"] and "TrialTimeout" in r["error"]) == 1
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.blocking import (
-    BlockingLog,
     QGramBlocker,
     block_size_histogram,
     evaluate_blocking,
@@ -14,6 +13,7 @@ from repro.blocking import (
     reduction_ratio,
 )
 from repro.data import MATCH, NON_MATCH, PairSet, RecordPair, Table
+from repro.events import EventLog
 
 
 @pytest.fixture()
@@ -126,7 +126,7 @@ class TestEvaluateBlocking:
 
     def test_shared_log_stays_open(self, tables, tmp_path):
         a, b = tables
-        log = BlockingLog(tmp_path / "shared.jsonl")
+        log = EventLog(tmp_path / "shared.jsonl")
         evaluate_blocking(QGramBlocker("name"), a, b, run_log=log)
         evaluate_blocking(QGramBlocker("name", min_overlap=2), a, b,
                           run_log=log)

@@ -21,15 +21,15 @@ class TestParser:
         assert args.system == "automl-em"
         assert args.budget == 20
         assert args.trial_timeout is None
-        assert args.run_log is None
+        assert args.log is None
         assert args.resume_from is None
 
     def test_match_runner_knobs(self):
         args = build_parser().parse_args(
-            ["match", "--trial-timeout", "2.5", "--run-log", "/tmp/r.jsonl",
+            ["match", "--trial-timeout", "2.5", "--log", "/tmp/r.jsonl",
              "--resume-from", "/tmp/prior.jsonl"])
         assert args.trial_timeout == 2.5
-        assert args.run_log == "/tmp/r.jsonl"
+        assert args.log == "/tmp/r.jsonl"
         assert args.resume_from == "/tmp/prior.jsonl"
 
     def test_experiment_choices(self):
@@ -61,14 +61,14 @@ class TestCommands:
         assert "f1=" in out
 
     def test_match_writes_run_log(self, tmp_path, capsys):
-        from repro.automl import read_run_log
+        from repro.events import read_events
 
         log_path = tmp_path / "run.jsonl"
         code = main(["match", "--dataset", "fodors_zagats",
                      "--scale", "0.25", "--budget", "3",
-                     "--forest-size", "8", "--run-log", str(log_path)])
+                     "--forest-size", "8", "--log", str(log_path)])
         assert code == 0
-        records = read_run_log(log_path)
+        records = read_events(log_path)
         assert sum(1 for r in records if r["type"] == "trial") == 3
         assert records[-1]["type"] == "summary"
 
@@ -136,6 +136,23 @@ class TestServeParsers:
         assert args.batch_rows == 32
         assert args.q == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["match"], ["block"], ["predict", "b", "--data-dir", "d"],
+        ["serve-batch", "b"], ["serve-stream", "b"], ["resolve"],
+        ["monitor", "watch", "b"],
+        ["monitor", "shadow", "r", "--model-name", "m",
+         "--challenger", "v2"],
+        ["monitor", "promote", "r", "--model-name", "m", "--to", "v2"],
+    ])
+    def test_one_log_flag_per_command(self, argv):
+        assert build_parser().parse_args([*argv, "--log", "x"]).log == "x"
+        # (Elsewhere "--out" abbreviates the commands' own --output.)
+        olds = ["--run-log", "--request-log", "--resolve-log",
+                *(["--out"] if argv[0] == "monitor" else [])]
+        for old in olds:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, old, "x"])
+
     def test_serve_stream_rejects_bad_overflow(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -158,16 +175,16 @@ class TestServeCommands:
                      "--data-dir", str(tmp_path / "d"),
                      "--batch-size", "16",
                      "--output", str(tmp_path / "preds.csv"),
-                     "--request-log", str(tmp_path / "req.jsonl")])
+                     "--log", str(tmp_path / "req.jsonl")])
         assert code == 0
         out = capsys.readouterr().out
         assert "predicted matches" in out
         assert "f1=" in out
         header = (tmp_path / "preds.csv").read_text().splitlines()[0]
         assert header == "ltable_id,rtable_id,probability,prediction"
-        from repro.automl import read_run_log
+        from repro.events import read_events
 
-        records = read_run_log(tmp_path / "req.jsonl")
+        records = read_events(tmp_path / "req.jsonl")
         assert records[0]["type"] == "request"
         assert records[-1]["type"] == "summary"
 
@@ -182,7 +199,7 @@ class TestServeCommands:
         code = main(["serve-stream", str(tmp_path / "models"),
                      "--name", "fz", "--data-dir", str(tmp_path / "d"),
                      "--workers", "4", "--batch-rows", "16",
-                     "--request-log", str(tmp_path / "stream.jsonl"),
+                     "--log", str(tmp_path / "stream.jsonl"),
                      "--output", str(tmp_path / "streamed.csv")])
         assert code == 0
         out = capsys.readouterr().out
@@ -190,13 +207,28 @@ class TestServeCommands:
         assert "rejected" in out
         header = (tmp_path / "streamed.csv").read_text().splitlines()[0]
         assert header == "ltable_id,rtable_id,probability,prediction"
-        from repro.automl import read_run_log
-
-        stream_records = read_run_log(tmp_path / "stream.jsonl")
+        stream_records = read_events(tmp_path / "stream.jsonl")
         kinds = {r["type"] for r in stream_records}
         assert kinds == {"request", "summary"}
         assert stream_records[-1]["type"] == "summary"
         assert stream_records[-1]["errors"] == 0
+
+        # With --resolve the matcher and the entity store share the one
+        # --log handle: every line parses, one resolve per request.
+        code = main(["serve-stream", str(tmp_path / "models"),
+                     "--name", "fz", "--data-dir", str(tmp_path / "d"),
+                     "--workers", "4", "--batch-rows", "16", "--resolve",
+                     "--log", str(tmp_path / "resolved.jsonl")])
+        assert code == 0
+        assert "entities" in capsys.readouterr().out
+        shared = read_events(tmp_path / "resolved.jsonl")
+        by_type = {}
+        for record in shared:
+            by_type.setdefault(record["type"], []).append(record)
+        assert set(by_type) == {"request", "resolve", "summary"}
+        assert len(by_type["resolve"]) == len(by_type["request"])
+        assert [r for r in by_type["summary"] if "requests" in r][0][
+            "requests"] == len(by_type["request"])
 
     def test_export_direct_bundle_path(self, tmp_path, capsys):
         main(["generate", "fodors_zagats", str(tmp_path / "d"),
@@ -238,18 +270,20 @@ class TestBlockCommand:
 
     def test_block_minhash_and_run_log(self, tmp_path, capsys):
         log = tmp_path / "blocking.jsonl"
-        code = main(["block", "--blocker", "minhash", "--dataset",
-                     "fodors_zagats", "--scale", "0.3",
-                     "--num-perm", "32", "--bands", "8",
-                     "--run-log", str(log)])
-        assert code == 0
+        argv = ["block", "--blocker", "minhash", "--dataset",
+                "fodors_zagats", "--scale", "0.3",
+                "--num-perm", "32", "--bands", "8", "--log", str(log)]
+        # --log rewrites its file: a second run replaces the first.
+        assert main(argv) == 0
+        assert main(argv) == 0
         assert "MinHashLSHBlocker" in capsys.readouterr().out
         import json
 
         records = [json.loads(line)
                    for line in log.read_text().splitlines()]
-        assert any(r["type"] == "blocking" and r["dataset"] ==
-                   "fodors_zagats" for r in records)
+        assert len(records) == 1
+        assert records[0]["type"] == "blocking"
+        assert records[0]["dataset"] == "fodors_zagats"
 
     def test_index_path_persists_and_reuses(self, tmp_path, capsys):
         idx = tmp_path / "standing.idx"

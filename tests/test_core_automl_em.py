@@ -101,14 +101,14 @@ class TestConfiguration:
 
 class TestTelemetry:
     def test_run_log_includes_feature_cache_stats(self, splits, tmp_path):
-        from repro.automl import read_run_log
+        from repro.events import read_events
 
         train, valid, _ = splits
         path = tmp_path / "em-run.jsonl"
         matcher = AutoMLEM(n_iterations=3, forest_size=8, seed=0,
                            feature_cache=True, run_log=path)
         matcher.fit(train, valid)
-        records = read_run_log(path)
+        records = read_events(path)
         summary = [r for r in records if r["type"] == "summary"][0]
         assert summary["feature_plan"] == "autoem"
         assert summary["feature_cache"]["misses"] >= 1

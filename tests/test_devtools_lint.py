@@ -262,7 +262,7 @@ def test_rep006_allows_immutable_defaults(tmp_path):
     assert found == []
 
 
-# -- REP008: RunLog._fh lock bypass -------------------------------------
+# -- REP008: EventLog._fh lock bypass -----------------------------------
 
 
 def test_rep008_flags_fh_access_outside_runner(tmp_path):
@@ -271,15 +271,15 @@ def test_rep008_flags_fh_access_outside_runner(tmp_path):
         "    log._fh.write('{}\\n')\n"
         "    return log._fh\n"), select="REP008")
     assert codes(found) == ["REP008"] * 2
-    assert "bypasses the RunLog write lock" in found[0].message
+    assert "bypasses the EventLog write lock" in found[0].message
 
 
 def test_rep008_exempts_the_defining_module(tmp_path):
     found = lint_source(tmp_path, (
-        "class RunLog:\n"
-        "    def write(self, record):\n"
+        "class EventLog:\n"
+        "    def event(self, type, **fields):\n"
         "        self._fh.write('{}\\n')\n"),
-        rel="src/repro/automl/runner.py", select="REP008")
+        rel="src/repro/events.py", select="REP008")
     assert found == []
 
 
@@ -293,7 +293,7 @@ def test_rep008_out_of_scope_outside_repro(tmp_path):
 def test_rep008_allows_locked_write_calls(tmp_path):
     found = lint_source(tmp_path, (
         "def emit(log, record):\n"
-        "    log.write(record)\n"
+        "    log.event('trial', **record)\n"
         "    log.close()\n"), select="REP008")
     assert found == []
 

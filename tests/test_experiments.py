@@ -115,7 +115,7 @@ class TestBundles:
 
 class TestRunLogRouting:
     def test_run_log_dir_threads_into_matchers(self, tmp_path):
-        from repro.automl import read_run_log
+        from repro.events import read_events
         from repro.experiments import runners
 
         runners.set_run_log_dir(tmp_path)
@@ -133,7 +133,7 @@ class TestRunLogRouting:
             X = np.column_stack([y + rng.normal(0, 0.2, n), rng.random(n)])
             tiny = runners._automl_em(FAST, n_iterations=2, forest_size=8)
             tiny.fit_matrices(X[:60], y[:60], X[60:], y[60:])
-            records = read_run_log(tiny.run_log)
+            records = read_events(tiny.run_log)
             assert records[-1]["type"] == "summary"
         finally:
             runners.set_run_log_dir(None)

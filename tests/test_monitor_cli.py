@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.monitor import RetrainPlan, read_monitor_log
+from repro.events import read_events
+from repro.monitor import RetrainPlan
 from repro.serve import ModelBundle, ModelRegistry
 
 TRAFFIC = ["--dataset", "fodors_zagats", "--scale", "0.25",
@@ -24,7 +25,7 @@ def watch_env(tmp_path_factory):
     code = main(["monitor", "watch", str(bundle), "--train",
                  "--budget", "2", "--forest-size", "4",
                  *TRAFFIC, "--min-rows", "50", "--drift", "1.0",
-                 "--interval", "2", "--out", str(log),
+                 "--interval", "2", "--log", str(log),
                  "--resume-from", "runs/champion.jsonl",
                  "--emit-plan", str(plan)])
     assert code == 0
@@ -57,7 +58,7 @@ class TestWatch:
         assert bundle.reference_profile is not None
 
     def test_drifted_traffic_logs_and_emits_a_plan(self, watch_env):
-        records = read_monitor_log(watch_env["log"])
+        records = read_events(watch_env["log"])
         drift = [r for r in records if r["type"] == "drift"]
         assert drift and drift[-1]["final"] is True
         assert drift[-1]["drifted"] is True
@@ -92,7 +93,7 @@ class TestReport:
                      "--deterministic"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         records = [json.loads(line) for line in lines]
-        assert len(records) == len(read_monitor_log(watch_env["log"]))
+        assert len(records) == len(read_events(watch_env["log"]))
         flat = json.dumps(records)
         assert "latency" not in flat and "elapsed" not in flat
 
@@ -109,12 +110,16 @@ class TestRegistryCommands:
     def test_promote_flips_latest_and_logs(self, registry, tmp_path,
                                            capsys):
         log = tmp_path / "promo.jsonl"
+        log.write_text('{"type": "shadow", "final": true}\n')
         assert main(["monitor", "promote", str(registry.root),
                      "--model-name", "em", "--to", "v0001",
-                     "--out", str(log)]) == 0
+                     "--log", str(log)]) == 0
         assert registry.latest("em") == "v0001"
         assert "promoted em: v0002 -> v0001" in capsys.readouterr().out
-        record = read_monitor_log(log)[-1]
+        # promote appends: the log's earlier records survive.
+        assert [r["type"] for r in read_events(log)] == \
+            ["shadow", "promotion"]
+        record = read_events(log)[-1]
         assert record["type"] == "promotion"
         assert record["promoted"] == "v0001"
 

@@ -1,22 +1,20 @@
 """The closed loop, end to end: train → export (reference profile) →
 serve → detect drift → trigger → retrain → shadow → promote → serve the
-new champion.  Plus the MonitorLog replay-determinism contract."""
+new champion.  Plus the event log's replay-determinism contract."""
 
 import pytest
 
 from repro.core import AutoMLEM
+from repro.events import EventLog, deterministic_view, read_events
 from repro.monitor import (
     DriftTrigger,
     FeatureDriftMonitor,
-    MonitorLog,
     MonitorStatus,
     RetrainPlan,
     ShadowEvaluator,
     default_policies,
-    deterministic_view,
     drifted_pairs,
     evaluate_policies,
-    read_monitor_log,
     request_batches,
 )
 from repro.serve import MatchService, ModelRegistry, StreamMatcher
@@ -100,7 +98,7 @@ class TestClosedLoop:
         result = StreamMatcher(served).submit(test[:8])
         assert len(result.probabilities) == 8
 
-        records = read_monitor_log(tmp_path / "monitor.jsonl")
+        records = read_events(tmp_path / "monitor.jsonl")
         assert {"shadow", "promotion"} <= {r["type"] for r in records}
 
     def test_match_service_check_trigger(self, trained_em):
@@ -133,17 +131,17 @@ class TestReplayDeterminism:
         monitor = FeatureDriftMonitor.for_bundle(bundle, min_rows=50,
                                                  seed=0)
         stream = StreamMatcher(bundle, monitor=monitor)
-        with MonitorLog(path) as log:
+        with EventLog.opened(path) as log:
             for batch in request_batches(drifted_pairs(test, factor=1.0,
                                                        seed=1),
                                          16, n_batches=6, seed=0):
                 stream.submit(batch)
-                log.drift(monitor.report().as_dict())
+                log.event("drift", **monitor.report().as_dict())
             plan = evaluate_policies(default_policies(),
                                      MonitorStatus(drift=monitor.report()))
             if plan is not None:
-                log.trigger(plan.as_dict())
-        return read_monitor_log(path)
+                log.event("trigger", **plan.as_dict())
+        return read_events(path)
 
     def test_identical_traffic_replays_identically(self, trained_em,
                                                    tmp_path):

@@ -4,7 +4,8 @@ registry promotion, and the shadow tap on the matcher."""
 import numpy as np
 import pytest
 
-from repro.monitor import MonitorLog, ShadowEvaluator, read_monitor_log
+from repro.events import EventLog, read_events
+from repro.monitor import ShadowEvaluator
 from repro.serve import ModelRegistry, StreamMatcher
 
 
@@ -82,7 +83,7 @@ class TestObserve:
             matcher = StreamMatcher(champion, shadow=evaluator)
             matcher.submit(test[:8])
             matcher.submit(test[8:16])
-        records = read_monitor_log(log_path)
+        records = read_events(log_path)
         assert [r["type"] for r in records] == ["shadow"] * 3
         assert records[0]["n_pairs"] == 8
         assert records[-1]["final"] is True
@@ -91,14 +92,14 @@ class TestObserve:
     def test_shared_log_is_not_closed(self, trained_em, champion,
                                       tmp_path):
         _, _, _, test = trained_em
-        log = MonitorLog(tmp_path / "shared.jsonl")
+        log = EventLog(tmp_path / "shared.jsonl")
         evaluator = ShadowEvaluator(champion, champion, sample_rate=1.0,
                                     log=log)
         StreamMatcher(champion, shadow=evaluator).submit(test[:4])
         evaluator.close()
-        log.write({"type": "drift", "after_close": True})  # still open
+        log.event("drift", after_close=True)  # still open
         log.close()
-        assert read_monitor_log(tmp_path / "shared.jsonl")[-1][
+        assert read_events(tmp_path / "shared.jsonl")[-1][
             "after_close"] is True
 
 
@@ -135,7 +136,7 @@ class TestPromotion:
         assert evaluator.promote() == "v0002"
         assert registry.latest("matcher") == "v0002"
         evaluator.close()
-        records = read_monitor_log(log_path)
+        records = read_events(log_path)
         promo = [r for r in records if r["type"] == "promotion"]
         assert len(promo) == 1
         assert promo[0]["previous"] == "v0001"

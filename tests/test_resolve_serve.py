@@ -11,8 +11,8 @@ to a one-shot batch re-cluster.
 import numpy as np
 import pytest
 
-from repro.automl.runner import read_run_log
 from repro.blocking import gold_pair_keys
+from repro.events import read_events
 from repro.ml.metrics import precision_recall_f1
 from repro.resolve import (
     CorrelationClustering,
@@ -76,7 +76,7 @@ class TestResolverTap:
         with BatchMatcher(bundle, batch_size=64, resolver=EntityStore(),
                           request_log=log_path) as served:
             served.match_pairs(test[:10])
-        record = read_run_log(log_path)[0]
+        record = read_events(log_path)[0]
         assert record["type"] == "request"
         assert record["n_entities"] >= 1
 

@@ -6,10 +6,10 @@ import pytest
 import resolve_oracle
 
 from repro import persist
-from repro.automl.runner import read_run_log
 from repro.concurrency import lock_witness_enabled
 from repro.data.pairs import RecordPair
 from repro.data.table import Record
+from repro.events import EventLog, read_events
 from repro.resolve import (
     LATEST_POINTER,
     STORE_FORMAT_VERSION,
@@ -18,7 +18,6 @@ from repro.resolve import (
     EntityStoreError,
     MatchDecision,
     RecordFusion,
-    ResolveLog,
     node_key,
 )
 from repro.resolve.store import STORE_KIND
@@ -275,10 +274,10 @@ class TestPersistence:
         assert "_members" not in state["_cc"].__getstate__()
 
     def test_save_drops_log_but_logs_the_snapshot(self, store, tmp_path):
-        store.log = ResolveLog.ensure(tmp_path / "resolve.jsonl")
+        store.log = EventLog(tmp_path / "resolve.jsonl")
         path = store.save(tmp_path)
         store.log.close()
-        lines = read_run_log(tmp_path / "resolve.jsonl")
+        lines = read_events(tmp_path / "resolve.jsonl")
         assert [line["type"] for line in lines] == ["snapshot"]
         assert lines[0]["store_version"] == 1
         assert EntityStore.load(path).log is None
@@ -320,12 +319,12 @@ class TestPersistence:
 class TestResolveLog:
     def test_apply_context_reaches_the_log(self, tmp_path):
         log_path = tmp_path / "resolve.jsonl"
-        store = EntityStore(log=ResolveLog.ensure(log_path))
-        store.apply([D(("a", 1), ("b", 1))],
-                    context={"request_id": "r-1"})
-        store.log.summary(**store.stats())
-        store.log.close()
-        lines = read_run_log(log_path)
+        with EventLog.opened(log_path) as log:
+            store = EntityStore(log=log)
+            store.apply([D(("a", 1), ("b", 1))],
+                        context={"request_id": "r-1"})
+            log.event("summary", **store.stats())
+        lines = read_events(log_path)
         assert [line["type"] for line in lines] == ["resolve", "summary"]
         assert lines[0]["request_id"] == "r-1"
         assert lines[0]["version"] == 1

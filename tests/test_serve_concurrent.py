@@ -16,10 +16,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.automl.runner import RunLog, read_run_log
 from repro.blocking import BlockIndex, QGramBlocker
 from repro.concurrency import lock_witness_enabled
+from repro.events import EventLog, read_events
 from repro.features.cache import FeatureMatrixCache
+from repro.monitor import ShadowEvaluator
+from repro.resolve import EntityStore
 from repro.serve import (
     MatchService,
     ServeMetrics,
@@ -209,6 +211,41 @@ class TestMatchServiceStress:
         assert parsed[-1]["type"] == "summary"
         assert parsed[-1]["requests"] == len(scored)
 
+    def test_one_log_shared_by_matcher_store_and_shadow(
+            self, small_benchmark, bundle, tmp_path):
+        """The matcher, the entity store and a shadow evaluator write
+        one EventLog from four workers: every line is whole, one
+        request and one resolve record per served request, and one
+        matcher summary."""
+        table_a, table_b = small_benchmark.table_a, small_benchmark.table_b
+        blocker = QGramBlocker("name", q=3, min_overlap=2)
+        records = list(table_a)
+        slices = [records[start:start + 5]
+                  for start in range(0, min(len(records), 120), 5)]
+        path = tmp_path / "shared.jsonl"
+        with EventLog.opened(path) as log:
+            shadow = ShadowEvaluator(bundle, bundle, sample_rate=1.0,
+                                     log=log)
+            matcher = StreamMatcher(bundle, index=blocker.index(table_b),
+                                    request_log=log, shadow=shadow,
+                                    resolver=EntityStore(log=log))
+            with MatchService(matcher, workers=4) as service:
+                futures = [service.submit_records(s) for s in slices]
+                served = [f.result() for f in futures]
+            shadow.close()
+            log.event("after_close")  # nobody closed the shared log
+        parsed = [json.loads(line) for line in
+                  path.read_text(encoding="utf-8").splitlines() if line]
+        by_type = {}
+        for record in parsed:
+            by_type.setdefault(record["type"], []).append(record)
+        assert len(by_type["request"]) == len(served) == len(slices)
+        assert len(by_type["resolve"]) == len(served)
+        assert len(by_type["summary"]) == 1
+        assert by_type["summary"][0]["requests"] == len(served)
+        assert len(by_type["shadow"]) >= 1
+        assert parsed[-1]["type"] == "after_close"
+
     def test_single_worker_is_bit_identical_to_bare_matcher(
             self, trained_em, bundle):
         _, _, _, test = trained_em
@@ -350,19 +387,18 @@ class TestFeatureMatrixCacheConcurrency:
 class TestRunLogConcurrency:
     def test_concurrent_writers_never_interleave_lines(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        log = RunLog(path)
+        log = EventLog(path)
         n_threads, per_thread = 8, 200
 
         def writer(thread_index, barrier):
             barrier.wait()
             for sequence in range(per_thread):
-                log.write({"type": "trial", "thread": thread_index,
-                           "sequence": sequence,
-                           "payload": "x" * (20 + thread_index)})
+                log.event("trial", thread=thread_index, sequence=sequence,
+                          payload="x" * (20 + thread_index))
 
         _run_threads(n_threads, writer)
         log.close()
-        records = read_run_log(path)  # json.loads raises on a torn line
+        records = read_events(path)  # json.loads raises on a torn line
         assert len(records) == n_threads * per_thread
         for thread_index in range(n_threads):
             mine = [r["sequence"] for r in records
@@ -370,8 +406,8 @@ class TestRunLogConcurrency:
             assert sorted(mine) == list(range(per_thread))
 
     def test_racing_close_is_idempotent(self, tmp_path):
-        log = RunLog(tmp_path / "run.jsonl")
-        log.write({"type": "trial"})
+        log = EventLog(tmp_path / "run.jsonl")
+        log.event("trial")
 
         def closer(thread_index, barrier):
             barrier.wait()
@@ -379,4 +415,4 @@ class TestRunLogConcurrency:
 
         _run_threads(8, closer)
         with pytest.raises(ValueError):
-            log.write({"type": "trial"})
+            log.event("trial")

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.automl.runner import read_run_log
 from repro.blocking import OverlapBlocker
+from repro.events import read_events
 from repro.serve import BatchMatcher, SchemaMismatchError, \
     ServeMetrics, StreamMatcher
 
@@ -103,7 +104,7 @@ class TestBatchMatcher:
                           request_log=log_path) as served:
             served.match_pairs(test)
             served.match_pairs(test[:5])
-        records = read_run_log(log_path)
+        records = read_events(log_path)
         kinds = [r["type"] for r in records]
         assert kinds == ["request", "request", "summary"]
         assert records[0]["n_pairs"] == len(test)
@@ -153,7 +154,7 @@ class TestStreamMatcher:
         snapshot = stream.metrics.snapshot()
         assert snapshot["requests"] == 2
         assert snapshot["errors"] == 1
-        records = read_run_log(log_path)
+        records = read_events(log_path)
         assert records[1]["error"].startswith("SchemaMismatchError")
         assert records[-1]["type"] == "summary"
         assert records[-1]["errors"] == 1
@@ -224,6 +225,30 @@ class TestStandingIndex:
             stream.submit_records(list(a)[:2])
         with pytest.raises(ValueError, match="standing block"):
             stream.extend_index(list(a)[:2])
+
+    def test_probe_failure_is_counted_and_logged(
+            self, small_benchmark, bundle, blocker, tmp_path, monkeypatch):
+        """A request that fails before scoring is still a request:
+        counted as an error, logged, and tagged with its id."""
+        a, b = small_benchmark.table_a, small_benchmark.table_b
+        log_path = tmp_path / "stream.jsonl"
+        with StreamMatcher(bundle, index=blocker.index(b),
+                           request_log=log_path) as stream:
+            def broken_probe(table):
+                raise RuntimeError("index shard unavailable")
+
+            monkeypatch.setattr(stream.index, "probe", broken_probe)
+            with pytest.raises(RuntimeError, match="unavailable") as caught:
+                stream.submit_records(list(a)[:3])
+        assert caught.value.request_id == "stream-000001"
+        snapshot = stream.metrics.snapshot()
+        assert snapshot["requests"] == snapshot["errors"] == 1
+        assert snapshot["errors_by_type"] == {"RuntimeError": 1}
+        record = read_events(log_path)[0]
+        assert record["type"] == "request"
+        assert record["request_id"] == "stream-000001"
+        assert record["error"].startswith("RuntimeError")
+        assert record["n_pairs"] is None
 
     def test_empty_record_batch_rejected(self, small_benchmark, bundle,
                                          blocker):
@@ -468,6 +493,38 @@ class TestMonitoringTaps:
         assert [(n, n) for n, m, _ in tap.requests if n == m] \
             == [(20, 20), (10, 10)]
         assert all(latency >= 0.0 for _, _, latency in tap.requests)
+
+    class SleepingResolver:
+        def apply_result(self, result, *, left_side="a", right_side="b",
+                         context=None):
+            time.sleep(0.05)
+            return {}
+
+        def stats(self):
+            return {}
+
+    def test_latency_covers_blocking_and_the_resolver_tap(
+            self, small_benchmark, bundle, tmp_path):
+        _, _, test = small_benchmark.splits(seed=0)
+        shadow = self.RecordingShadow()
+        log_path = tmp_path / "requests.jsonl"
+        with StreamMatcher(bundle, shadow=shadow, request_log=log_path,
+                           resolver=self.SleepingResolver()) as stream:
+            stream.submit(test[:10])
+        record = read_events(log_path)[0]
+        assert record["latency"] >= 0.05
+        assert stream.metrics.snapshot()["max_latency"] >= 0.05
+        # The shadow tap still gets the scoring time only.
+        assert shadow.requests[0][2] < record["latency"] - 0.04
+
+        class SleepingBlocker:
+            def block(self, table_a, table_b):
+                time.sleep(0.05)
+                return test[:10]
+
+        served = BatchMatcher(bundle, SleepingBlocker())
+        served.match(test.table_a, test.table_b)
+        assert served.metrics.snapshot()["max_latency"] >= 0.05
 
     def test_taps_are_optional_and_absent_by_default(self, bundle):
         stream = StreamMatcher(bundle)
