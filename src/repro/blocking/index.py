@@ -28,13 +28,12 @@ build over the same records in the same order.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
 from .. import persist
-from ..concurrency import ReadWriteLock
+from ..concurrency import ReadWriteLock, WitnessedLock
 from ..data.pairs import PairSet, RecordPair
 from ..data.table import Record, Table
 from ..features.cache import (
@@ -99,12 +98,11 @@ class BlockIndex:
         self._records: dict[object, Record] = {}
         self._fingerprint = empty_chain_fingerprint()
         # The cached snapshot is the one attribute readers may fill in:
-        # it gets its own lock, always nested *inside* either side of
-        # _rw_lock, so concurrent probes build the table exactly once
-        # without upgrading their read lock.
-        # repro-guard: _table by _table_lock
+        # _table is guarded by its own _table_lock, always nested
+        # *inside* either side of _rw_lock, so concurrent probes build
+        # the table exactly once without upgrading their read lock.
         self._table: Table | None = None
-        self._table_lock = threading.Lock()
+        self._table_lock = WitnessedLock()
         self._rw_lock = ReadWriteLock()
 
     # -- content -------------------------------------------------------
@@ -229,7 +227,7 @@ class BlockIndex:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._table_lock = threading.Lock()
+        self._table_lock = WitnessedLock()
         self._rw_lock = ReadWriteLock()
 
     def save(self, path: Union[str, Path]) -> None:

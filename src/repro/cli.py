@@ -558,18 +558,9 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import sys
+    from .devtools.lint import run_args
 
-    from .devtools.lint import _print_rule_catalog, run_lint
-
-    if args.list_rules:
-        _print_rule_catalog(sys.stdout)
-        return 0
-    return run_lint(args.paths, baseline=args.baseline,
-                    no_baseline=args.no_baseline,
-                    update_baseline=args.write_baseline,
-                    select=args.select,
-                    output_format=args.output_format)
+    return run_args(args)
 
 
 def _add_data_args(parser) -> None:
@@ -832,23 +823,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_monitor_parser(commands)
 
-    lint = commands.add_parser(
-        "lint", help="run the AST-based reproducibility linter")
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories "
-                           "(default: src tests benchmarks)")
-    lint.add_argument("--baseline", default=".repro-lint-baseline")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report every finding, ignoring the baseline")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="snapshot current findings as the new baseline")
-    lint.add_argument("--select", default=None, metavar="CODES",
-                      help="comma-separated rule codes (e.g. REP001)")
-    lint.add_argument("--format", default="text",
-                      choices=("text", "json", "sarif"),
-                      dest="output_format")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalog and exit")
+    from .devtools.lint import add_arguments as add_lint_arguments
+
+    add_lint_arguments(commands.add_parser(
+        "lint", help="run the AST-based reproducibility linter"))
     return parser
 
 

@@ -23,14 +23,14 @@ double-firing.
   either side again.  Upgrading — acquiring write while holding only
   read — deadlocks by construction and raises ``RuntimeError`` instead.
 
-A debug-mode **lock-order witness** (:func:`enable_lock_witness`)
-cross-validates the static REP009 model at runtime: every witnessed
-acquisition records "A was held when B was taken" edges in a global
-order graph, and an acquisition that would close a cycle raises
-:class:`LockOrderError` immediately — even when the deadly interleaving
-itself never happens in the run.  The witness is off by default
-(``None`` check per acquisition, no measurable overhead) and is enabled
-by the concurrency test suites.
+A debug-mode **lock-order witness** (:func:`enable_lock_witness`) is
+the project's lock-order check: every witnessed acquisition records
+"A was held when B was taken" edges in a global order graph, and an
+acquisition that would close a cycle raises :class:`LockOrderError`
+immediately — even when the deadly interleaving itself never happens
+in the run.  The witness is off by default (``None`` check per
+acquisition, no measurable overhead) and is enabled by the concurrency
+test suites.
 """
 
 from __future__ import annotations

@@ -10,17 +10,20 @@ component is importable and picklable — the REP rules check those
 invariants statically, before a careless ``np.random.choice`` silently
 breaks resume or cache hits at runtime.
 
+Every rule reads one file at a time; REP007 is anchored on the
+registry modules it checks.  Lock order is not checked statically: the
+runtime lock witness in :mod:`repro.concurrency` checks it under the
+concurrency test suites.
+
 See DESIGN.md section 10 for the rule catalog and the
-baseline/suppression workflow.
+baseline/suppression workflow, and section 14 for the lock witness.
 """
 
 from typing import Any
 
 __all__ = [
     "ALL_RULES",
-    "CallGraph",
     "ModuleContext",
-    "PROJECT_RULES",
     "Rule",
     "Violation",
     "check_components",
@@ -28,7 +31,6 @@ __all__ = [
     "lint_paths",
     "main",
     "run_lint",
-    "sarif_log",
 ]
 
 #: Lazy attribute → defining submodule.  Deferring the imports keeps
@@ -37,12 +39,9 @@ __all__ = [
 _EXPORTS = {
     "ModuleContext": "base", "Rule": "base", "Violation": "base",
     "ALL_RULES": "rules",
-    "CallGraph": "callgraph",
-    "PROJECT_RULES": "concurrency_rules",
     "check_components": "conformance",
     "check_similarity_registry": "conformance",
     "lint_paths": "lint", "main": "lint", "run_lint": "lint",
-    "sarif_log": "sarif",
 }
 
 

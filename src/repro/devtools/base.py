@@ -86,24 +86,18 @@ class Rule:
     :meth:`check`.  ``scope`` limits a rule to dotted-module prefixes —
     ``None`` means every linted file, including tests and benchmarks
     (which have no module path and therefore never match a scoped
-    rule).  ``exclude`` carves dotted prefixes back *out* of the scope,
-    for packages that sit inside a scoped tree but are exempt by design
-    (e.g. the monitoring layer inside the serving scope of REP002).
+    rule).
     """
 
     code: str = ""
     summary: str = ""
     hint: str = ""
     scope: tuple[str, ...] | None = None
-    exclude: tuple[str, ...] = ()
 
     def applies(self, ctx: ModuleContext) -> bool:
         if self.scope is None:
             return True
         if ctx.module is None:
-            return False
-        if any(ctx.module == prefix or ctx.module.startswith(prefix)
-               for prefix in self.exclude):
             return False
         return any(ctx.module == prefix or ctx.module.startswith(prefix)
                    for prefix in self.scope)

@@ -32,10 +32,7 @@ from typing import TextIO
 
 from . import conformance
 from .base import ModuleContext, Violation, parse_module
-from .callgraph import CallGraph
-from .concurrency_rules import PROJECT_CODES, PROJECT_RULES
 from .rules import ALL_RULES
-from .sarif import sarif_log
 
 DEFAULT_BASELINE = ".repro-lint-baseline"
 DEFAULT_TARGETS = ("src", "tests", "benchmarks")
@@ -82,7 +79,6 @@ def lint_paths(paths: Sequence[Path | str], *,
     """All (unsuppressed) findings for ``paths``, in file/line order."""
     root = Path.cwd() if root is None else root
     violations: list[Violation] = []
-    contexts: dict[str, ModuleContext] = {}
     for path in iter_python_files(Path(p) for p in paths):
         rel = _relpath(path, root)
         ctx, parse_error = parse_module(path, rel)
@@ -90,7 +86,6 @@ def lint_paths(paths: Sequence[Path | str], *,
             violations.append(parse_error)
             continue
         assert ctx is not None
-        contexts[rel] = ctx
         found: list[Violation] = []
         for rule in ALL_RULES:
             if select is not None and rule.code not in select:
@@ -107,42 +102,8 @@ def lint_paths(paths: Sequence[Path | str], *,
             elif rel.endswith(_RESOLVERS_ANCHOR):
                 found.extend(conformance.check_resolver_registry(path, rel))
         violations.extend(_apply_suppressions(ctx, found))
-    violations.extend(_project_pass(contexts, violations, select))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return violations
-
-
-def _project_pass(contexts: dict[str, ModuleContext],
-                  per_file: Sequence[Violation],
-                  select: set[str] | None) -> list[Violation]:
-    """Whole-program rules over every project module in the run.
-
-    Findings duplicating a per-file hit (REP002 sites inside the scoped
-    packages are seen by both passes) are dropped; per-line
-    suppressions apply exactly as for per-file rules.
-    """
-    wanted = [rule for rule in PROJECT_RULES
-              if select is None or rule.code in select]
-    if not wanted:
-        return []
-    project = [ctx for ctx in contexts.values() if ctx.module is not None]
-    if not project:
-        return []
-    graph = CallGraph.build(project)
-    seen = {(v.code, v.path, v.line) for v in per_file}
-    kept: list[Violation] = []
-    for rule in wanted:
-        for violation in rule.check(graph):
-            if (violation.code, violation.path, violation.line) in seen:
-                continue
-            ctx = contexts.get(violation.path)
-            if ctx is not None:
-                codes = ctx.suppressed_codes(violation.line)
-                if "ALL" in codes or violation.code in codes:
-                    continue
-            seen.add((violation.code, violation.path, violation.line))
-            kept.append(violation)
-    return kept
 
 
 # -- baseline -----------------------------------------------------------
@@ -215,18 +176,11 @@ def _print_rule_catalog(out: TextIO) -> None:
           "repro/similarity/registry.py, repro/monitor/triggers.py "
           "and repro/resolve/fusion.py",
           file=out)
-    for rule in PROJECT_RULES:
-        if rule.code == "REP002":
-            continue  # listed above with its per-file half
-        print(f"  {rule.code}  {rule.summary}", file=out)
-        print(f"          whole-program (call-graph) rule; "
-              f"hint: {rule.hint}", file=out)
 
 
 def known_rule_codes() -> set[str]:
     """Every code ``--select`` accepts."""
     codes = {rule.code for rule in ALL_RULES}
-    codes.update(PROJECT_CODES)
     codes.add(conformance.CODE)
     codes.add("REP000")
     return codes
@@ -271,10 +225,6 @@ def run_lint(paths: Sequence[str], *, baseline: str = DEFAULT_BASELINE,
              else load_baseline(baseline_path))
     new, matched, stale = split_by_baseline(violations, known)
 
-    if output_format == "sarif":
-        print(json.dumps(sarif_log(new), indent=2), file=out)
-        return 1 if new else 0
-
     if output_format == "json":
         print(json.dumps({
             "new": [v.as_dict() for v in new],
@@ -297,10 +247,8 @@ def run_lint(paths: Sequence[str], *, baseline: str = DEFAULT_BASELINE,
     return 1 if new else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="AST-based reproducibility linter (REP rules)")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the ``repro lint`` options to ``parser``; see :func:`run_args`."""
     parser.add_argument("paths", nargs="*",
                         help="files or directories (default: src tests "
                              "benchmarks)")
@@ -314,17 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule codes to run "
                              "(e.g. REP001,REP005)")
     parser.add_argument("--format", default="text",
-                        choices=("text", "json", "sarif"),
-                        dest="output_format",
-                        help="finding output format (sarif emits a "
-                             "SARIF 2.1.0 log of the new findings)")
+                        choices=("text", "json"), dest="output_format",
+                        help="finding output format")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run_args(args: argparse.Namespace) -> int:
+    """Run ``repro lint`` for a namespace parsed with :func:`add_arguments`."""
     if args.list_rules:
         _print_rule_catalog(sys.stdout)
         return 0
@@ -333,6 +278,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                     update_baseline=args.write_baseline,
                     select=args.select,
                     output_format=args.output_format)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
+        description="AST-based reproducibility linter (REP rules)")
+    add_arguments(parser)
+    return run_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

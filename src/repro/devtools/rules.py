@@ -103,11 +103,13 @@ class WallClockInHashedPath(Rule):
     ``ModelBundle`` fingerprints must digest *content only*: a
     timestamp or environment read in those modules silently turns
     equal inputs into distinct cache keys (or equal bundles into
-    distinct fingerprints).  Scoped to the packages whose outputs are
-    hashed; telemetry and latency measurement elsewhere may use clocks
-    freely (``time.monotonic``/``perf_counter`` are never flagged).
+    distinct fingerprints).  Scoped to every package that defines a
+    fingerprint or cache key (``tests/test_devtools_lint.py`` checks
+    that none lives elsewhere); telemetry and latency measurement
+    elsewhere may use clocks freely (``time.monotonic``/``perf_counter``
+    are never flagged).
 
-    :mod:`repro.monitor` is the one deliberate carve-out: staleness
+    :mod:`repro.monitor` is deliberately out of scope: staleness
     triggers compare ``exported_at`` against the wall clock by design,
     and nothing in the monitoring layer feeds a fingerprint.
     """
@@ -117,8 +119,8 @@ class WallClockInHashedPath(Rule):
     hint = ("keep fingerprint/cache/feature code content-pure; take "
             "timestamps in telemetry layers and pass them in as values")
     scope = ("repro.features", "repro.data", "repro.similarity",
-             "repro.serve", "repro.monitor")
-    exclude = ("repro.monitor",)
+             "repro.serve", "repro.blocking", "repro.resolve",
+             "repro.devtools")
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
         imports = ImportMap.of(ctx.tree)

@@ -152,17 +152,11 @@ class EntityStore:
         self.refiner = refiner
         self.fusion = fusion if fusion is not None else RecordFusion()
         self.log = log
-        # Everything the write side mutates is guarded by _rw_lock;
-        # readers take the shared side and see whole versions only.
-        # repro-guard: _cc by _rw_lock
-        # repro-guard: _decisions by _rw_lock
-        # repro-guard: _records by _rw_lock
-        # repro-guard: _version by _rw_lock
-        # repro-guard: _last_delta by _rw_lock
-        # repro-guard: _entity_ids by _rw_lock
-        # repro-guard: _clusters by _rw_lock
-        # repro-guard: _observed by _rw_lock
-        # repro-guard: _new_nodes by _rw_lock
+        # _rw_lock guards every attribute below (_cc, _decisions,
+        # _records, _version, _last_delta and the refined view
+        # _entity_ids, _clusters, _observed, _new_nodes): writers hold
+        # the exclusive side, readers the shared side, so a reader sees
+        # whole versions only.
         self._cc = ConnectedComponents(threshold)
         self._decisions: list[MatchDecision] = []
         self._records: dict[NodeKey, Record] = {}

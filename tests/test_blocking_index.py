@@ -222,7 +222,7 @@ class TestConcurrentSnapshot:
 
         from repro.concurrency import lock_witness_enabled
 
-        with lock_witness_enabled():
+        with lock_witness_enabled() as witness:
             blocker = QGramBlocker("name", min_overlap=2)
             index = BlockIndex(blocker, table_name=catalog.name,
                                columns=catalog.columns)
@@ -265,6 +265,9 @@ class TestConcurrentSnapshot:
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
             assert index.as_table().num_rows == 2 + 20
+            # The witness saw the program's one nested lock pair.
+            assert index._table_lock.name in \
+                witness.edges()[index._rw_lock.name]
 
     def test_snapshot_cache_survives_pickle(self, catalog):
         index = QGramBlocker("name", min_overlap=2).index(catalog)

@@ -194,7 +194,7 @@ class TestEventGate:
 
 
 class TestLockWitness:
-    """The runtime lock-order witness: the dynamic half of REP009."""
+    """The runtime lock-order witness: the repo's one lock-order check."""
 
     def test_inverted_acquisition_order_trips_the_witness(self):
         with lock_witness_enabled():

@@ -5,10 +5,12 @@ that stands in for mypy's ``disallow_untyped_defs`` locally."""
 import ast
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.devtools.base import ImportMap, module_name, parse_module
 from repro.devtools.lint import (
     lint_paths,
@@ -18,6 +20,7 @@ from repro.devtools.lint import (
     split_by_baseline,
     write_baseline,
 )
+from repro.devtools.rules import WallClockInHashedPath
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -139,6 +142,36 @@ def test_rep002_skips_out_of_scope_modules(tmp_path):
     # ...and files without a module path (tests) are never in scope.
     assert lint_source(tmp_path, source, rel=NO_SCOPE,
                        select="REP002") == []
+
+
+def test_rep002_flags_module_level_clock_in_resolve(tmp_path):
+    found = lint_source(tmp_path, "import time\nstamp = time.time()\n",
+                        rel="src/repro/resolve/fixture_mod.py",
+                        select="REP002")
+    assert codes(found) == ["REP002"]
+
+
+def _fingerprint_defs():
+    """(module, function name) for every fingerprint or cache-key def
+    in ``src/repro``."""
+    for path in sorted((REPO_ROOT / "src/repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ("fingerprint" in node.name
+                         or node.name in ("cache_key", "_cache_key"))):
+                yield module_name(path), node.name
+
+
+def test_rep002_scope_covers_every_fingerprint_module():
+    """A fingerprint defined outside REP002's scope would go unchecked."""
+    rule = WallClockInHashedPath()
+    defs = list(_fingerprint_defs())
+    assert defs, "no fingerprint functions found"
+    outside = [f"{module}.{name}" for module, name in defs
+               if not any(module == prefix or module.startswith(prefix + ".")
+                          for prefix in rule.scope)]
+    assert outside == []
 
 
 # -- REP003: silent broad excepts ---------------------------------------
@@ -391,8 +424,21 @@ def test_cli_list_rules_exits_zero(capsys):
     assert main(["--list-rules"]) == 0
     text = capsys.readouterr().out
     for code in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                 "REP006", "REP007", "REP009", "REP010", "REP011"):
+                 "REP006", "REP007"):
         assert code in text
+
+
+def test_repro_lint_and_module_entry_share_one_parser(capsys):
+    """``repro lint --help`` and ``python -m repro.devtools.lint --help``
+    list the same options."""
+    def options(entry, argv):
+        with pytest.raises(SystemExit):
+            entry(argv)
+        return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+    via_repro = options(repro_main, ["lint", "--help"])
+    assert "--format" in via_repro and "--list-rules" in via_repro
+    assert via_repro == options(main, ["--help"])
 
 
 def test_unknown_select_code_exits_2(tmp_path, capsys):
@@ -429,72 +475,6 @@ def test_write_baseline_on_clean_tree_is_empty_and_stable(tmp_path):
     assert run_lint([str(path)], root=tmp_path, update_baseline=True,
                     out=io.StringIO()) == 0
     assert baseline_path.read_text(encoding="utf-8") == first
-
-
-# -- SARIF output -------------------------------------------------------
-
-
-def test_sarif_output_validates_github_shape(tmp_path):
-    path = tmp_path / IN_SCOPE
-    path.parent.mkdir(parents=True)
-    path.write_text("def check(x):\n    return x == 1.0\n")
-    out = io.StringIO()
-    code = run_lint([str(path)], root=tmp_path, output_format="sarif",
-                    out=out)
-    assert code == 1
-    log = json.loads(out.getvalue())
-
-    assert log["version"] == "2.1.0"
-    assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-    [run] = log["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-lint"
-    assert "informationUri" in driver
-    rule_ids = [rule["id"] for rule in driver["rules"]]
-    assert len(rule_ids) == len(set(rule_ids))
-    for required in ("REP005", "REP009", "REP010", "REP011"):
-        assert required in rule_ids
-
-    [result] = run["results"]
-    assert result["ruleId"] == "REP005"
-    assert driver["rules"][result["ruleIndex"]]["id"] == "REP005"
-    assert result["level"] == "error"
-    assert result["message"]["text"]
-    [location] = result["locations"]
-    physical = location["physicalLocation"]
-    assert physical["artifactLocation"]["uri"] == IN_SCOPE
-    assert physical["artifactLocation"]["uriBaseId"] == "%SRCROOT%"
-    assert physical["region"]["startLine"] == 2
-    assert physical["region"]["startColumn"] >= 1
-    assert "reproLintFingerprint/v1" in result["partialFingerprints"]
-
-
-def test_sarif_clean_run_exits_zero_with_empty_results(tmp_path):
-    path = tmp_path / IN_SCOPE
-    path.parent.mkdir(parents=True)
-    path.write_text("CLEAN = 1\n")
-    out = io.StringIO()
-    assert run_lint([str(path)], root=tmp_path, output_format="sarif",
-                    out=out) == 0
-    log = json.loads(out.getvalue())
-    assert log["runs"][0]["results"] == []
-
-
-# -- perf budget --------------------------------------------------------
-
-
-def test_whole_program_pass_fits_time_budget():
-    """The call-graph rules must stay fast enough to gate CI: a full
-    project pass over ``src/`` in under 10 seconds."""
-    import time as _time
-
-    start = _time.perf_counter()
-    out = io.StringIO()
-    run_lint([str(REPO_ROOT / "src")], root=REPO_ROOT, no_baseline=True,
-             select="REP009,REP010,REP011", out=out)
-    elapsed = _time.perf_counter() - start
-    assert elapsed < 10.0, (
-        f"whole-program lint took {elapsed:.1f}s (budget 10s)")
 
 
 # -- plumbing -----------------------------------------------------------
