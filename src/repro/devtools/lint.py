@@ -30,18 +30,11 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import TextIO
 
-from . import conformance
 from .base import ModuleContext, Violation, parse_module
 from .rules import ALL_RULES
 
 DEFAULT_BASELINE = ".repro-lint-baseline"
 DEFAULT_TARGETS = ("src", "tests", "benchmarks")
-
-#: File-name suffixes that anchor the project-level REP007 checks.
-_COMPONENTS_ANCHOR = "repro/automl/components.py"
-_REGISTRY_ANCHOR = "repro/similarity/registry.py"
-_TRIGGERS_ANCHOR = "repro/monitor/triggers.py"
-_RESOLVERS_ANCHOR = "repro/resolve/fusion.py"
 
 
 def iter_python_files(paths: Iterable[Path]) -> list[Path]:
@@ -92,15 +85,6 @@ def lint_paths(paths: Sequence[Path | str], *,
                 continue
             if rule.applies(ctx):
                 found.extend(rule.check(ctx))
-        if select is None or conformance.CODE in select:
-            if rel.endswith(_COMPONENTS_ANCHOR):
-                found.extend(conformance.check_components(path, rel))
-            elif rel.endswith(_REGISTRY_ANCHOR):
-                found.extend(conformance.check_similarity_registry(path, rel))
-            elif rel.endswith(_TRIGGERS_ANCHOR):
-                found.extend(conformance.check_trigger_registry(path, rel))
-            elif rel.endswith(_RESOLVERS_ANCHOR):
-                found.extend(conformance.check_resolver_registry(path, rel))
         violations.extend(_apply_suppressions(ctx, found))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return violations
@@ -168,22 +152,11 @@ def _print_rule_catalog(out: TextIO) -> None:
         scope = ("project-wide" if rule.scope is None
                  else "scope: " + ", ".join(rule.scope))
         print(f"          {scope}; hint: {rule.hint}", file=out)
-    print(f"  {conformance.CODE}  registry/component conformance "
-          f"(automl components + similarity, trigger and resolver "
-          f"registries)",
-          file=out)
-    print("          anchored on repro/automl/components.py, "
-          "repro/similarity/registry.py, repro/monitor/triggers.py "
-          "and repro/resolve/fusion.py",
-          file=out)
 
 
 def known_rule_codes() -> set[str]:
     """Every code ``--select`` accepts."""
-    codes = {rule.code for rule in ALL_RULES}
-    codes.add(conformance.CODE)
-    codes.add("REP000")
-    return codes
+    return {rule.code for rule in ALL_RULES} | {"REP000"}
 
 
 def run_lint(paths: Sequence[str], *, baseline: str = DEFAULT_BASELINE,

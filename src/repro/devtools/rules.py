@@ -1,9 +1,7 @@
-"""The per-file REP rules (REP001–REP006).
+"""The per-file REP rules (REP001–REP006 and REP008).
 
 Each rule walks one parsed module and yields
-:class:`~repro.devtools.base.Violation` findings.  REP007 — registry
-conformance — is project-level rather than per-file and lives in
-:mod:`repro.devtools.conformance`.
+:class:`~repro.devtools.base.Violation` findings.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from ..data.pairs import PairSet, RecordPair
+from ..data.pairs import PairSet
 from ..data.table import Table
 from ..similarity import get_measure
 from .autoem import autoem_feature_plan
@@ -76,7 +76,6 @@ class FeatureGenerator:
         self.cache = cache
         self._measures = [(a, get_measure(m)) for a, m in self.plan]
         self._token_cache = TokenCache()
-        self._pair_scorers = None
 
     @property
     def feature_names(self) -> list[str]:
@@ -117,26 +116,6 @@ class FeatureGenerator:
                                        sequence_max_chars=cap)
         np.copyto(matrix, np.nan, where=np.isinf(matrix))
         return matrix
-
-    def transform_pair(self, pair: "RecordPair") -> np.ndarray:
-        """Feature vector for a single pair.
-
-        Uses the same per-generator tokenization cache as
-        :meth:`transform`, so repeated single-pair scoring (explain /
-        LIME loops) doesn't re-tokenize shared strings, and returns
-        values identical to the pair's :meth:`transform` row.
-        """
-        if self._pair_scorers is None:
-            self._pair_scorers = [
-                (attribute,
-                 measure.scorer(self._token_cache, self.sequence_max_chars))
-                for attribute, measure in self._measures]
-        row = np.array([score(pair.left.get(attribute),
-                              pair.right.get(attribute))
-                        for attribute, score in self._pair_scorers],
-                       dtype=np.float64)
-        np.copyto(row, np.nan, where=np.isinf(row))
-        return row
 
     def _cache_key(self, pairs: PairSet) -> tuple[str, str]:
         return (plan_fingerprint(self.plan, self.sequence_max_chars),

@@ -14,10 +14,11 @@ via its existing ``resume_from`` machinery::
         challenger = AutoMLEM(**plan.automl_kwargs(n_iterations=10))
         challenger.fit(train, valid)
 
-Policies follow the same registry conventions as the AutoML component
-and similarity registries (checked statically by ``repro lint`` —
-REP007): every policy class is listed in :data:`ALL_POLICIES`, carries
-a unique class-level ``name``, and implements ``evaluate``.
+Policies follow the same registry conventions as the fusion resolvers:
+every policy class is listed in :data:`ALL_POLICIES`, carries a unique
+class-level ``name``, and implements ``evaluate``
+(``tests/test_monitor_triggers.py`` checks this on the imported
+registry).
 
 This module may read the wall clock (``repro.monitor`` is excluded
 from REP002's content-purity rule): staleness is inherently a
@@ -282,7 +283,7 @@ class ClusterChurnTrigger(TriggerPolicy):
             threshold=self.threshold)
 
 
-#: Every registered trigger policy (REP007 conformance anchor).
+#: Every registered trigger policy.
 ALL_POLICIES = (DriftTrigger, DisagreementTrigger, StalenessTrigger,
                 ClusterChurnTrigger)
 

@@ -14,11 +14,12 @@ attributes.  :class:`RecordFusion` collapses the bag into one canonical
 * ``newest`` — the value from the most recently added record
   (recency-wins for slowly changing attributes).
 
-Resolvers follow the same registry conventions as the AutoML component,
-similarity and trigger registries (checked statically by ``repro
-lint``, REP007): every resolver class is listed in
-:data:`ALL_RESOLVERS`, carries a unique class-level string ``name``,
-and implements a concrete :meth:`AttributeResolver.resolve`.
+Resolvers follow the same registry conventions as the trigger
+policies: every resolver class is listed in :data:`ALL_RESOLVERS`,
+carries a unique class-level string ``name``, and implements a
+concrete :meth:`AttributeResolver.resolve`
+(``tests/test_resolve_fusion.py`` checks this on the imported
+registry).
 
 Determinism: every resolver receives an explicitly seeded generator
 and input values in a normalized presentation order, and breaks ties
@@ -30,7 +31,6 @@ gets its own derived seed).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -48,16 +48,21 @@ def seeded_choice(candidates: Sequence[Value],
                   rng: np.random.Generator) -> Value:
     """One candidate, chosen reproducibly.
 
-    Candidates are sorted before drawing, so the outcome depends only
-    on the candidate *multiset* and the generator state — never on the
-    order ties were encountered in.
+    Candidates are deduplicated and sorted by :func:`_value_sort_key`,
+    so the outcome depends only on the candidate *multiset* and the
+    generator state — never on the order ties were encountered in.
+    Values that compare equal but print differently (``0``/``False``,
+    ``0.0``/``-0.0``) stay distinct candidates.
     """
     if not candidates:
         raise ValueError("seeded_choice needs at least one candidate")
-    ordered = sorted(set(candidates), key=_value_sort_key)
-    if len(ordered) == 1:
-        return ordered[0]
-    return ordered[int(rng.integers(len(ordered)))]
+    unique: dict[tuple[str, str], Value] = {}
+    for value in candidates:
+        unique.setdefault(_value_sort_key(value), value)
+    keys = sorted(unique)
+    if len(keys) == 1:
+        return unique[keys[0]]
+    return unique[keys[int(rng.integers(len(keys)))]]
 
 
 class AttributeResolver:
@@ -100,10 +105,12 @@ class MostFrequentResolver(AttributeResolver):
 
     def resolve(self, values: Sequence[Value],
                 rng: np.random.Generator) -> Value:
-        counts = Counter(values)
-        top = max(counts.values())
+        groups: dict[tuple[str, str], list[Value]] = {}
+        for value in values:
+            groups.setdefault(_value_sort_key(value), []).append(value)
+        top = max(map(len, groups.values()))
         return seeded_choice(
-            [value for value, count in counts.items() if count == top],
+            [group[0] for group in groups.values() if len(group) == top],
             rng)
 
 
@@ -148,7 +155,7 @@ class NewestResolver(AttributeResolver):
         return values[-1]
 
 
-#: Every registered attribute resolver (REP007 conformance anchor).
+#: Every registered attribute resolver.
 ALL_RESOLVERS = (LongestResolver, MostFrequentResolver,
                  NumericMedianResolver, NewestResolver)
 

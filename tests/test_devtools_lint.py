@@ -424,8 +424,9 @@ def test_cli_list_rules_exits_zero(capsys):
     assert main(["--list-rules"]) == 0
     text = capsys.readouterr().out
     for code in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                 "REP006", "REP007"):
+                 "REP006", "REP008"):
         assert code in text
+    assert "REP007" not in text
 
 
 def test_repro_lint_and_module_entry_share_one_parser(capsys):
@@ -445,12 +446,14 @@ def test_unknown_select_code_exits_2(tmp_path, capsys):
     path = tmp_path / IN_SCOPE
     path.parent.mkdir(parents=True)
     path.write_text("x = 1\n")
-    err = io.StringIO()
-    assert run_lint([str(path)], root=tmp_path, select="REP999",
-                    out=io.StringIO(), err=err) == 2
-    message = err.getvalue()
-    assert "unknown rule code" in message and "REP999" in message
-    assert "--list-rules" in message
+    # REP007 (registry conformance) was retired; it is unknown now.
+    for code in ("REP999", "REP007"):
+        err = io.StringIO()
+        assert run_lint([str(path)], root=tmp_path, select=code,
+                        out=io.StringIO(), err=err) == 2
+        message = err.getvalue()
+        assert "unknown rule code" in message and code in message
+        assert "--list-rules" in message
     # Mixed known/unknown still refuses, naming only the unknown ones.
     err = io.StringIO()
     assert run_lint([str(path)], root=tmp_path, select="REP005,BOGUS",

@@ -155,12 +155,6 @@ class TestFeatureGenerator:
             make_autoem_features(pair_set.table_a, pair_set.table_b,
                                  exclude_attributes=("name", "price"))
 
-    def test_transform_pair_matches_matrix_row(self, pair_set):
-        generator = make_autoem_features(pair_set.table_a, pair_set.table_b)
-        matrix = generator.transform(pair_set)
-        row = generator.transform_pair(pair_set[0])
-        np.testing.assert_array_equal(matrix[0], row)
-
     def test_similar_pair_scores_higher(self, pair_set):
         generator = make_autoem_features(pair_set.table_a, pair_set.table_b)
         matrix = generator.transform(pair_set)

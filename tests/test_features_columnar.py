@@ -89,13 +89,6 @@ class TestEquivalence:
         np.testing.assert_array_equal(generator.transform(
             duplicate_heavy_pairs), reference)
 
-    def test_transform_pair_matches_transform(self, duplicate_heavy_pairs):
-        generator = FeatureGenerator(FULL_PLAN)
-        matrix = generator.transform(duplicate_heavy_pairs)
-        for i, pair in enumerate(duplicate_heavy_pairs):
-            np.testing.assert_array_equal(generator.transform_pair(pair),
-                                          matrix[i])
-
     def test_repeated_transform_with_warm_token_cache(
             self, duplicate_heavy_pairs):
         generator = FeatureGenerator(FULL_PLAN)
@@ -177,7 +170,6 @@ class TestInfGuard:
         generator = FeatureGenerator([("price", "always_inf")])
         assert math.isnan(generator.transform(pairs)[0, 0])
         assert math.isnan(generator.transform_naive(pairs)[0, 0])
-        assert math.isnan(generator.transform_pair(pairs[0])[0])
 
 
 class TestSequenceCapKnob:
@@ -205,8 +197,6 @@ class TestSequenceCapKnob:
         pairs = self._pairs()
         reference = generator.transform_naive(pairs)
         np.testing.assert_array_equal(generator.transform(pairs), reference)
-        np.testing.assert_array_equal(generator.transform_pair(pairs[0]),
-                                      reference[0])
 
     def test_cap_is_part_of_cache_key(self):
         pairs = self._pairs()
