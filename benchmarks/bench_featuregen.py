@@ -5,10 +5,17 @@ repeats records heavily, and the AutoML-EM-Active loop re-scores the
 same pool every iteration, so unique value pairs are far fewer than
 pairs — then times each execution path of
 :meth:`repro.features.FeatureGenerator.transform` over a full Table II
-plan and writes rows/sec to ``BENCH_featuregen.json`` at the repo root.
+plan and writes rows/sec to ``BENCH_featuregen.json`` at the repo root,
+under a provenance header (git SHA, python/numpy versions, CPU count).
+
+The ``columnar_requests`` path transforms the same workload in slices of
+:data:`REQUEST_PAIRS` pairs, one generator call per slice: the size of a
+serving request (a few records, ~10 candidates each), where the fixed
+cost per call of the character-DP kernel, not the per-pair work,
+dominates.
 
 Every path is timed cold: the process-wide memos of
-:mod:`repro.similarity.sequence` (the DP kernels' ``DP_MEMO`` and the
+:mod:`repro.similarity.sequence` (the DP kernel's ``DP_MEMO`` and the
 Jaro ``lru_cache``) are cleared before each one, so no path reuses
 alignment or edit-distance scores an earlier path computed.  The parallel
 path runs at the engine's default pool threshold
@@ -21,6 +28,9 @@ Usage::
     python benchmarks/bench_featuregen.py --check   # exit 1 if columnar
                                                     # is slower than naive
 
+Every run asserts that each path's matrix equals the naive loop's bit
+for bit (``tests/bit_parity.py``), so a flipped zero sign fails it too.
+
 The ``--check`` mode also runs as an opt-in pytest marker:
 ``pytest benchmarks/test_bench_featuregen.py --perf``.
 """
@@ -30,13 +40,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+from bit_parity import assert_bits_equal  # noqa: E402
 
 from repro.data.pairs import PairSet, RecordPair  # noqa: E402
 from repro.data.table import Table  # noqa: E402
@@ -49,7 +65,10 @@ from repro.features.columnar import (  # noqa: E402
 from repro.features.types import DataType  # noqa: E402
 from repro.similarity import sequence  # noqa: E402
 
-DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_featuregen.json"
+DEFAULT_OUTPUT = ROOT / "BENCH_featuregen.json"
+
+#: Pairs per generator call on the request-sized path.
+REQUEST_PAIRS = 40
 
 #: Schema of the synthetic workload: the mix Table II must cover.
 TYPES = {
@@ -98,12 +117,38 @@ def build_workload(n_pairs: int = 6000, duplication: int = 4,
 
 def clear_similarity_caches() -> None:
     """Empty the similarity memos of :mod:`repro.similarity.sequence`:
-    the DP kernels' :data:`~repro.similarity.sequence.DP_MEMO` and every
+    the DP kernel's :data:`~repro.similarity.sequence.DP_MEMO` and every
     ``lru_cache`` (Jaro)."""
     sequence.DP_MEMO.clear()
     for value in vars(sequence).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
+
+
+def _git(*args: str) -> str | None:
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def provenance() -> dict:
+    """Where and on what the report was measured.  ``git_dirty`` is true
+    when the working tree differs from ``git_sha`` (a report regenerated
+    before its change is committed)."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {"git_sha": _git("rev-parse", "HEAD"),
+            "git_dirty": None if status is None else bool(status),
+            "python": platform.python_version(),
+            "numpy": np.__version__, "cpu_count": os.cpu_count()}
+
+
+def _transform_in_requests(generator: FeatureGenerator,
+                           pairs: PairSet) -> np.ndarray:
+    """``generator`` over ``pairs`` in :data:`REQUEST_PAIRS`-pair calls."""
+    return np.vstack([generator.transform(pairs[start:start + REQUEST_PAIRS])
+                      for start in range(0, len(pairs), REQUEST_PAIRS)])
 
 
 def _timed(func) -> tuple[float, np.ndarray]:
@@ -134,6 +179,9 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
     columnar_seconds, columnar = _timed(
         lambda: FeatureGenerator(plan).transform(pairs))
 
+    requests_seconds, requests = _timed(
+        lambda: _transform_in_requests(FeatureGenerator(plan), pairs))
+
     cached_generator = FeatureGenerator(plan, cache=True)
     cached_generator.transform(pairs)  # populate
     cached_seconds, cached = _timed(
@@ -142,10 +190,10 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
     parallel_seconds, parallel = _timed(
         lambda: FeatureGenerator(plan, n_jobs=n_jobs).transform(pairs))
 
-    for name, matrix in (("columnar", columnar), ("cached", cached),
-                         ("parallel", parallel)):
-        np.testing.assert_array_equal(matrix, reference,
-                                      err_msg=f"{name} path diverged")
+    for name, matrix in (("columnar", columnar), ("requests", requests),
+                         ("cached", cached), ("parallel", parallel)):
+        assert_bits_equal(matrix, reference,
+                          err_msg=f"{name} path diverged")
 
     def path(seconds: float, **extra) -> dict:
         return {"seconds": round(seconds, 6),
@@ -153,6 +201,7 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
                 **extra}
 
     return {
+        "provenance": provenance(),
         "workload": {
             "n_pairs": len(pairs),
             "n_unique_combos": max(1, n_pairs // duplication),
@@ -164,6 +213,8 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
         "paths": {
             "naive": path(naive_seconds),
             "columnar": path(columnar_seconds),
+            "columnar_requests": path(requests_seconds,
+                                      pairs_per_call=REQUEST_PAIRS),
             "columnar_cached": path(cached_seconds),
             "parallel": path(
                 parallel_seconds, n_jobs=n_jobs,

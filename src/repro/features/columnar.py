@@ -14,13 +14,22 @@ the same work column-first:
    attribute are far fewer than the pair count.  Measures are scored over
    unique pairs only; results are scattered back with one fancy-indexed
    assignment per attribute.
-3. **Share tokenization.**  All set measures of a tokenizer family
-   (SPACE, QGRAM3) read tokens from one :class:`TokenCache`, so each
-   unique string is tokenized once per tokenizer, not once per measure.
-4. **Batch the character DPs.**  Levenshtein, Needleman-Wunsch and
-   Smith-Waterman score an attribute's unique, prefix-capped value pairs
-   in one batched kernel call each
-   (:meth:`~repro.similarity.registry.SimilarityMeasure.score_column`).
+3. **Share tokenization and counts.**  All set measures of a tokenizer
+   family (SPACE, QGRAM3) read tokens from one :class:`TokenCache`, so
+   each unique string is tokenized once per tokenizer, and they score
+   one ``(|T1|, |T2|, |T1 ∩ T2|)`` count pass per unique value pair
+   (:meth:`~repro.similarity.registry.SimilarityMeasure.score_counts`).
+4. **One DP kernel run per transform.**  Levenshtein, Needleman-Wunsch
+   and Smith-Waterman are layers of one stacked kernel.  Before any
+   measure is scored, the unique, prefix-capped value pairs of *every*
+   attribute with a DP measure, plus the rendered numbers of the
+   ``num_lev_*`` measures, go through
+   :func:`~repro.similarity.sequence.fill_memo`: one kernel run, for the
+   layers the plan uses, on the pairs the memo misses.  The DP column
+   calls that follow
+   (:meth:`~repro.similarity.registry.SimilarityMeasure.score_column`)
+   read the memo.  A serving request of ~40 candidate pairs thus pays
+   the kernel's fixed per-run cost once, not once per attribute and DP.
 5. **Optional process pool.**  For large candidate sets the unique pairs
    are chunked across ``n_jobs`` workers; below
    :data:`PARALLEL_MIN_UNIQUE_PAIRS` total unique pairs the sequential
@@ -41,8 +50,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..similarity import sequence
+from ..similarity.registry import token_counts_column
+
 if TYPE_CHECKING:
     from ..similarity.registry import SimilarityMeasure
+    from ..similarity.tokenizers import Tokenizer
 
 #: Raw attribute value as stored in a record: the engine scores whatever
 #: the tables hold (strings, numbers, bools, ``None``).
@@ -115,21 +128,48 @@ def score_value_pairs(measures: Sequence["SimilarityMeasure"],
 
     Returns a ``(len(value_pairs), len(measures))`` float matrix with the
     ``inf -> nan`` guard applied.  ``token_cache`` is shared across all
-    token-based measures in the list.
+    token-based measures in the list, and the set measures of one
+    tokenizer share one token-count pass.
     """
     cache = TokenCache() if token_cache is None else token_cache
+    counts: dict["Tokenizer", list] = {}
     out = np.empty((len(value_pairs), len(measures)), dtype=np.float64)
     for j, measure in enumerate(measures):
-        out[:, j] = measure.score_column(value_pairs, cache,
-                                         sequence_max_chars)
+        tokenizer = measure.tokenizer
+        if tokenizer is None:
+            out[:, j] = measure.score_column(value_pairs, cache,
+                                             sequence_max_chars)
+            continue
+        if tokenizer not in counts:
+            counts[tokenizer] = token_counts_column(tokenizer, value_pairs,
+                                                    cache)
+        out[:, j] = measure.score_counts(counts[tokenizer])
     np.copyto(out, np.nan, where=np.isinf(out))
     return out
+
+
+def _fill_dp_memo(groups: Sequence[tuple[Sequence["SimilarityMeasure"],
+                                         Sequence[tuple[Value, Value]]]],
+                  sequence_max_chars: int | None) -> None:
+    """Score the DP pairs of every ``(measures, value_pairs)`` group in
+    one kernel run, so the DP column calls that follow hit the memo."""
+    layers = []
+    pairs: list[sequence.StringPair] = []
+    for measures, value_pairs in groups:
+        dp_measures = [m for m in measures if m.dp_layer is not None]
+        layers += [m.dp_layer for m in dp_measures]
+        # All DP measures of one kind see the same string pairs.
+        for measure in {m.kind: m for m in dp_measures}.values():
+            pairs += measure.dp_pairs(value_pairs, sequence_max_chars)
+    if pairs:
+        sequence.fill_memo(layers, pairs)
 
 
 def _score_chunk(measures: Sequence["SimilarityMeasure"],
                  value_pairs: Sequence[tuple[Value, Value]],
                  sequence_max_chars: int | None) -> np.ndarray:
     """Worker task: score one chunk of unique value pairs (picklable)."""
+    _fill_dp_memo([(measures, value_pairs)], sequence_max_chars)
     return score_value_pairs(measures, value_pairs,
                              sequence_max_chars=sequence_max_chars)
 
@@ -195,6 +235,9 @@ def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
                             sequence_max_chars)
     else:
         cache = TokenCache() if token_cache is None else token_cache
+        _fill_dp_memo([([m for _, m in slots], unique)
+                       for slots, unique, _ in per_attribute],
+                      sequence_max_chars)
         for slots, unique, inverse in per_attribute:
             scores = score_value_pairs([m for _, m in slots], unique,
                                        cache, sequence_max_chars)
@@ -208,8 +251,9 @@ def _transform_parallel(matrix: np.ndarray, per_attribute: list,
     """Chunk unique pairs across a process pool and scatter the results.
 
     Chunking is per attribute so a worker scores every measure of its
-    attribute over its chunk with one shared token cache — the same
-    cache locality the sequential path has, minus cross-chunk reuse.
+    attribute over its chunk with one shared token cache and one DP
+    kernel run — the same cache locality the sequential path has, minus
+    cross-chunk reuse.
     """
     unique_scores = [np.empty((len(unique), len(slots)), dtype=np.float64)
                      for slots, unique, _ in per_attribute]

@@ -41,21 +41,70 @@ _CAPPED_SEQUENCE_MEASURES = frozenset({
     "smith_waterman",
 })
 
+#: The kernel layer behind each DP measure's column function.
+_DP_LAYERS = {
+    "lev_dist": seq.LEVENSHTEIN,
+    "lev_sim": seq.LEVENSHTEIN,
+    "needleman_wunsch": seq.NEEDLEMAN_WUNSCH,
+    "smith_waterman": seq.SMITH_WATERMAN,
+    "num_lev_dist": seq.LEVENSHTEIN,
+    "num_lev_sim": seq.LEVENSHTEIN,
+}
+
+
+def _as_numbers(v1: object, v2: object) -> tuple[float, float] | None:
+    """Both values as floats; ``None`` when either is missing or does not
+    parse (a numeric measure scores that pair ``nan``)."""
+    if v1 is None or v2 is None:
+        return None
+    try:
+        return float(v1), float(v2)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+
+
+def token_counts_column(tokenizer: Tokenizer,
+                        value_pairs: Sequence[tuple[object, object]],
+                        token_cache: MutableMapping[Any, Any] | None = None
+                        ) -> list[sets.TokenCounts | None]:
+    """:func:`~repro.similarity.sets.token_counts` of every value pair.
+
+    ``None`` where a side is missing.  Tokens are read from, and added
+    to, ``token_cache``.
+    """
+    cache = {} if token_cache is None else token_cache
+    name = tokenizer.name
+
+    def tokens(value: object) -> list[str]:
+        text = str(value)
+        found = cache.get((name, text))
+        if found is None:
+            cache[(name, text)] = found = tokenizer(text)
+        return found
+
+    return [None if v1 is None or v2 is None
+            else sets.token_counts(tokens(v1), tokens(v2))
+            for v1, v2 in value_pairs]
+
 
 class SimilarityMeasure:
     """One named similarity measure, e.g. ``(Jaccard Similarity, Space)``.
 
     Call it with two raw attribute values; it handles missing values and
-    tokenization, returning a float (possibly ``nan``).  ``column``, when
-    given, scores a list of ``(s1, s2)`` string pairs at once and must
-    agree element for element with ``func``; :meth:`score_column` uses
-    it.
+    tokenization, returning a float (possibly ``nan``).  With a
+    tokenizer, ``func`` is a formula over the
+    :func:`~repro.similarity.sets.token_counts` of the two token lists.
+    ``column``, when given, scores a list of pairs at once (capped
+    strings, or parsed numbers for a numeric measure) and must agree
+    element for element with ``func``; :meth:`score_column` uses it.
+    ``dp_layer`` is the kernel layer behind a DP measure's column, or
+    ``None``.
     """
 
     def __init__(self, name: str, func: Callable[..., float],
                  tokenizer: Tokenizer | None = None,
                  kind: str = "string",
-                 column: Callable[[list[tuple[str, str]]], np.ndarray]
+                 column: Callable[[list[Any]], np.ndarray]
                  | None = None):
         self.name = name
         self.kind = kind  # "string" | "numeric" | "boolean"
@@ -63,22 +112,21 @@ class SimilarityMeasure:
         self._column = column
         self.tokenizer = tokenizer
         self._capped = name in _CAPPED_SEQUENCE_MEASURES
+        self.dp_layer = _DP_LAYERS.get(name)
 
     def __call__(self, v1: object, v2: object,
                  sequence_max_chars: int | None = None) -> float:
         if v1 is None or v2 is None:
             return float("nan")
         if self.kind == "numeric":
-            try:
-                f1, f2 = float(v1), float(v2)
-            except (TypeError, ValueError):
-                return float("nan")
-            return self._func(f1, f2)
+            numbers = _as_numbers(v1, v2)
+            return float("nan") if numbers is None else self._func(*numbers)
         if self.kind == "boolean":
             return self._func(v1, v2)
         s1, s2 = str(v1), str(v2)
         if self.tokenizer is not None:
-            return self._func(self.tokenizer(s1), self.tokenizer(s2))
+            return self._func(*sets.token_counts(self.tokenizer(s1),
+                                                 self.tokenizer(s2)))
         if self._capped:
             cap = (SEQUENCE_MAX_CHARS if sequence_max_chars is None
                    else sequence_max_chars)
@@ -104,13 +152,8 @@ class SimilarityMeasure:
         func = self._func
         if self.kind == "numeric":
             def score_numeric(v1: object, v2: object) -> float:
-                if v1 is None or v2 is None:
-                    return nan
-                try:
-                    f1, f2 = float(v1), float(v2)
-                except (TypeError, ValueError):
-                    return nan
-                return func(f1, f2)
+                numbers = _as_numbers(v1, v2)
+                return nan if numbers is None else func(*numbers)
             return score_numeric
         if self.kind == "boolean":
             def score_boolean(v1: object, v2: object) -> float:
@@ -134,7 +177,7 @@ class SimilarityMeasure:
                 tokens2 = cache.get(key2)
                 if tokens2 is None:
                     cache[key2] = tokens2 = tokenizer(s2)
-                return func(tokens1, tokens2)
+                return func(*sets.token_counts(tokens1, tokens2))
             return score_tokens
         if self._capped:
             def score_capped(v1: object, v2: object) -> float:
@@ -158,24 +201,55 @@ class SimilarityMeasure:
         """Scores of raw ``(v1, v2)`` pairs, one float per pair.
 
         Equal, element for element, to the :meth:`scorer` applied to each
-        pair.  Measures with a column function (the prefix-capped
+        pair.  Set measures score the token counts of each pair
+        (:meth:`score_counts`); measures with a column function (the
         character DPs) score all pairs with no missing side in one
         batched call.
         """
+        if self.tokenizer is not None:
+            return self.score_counts(token_counts_column(
+                self.tokenizer, value_pairs, token_cache))
         if self._column is None:
             score = self.scorer(token_cache, sequence_max_chars)
             return np.fromiter((score(v1, v2) for v1, v2 in value_pairs),
                                dtype=np.float64, count=len(value_pairs))
+        present, inputs = self._column_inputs(value_pairs, sequence_max_chars)
+        out = np.full(len(value_pairs), np.nan)
+        if present:
+            out[present] = self._column(inputs)
+        return out
+
+    def score_counts(self, counts: Sequence[sets.TokenCounts | None]
+                     ) -> np.ndarray:
+        """A set measure's scores of :func:`token_counts_column` output."""
+        formula = self._func
+        return np.fromiter((math.nan if c is None else formula(*c)
+                            for c in counts),
+                           dtype=np.float64, count=len(counts))
+
+    def dp_pairs(self, value_pairs: Sequence[tuple[object, object]],
+                 sequence_max_chars: int | None = None
+                 ) -> list[seq.StringPair]:
+        """The string pairs this DP measure's column hands the kernel."""
+        _, inputs = self._column_inputs(value_pairs, sequence_max_chars)
+        return num.renderings(inputs)[1] if self.kind == "numeric" else inputs
+
+    def _column_inputs(self, value_pairs: Sequence[tuple[object, object]],
+                       sequence_max_chars: int | None
+                       ) -> tuple[list[int], list]:
+        """Positions of the pairs the column function scores, and its
+        input: parsed numbers, or prefix-capped strings."""
+        if self.kind == "numeric":
+            parsed = [_as_numbers(v1, v2) for v1, v2 in value_pairs]
+            present = [k for k, numbers in enumerate(parsed)
+                       if numbers is not None]
+            return present, [parsed[k] for k in present]
         cap = (SEQUENCE_MAX_CHARS if sequence_max_chars is None
                else sequence_max_chars)
         present = [k for k, (v1, v2) in enumerate(value_pairs)
                    if v1 is not None and v2 is not None]
-        out = np.full(len(value_pairs), np.nan)
-        if present:
-            strings = [(str(v1)[:cap], str(v2)[:cap])
-                       for v1, v2 in (value_pairs[k] for k in present)]
-            out[present] = self._column(strings)
-        return out
+        return present, [(str(v1)[:cap], str(v2)[:cap])
+                         for v1, v2 in (value_pairs[k] for k in present)]
 
     def __repr__(self) -> str:
         tok = self.tokenizer.name if self.tokenizer else "N/A"
@@ -196,20 +270,22 @@ def _measures() -> dict[str, SimilarityMeasure]:
         SimilarityMeasure("smith_waterman", seq.smith_waterman,
                           column=seq.smith_waterman_scores),
         SimilarityMeasure("monge_elkan", _monge_elkan_on_words),
-        SimilarityMeasure("overlap_space", sets.overlap_coefficient, SPACE),
-        SimilarityMeasure("dice_space", sets.dice_similarity, SPACE),
-        SimilarityMeasure("cosine_space", sets.cosine_similarity, SPACE),
-        SimilarityMeasure("jaccard_space", sets.jaccard_similarity, SPACE),
-        SimilarityMeasure("overlap_3gram", sets.overlap_coefficient, QGRAM3),
-        SimilarityMeasure("dice_3gram", sets.dice_similarity, QGRAM3),
-        SimilarityMeasure("cosine_3gram", sets.cosine_similarity, QGRAM3),
-        SimilarityMeasure("jaccard_3gram", sets.jaccard_similarity, QGRAM3),
+        SimilarityMeasure("overlap_space", sets.overlap, SPACE),
+        SimilarityMeasure("dice_space", sets.dice, SPACE),
+        SimilarityMeasure("cosine_space", sets.cosine, SPACE),
+        SimilarityMeasure("jaccard_space", sets.jaccard, SPACE),
+        SimilarityMeasure("overlap_3gram", sets.overlap, QGRAM3),
+        SimilarityMeasure("dice_3gram", sets.dice, QGRAM3),
+        SimilarityMeasure("cosine_3gram", sets.cosine, QGRAM3),
+        SimilarityMeasure("jaccard_3gram", sets.jaccard, QGRAM3),
     ]
     numeric = [
         SimilarityMeasure("num_lev_dist", num.numeric_levenshtein_distance,
-                          kind="numeric"),
+                          kind="numeric",
+                          column=num.numeric_levenshtein_distances),
         SimilarityMeasure("num_lev_sim", num.numeric_levenshtein_similarity,
-                          kind="numeric"),
+                          kind="numeric",
+                          column=num.numeric_levenshtein_similarities),
         SimilarityMeasure("num_exact_match", num.numeric_exact_match,
                           kind="numeric"),
         SimilarityMeasure("abs_norm", num.absolute_norm, kind="numeric"),

@@ -5,27 +5,35 @@ Levenshtein distance/similarity, Jaro, Jaro-Winkler, exact match,
 Needleman-Wunsch and Smith-Waterman alignment scores.
 
 The three O(n·m) dynamic programs (Levenshtein, Needleman-Wunsch,
-Smith-Waterman) each have one batched kernel.  A kernel packs a batch of
-value pairs into zero-padded code-point matrices of shape
-``(n_pairs, width)`` and advances one DP row for every pair at once.  A
-row is stored shifted (``d[i] - i`` for Levenshtein, ``h[i] + gap * i``
-for the alignments), which turns the step along the row into a plain
-``minimum.accumulate`` / ``maximum.accumulate``.  Each pair's score is
-read at its own ``(len1, len2)`` cell, which no padding cell feeds, so a
-pair scores the same alone as in any batch.  Pairs are sorted by
-``len(s2)``, longest first, so a pair leaves the row block once done.
-With integer-valued scoring parameters (the defaults) every cell is an
-exactly represented integer, so the scores are exact.
+Smith-Waterman) share one batched kernel, :func:`_dp_kernel`.  Each DP
+is a :class:`Layer` of a linear-gap alignment: ``(gap, match, mismatch,
+local)``.  Needleman-Wunsch is a global layer, Smith-Waterman a local
+one, and Levenshtein the global layer ``(1, 0, -1)``, whose raw score is
+minus the edit distance.  The kernel packs a batch of value pairs into
+zero-padded code-point matrices of shape ``(n_pairs, width)`` and
+advances one DP row of every layer for every pair at once, as a stacked
+``(layers, n_pairs, width)`` block that shares one ``codes1 == codes2``
+mask per row.  A row is stored shifted (``h[i] + gap * i``), which turns
+the step along the row into a plain ``maximum.accumulate``.  Each pair's
+score is read at its own ``(len1, len2)`` cell, which no padding cell
+feeds, so a pair scores the same alone, in any batch and beside any
+other layers.  Pairs are sorted by ``len(s2)``, longest first, so a pair
+leaves the row block once done.  With integer-valued scoring parameters
+(the defaults) every cell is an exactly represented integer, so the
+scores are exact.
 
 The column functions (:func:`levenshtein_distances`,
-:func:`needleman_wunsch_scores`, ...) score a whole column of pairs;
-:mod:`repro.features.columnar` calls them once per attribute.  The
-scalar functions are the same column functions on a batch of one.  A
-process-wide memo, :data:`DP_MEMO`, sits in front of every kernel: a
-column call looks its pairs up first and runs the kernel on the misses
-only.  Feature generation applies several measures to the same value
-pair (``lev_dist`` and ``lev_sim`` share one kernel run) and record
-values repeat across candidate pairs and across fits.
+:func:`needleman_wunsch_scores`, ...) score a whole column of pairs
+under one layer; the scalar functions are the same column functions on
+a batch of one.  A process-wide memo, :data:`DP_MEMO`, keyed per layer,
+sits in front of the kernel: a column call looks its pairs up first and
+runs the kernel on the misses only.  :func:`fill_memo` scores the pairs
+of several columns under several layers in one kernel run;
+:mod:`repro.features.columnar` calls it once per transform with the
+pairs of every attribute, so the column calls that follow are memo hits.
+Feature generation applies several measures to the same value pair
+(``lev_dist`` and ``lev_sim`` share one layer) and record values repeat
+across candidate pairs and across fits.
 
 All ``*_similarity`` functions return values in ``[0, 1]`` where 1 means
 identical; distances return non-negative raw scores.
@@ -34,12 +42,14 @@ identical; distances return non-negative raw scores.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterator, Sequence
-from functools import lru_cache, partial
+from collections.abc import Callable, Iterable, Sequence
+from functools import lru_cache
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-#: A value pair as the DP kernels see it (already prefix-capped).
+#: A value pair as the DP kernel sees it (already prefix-capped).
 StringPair = tuple[str, str]
 
 #: Entry bound of :data:`DP_MEMO`.  When an insert would cross it the
@@ -47,8 +57,27 @@ StringPair = tuple[str, str]
 DP_MEMO_MAX_ENTRIES = 196_608
 
 
+class Layer(NamedTuple):
+    """One linear-gap alignment DP the kernel can run.
+
+    A match scores ``match``, a mismatch ``mismatch`` and every gap
+    character costs ``gap``.  A global layer aligns the whole strings; a
+    local layer scores the best-aligned pair of substrings.  ``gap``
+    must be non-negative.
+    """
+
+    gap: float
+    match: float
+    mismatch: float
+    local: bool
+
+
+#: Levenshtein as an alignment: the raw score is minus the distance.
+LEVENSHTEIN = Layer(1.0, 0.0, -1.0, local=False)
+
+
 class DPMemo:
-    """Bounded ``(kernel, s1, s2) -> raw DP score`` memo.
+    """Bounded ``(layer, s1, s2) -> raw DP score`` memo.
 
     Shared by every thread of the process (a
     :class:`~repro.serve.service.MatchService` scores on two).  Reads
@@ -67,12 +96,17 @@ class DPMemo:
     def get(self, key: tuple) -> float | None:
         return self._scores.get(key)
 
-    def update(self, kernel: object, scores: dict[StringPair, float]) -> None:
-        """Insert ``kernel``'s scores, emptying the memo at the bound."""
-        entries = {(kernel, s1, s2): score
-                   for (s1, s2), score in scores.items()}
+    def update(self, layer: object, scores: dict[StringPair, float]) -> None:
+        """Insert ``layer``'s scores, emptying the memo at the bound.
+
+        An update larger than the bound keeps its first
+        :data:`DP_MEMO_MAX_ENTRIES` entries.
+        """
+        bound = DP_MEMO_MAX_ENTRIES
+        entries = {(layer, s1, s2): score
+                   for (s1, s2), score in islice(scores.items(), bound)}
         with self._lock:
-            if len(self._scores) + len(entries) > DP_MEMO_MAX_ENTRIES:
+            if len(self._scores) + len(entries) > bound:
                 self._scores.clear()
             self._scores.update(entries)
 
@@ -81,7 +115,7 @@ class DPMemo:
             self._scores.clear()
 
 
-#: The memo in front of the three DP kernels.
+#: The memo in front of the DP kernel.
 DP_MEMO = DPMemo()
 
 
@@ -124,136 +158,118 @@ class _Batch:
             -len2[self.order], -np.arange(self.rows + 2),
             side="right").tolist()
         self.index = np.arange(self.codes1.shape[1] + 1, dtype=np.float64)
-        self.scores = np.empty(len(pairs), dtype=np.float64)
 
     def finished(self, j: int) -> slice:
         """The (sorted) pairs whose last DP row is ``j``."""
         return slice(self.active[j + 1], self.active[j])
 
-    def read_cells(self, j: int, row: np.ndarray, offset: np.ndarray) -> None:
-        """Store ``row[len1] + offset[len1]`` of each pair finishing at ``j``."""
-        done = self.finished(j)
-        if done.start < done.stop:
-            cells = self.len1[done]
-            self.scores[done] = (row[np.arange(done.start, done.stop), cells]
-                                 + offset[cells])
 
-    def result(self) -> np.ndarray:
-        """Scores in the caller's pair order."""
-        out = np.empty_like(self.scores)
-        out[self.order] = self.scores
-        return out
+def _dp_kernel(pairs: Sequence[StringPair],
+               layers: Sequence[Layer]) -> np.ndarray:
+    """Raw scores of ``pairs`` under each layer, ``(len(layers), n)``.
 
-
-def _levenshtein_kernel(pairs: Sequence[StringPair]) -> np.ndarray:
-    """Levenshtein distances of ``pairs`` (non-empty batch).
-
-    A row holds ``d[i] - i``, so an insertion (``d[i-1] + 1``) becomes a
-    plain prefix minimum and a substitution costs ``-1`` on a match.
+    ``pairs`` is a non-empty batch.  The row block holds the global
+    layers first, then the local ones.  A row holds ``h[i] + gap * i``:
+    global rows start from ``h[i] = -gap * i``, local rows from 0.  Each
+    row step is a substitution, a gap in ``s1`` and a prefix maximum for
+    the gaps in ``s2``; local rows then take the zero floor and fold
+    into a per-pair running best of each column.
     """
     batch = _Batch(pairs)
-    row = np.zeros((len(pairs), len(batch.index)))
-    batch.read_cells(0, row, batch.index)
-    for j in range(1, batch.rows + 1):
-        k = batch.active[j]
-        prev = row[:k]
-        row = np.empty_like(prev)
-        row[:, 0] = j
-        cells = row[:, 1:]
-        same = batch.codes1[:k] == batch.codes2[:k, j - 1, None]
-        np.subtract(prev[:, :-1], same, out=cells)  # substitution
-        np.minimum(cells, prev[:, 1:] + 1.0, out=cells)  # deletion
-        np.minimum.accumulate(row, axis=1, out=row)  # insertions
-        batch.read_cells(j, row, batch.index)
-    return batch.result()
-
-
-def _alignment_rows(batch: _Batch, gap_cost: float, match_score: float,
-                    mismatch_score: float, local: bool
-                    ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(j, row)`` of the linear-gap alignment DP for each row.
-
-    A row holds ``h[i] + gap * i``, so a gap along the row becomes a
-    plain prefix maximum.  Global (Needleman-Wunsch) rows start from
-    ``h[i] = -gap * i``; local (Smith-Waterman) rows start from 0 and
-    floor every cell at ``h[i] = 0``.
-    """
-    gap_index = gap_cost * batch.index
-    on_match, on_mismatch = gap_cost + match_score, gap_cost + mismatch_score
-    n = len(batch.scores)
-    row = (np.tile(gap_index, (n, 1)) if local
-           else np.zeros((n, len(batch.index))))
-    yield 0, row
-    for j in range(1, batch.rows + 1):
-        k = batch.active[j]
-        prev = row[:k]
-        row = np.empty_like(prev)
-        row[:, 0] = 0.0 if local else -gap_cost * j
-        cells = row[:, 1:]
-        same = batch.codes1[:k] == batch.codes2[:k, j - 1, None]
-        np.add(prev[:, :-1], np.where(same, on_match, on_mismatch),
-               out=cells)  # substitution
-        np.maximum(cells, prev[:, 1:] - gap_cost, out=cells)  # gap in s1
-        np.maximum.accumulate(row, axis=1, out=row)  # gaps in s2
-        if local:
-            # Negative prefixes restart at zero.  Folding the floor in
-            # after the scan is equivalent because any chain through a
-            # negative cell is dominated by restarting at this cell.
-            np.maximum(row, gap_index, out=row)
-        yield j, row
-
-
-def _needleman_wunsch_kernel(pairs: Sequence[StringPair], gap_cost: float,
-                             match_score: float,
-                             mismatch_score: float) -> np.ndarray:
-    """Raw global alignment scores of ``pairs`` (non-empty batch)."""
-    batch = _Batch(pairs)
-    offset = -gap_cost * batch.index
-    for j, row in _alignment_rows(batch, gap_cost, match_score,
-                                  mismatch_score, local=False):
-        batch.read_cells(j, row, offset)
-    return batch.result()
-
-
-def _smith_waterman_kernel(pairs: Sequence[StringPair], gap_cost: float,
-                           match_score: float,
-                           mismatch_score: float) -> np.ndarray:
-    """Raw best local alignment scores of ``pairs`` (non-empty batch)."""
-    batch = _Batch(pairs)
-    # Per-pair running maximum of each column over the rows so far; a
-    # finished pair's score is the maximum over its own columns only.
-    best = np.zeros((len(pairs), len(batch.index)))
+    order = sorted(range(len(layers)), key=lambda i: layers[i].local)
+    stack = [layers[i] for i in order]
+    n_global = sum(not layer.local for layer in stack)
+    has_global, has_local = n_global > 0, n_global < len(stack)
+    local = slice(n_global, len(stack))
+    # One value per layer, shaped to broadcast over the row block.
+    gap, on_match, on_mismatch, first = np.array(
+        [(layer.gap, layer.gap + layer.match, layer.gap + layer.mismatch,
+          0.0 if layer.local else -layer.gap) for layer in stack],
+        dtype=np.float64).T[..., None, None]
+    gap_index = gap * batch.index
+    # A global pair's score is its cell minus the shift; a local pair's
+    # is the maximum over its own columns of the unshifted running best.
+    offset = -gap_index[:n_global, 0]
     own_columns = batch.index <= batch.len1[:, None]
-    gap_index = gap_cost * batch.index
-    for j, row in _alignment_rows(batch, gap_cost, match_score,
-                                  mismatch_score, local=True):
-        k = len(row)
-        np.maximum(best[:k], row, out=best[:k])
+    scores = np.empty((len(stack), len(pairs)))
+
+    row = np.zeros((len(stack), len(pairs), len(batch.index)))
+    row[local] = gap_index[local]
+    best = np.zeros_like(row[local])
+    for j in range(batch.rows + 1):
+        k = batch.active[j]
+        if j:
+            prev = row[:, :k]
+            row = np.empty_like(prev)
+            row[..., :1] = first * j
+            cells = row[..., 1:]
+            same = batch.codes1[:k] == batch.codes2[:k, j - 1, None]
+            np.add(prev[..., :-1], np.where(same, on_match, on_mismatch),
+                   out=cells)  # substitution
+            np.maximum(cells, prev[..., 1:] - gap, out=cells)  # gap in s1
+            np.maximum.accumulate(row, axis=-1, out=row)  # gaps in s2
+            if has_local:
+                # Negative prefixes restart at zero.  Folding the floor
+                # in after the scan is equivalent because any chain
+                # through a negative cell is dominated by restarting at
+                # this cell.
+                np.maximum(row[local], gap_index[local], out=row[local])
+        if has_local:
+            np.maximum(best[:, :k], row[local], out=best[:, :k])
         done = batch.finished(j)
         if done.start < done.stop:
-            batch.scores[done] = np.where(own_columns[done],
-                                          best[done] - gap_index,
-                                          0.0).max(axis=1)
-    return batch.result()
+            ends = batch.len1[done]
+            if has_global:
+                scores[:n_global, done] = (
+                    row[:n_global, np.arange(done.start, done.stop), ends]
+                    + offset[:, ends])
+            if has_local:
+                scores[local, done] = np.where(
+                    own_columns[done], best[:, done] - gap_index[local],
+                    0.0).max(axis=-1)
+    out = np.empty_like(scores)
+    out[np.array(order)[:, None], batch.order] = scores
+    return out
 
 
-def _memoized_scores(kernel: Callable[[list[StringPair]], np.ndarray],
-                     key: object, pairs: Sequence[StringPair]) -> np.ndarray:
+def _run_and_memoize(layers: Sequence[Layer],
+                     pairs: list[StringPair]) -> np.ndarray:
+    """One kernel run over ``pairs``; every layer's scores go to the memo."""
+    raw = _dp_kernel(pairs, layers)
+    for layer, scores in zip(layers, raw.tolist()):
+        DP_MEMO.update(layer, dict(zip(pairs, scores)))
+    return raw
+
+
+def fill_memo(layers: Iterable[Layer], pairs: Iterable[StringPair]) -> None:
+    """Memoize every layer's score of every pair, in one kernel run.
+
+    The run covers the pairs that miss the memo under any of ``layers``
+    and scores them under all of them.
+    """
+    layers = list(dict.fromkeys(layers))
+    get = DP_MEMO.get
+    todo = [(s1, s2) for s1, s2 in dict.fromkeys(pairs)
+            if any(get((layer, s1, s2)) is None for layer in layers)]
+    if todo:
+        _run_and_memoize(layers, todo)
+
+
+def _memoized_scores(layer: Layer, pairs: Sequence[StringPair]) -> np.ndarray:
     """Raw scores of ``pairs``: memo hits, plus one kernel run on the misses."""
     out = np.empty(len(pairs), dtype=np.float64)
     get = DP_MEMO.get
     missing: list[int] = []
     for k, (s1, s2) in enumerate(pairs):
-        score = get((key, s1, s2))
+        score = get((layer, s1, s2))
         if score is None:
             missing.append(k)
         else:
             out[k] = score
     if missing:
         todo = list(dict.fromkeys(pairs[k] for k in missing))
-        computed = dict(zip(todo, kernel(todo).tolist()))
+        computed = dict(zip(todo, _run_and_memoize([layer], todo)[0].tolist()))
         out[missing] = [computed[pairs[k]] for k in missing]
-        DP_MEMO.update(key, computed)
     return out
 
 
@@ -267,7 +283,8 @@ def _lengths(pairs: Sequence[StringPair]) -> tuple[np.ndarray, np.ndarray]:
 
 def levenshtein_distances(pairs: Sequence[StringPair]) -> np.ndarray:
     """Levenshtein distance of every ``(s1, s2)`` in ``pairs``."""
-    return _memoized_scores(_levenshtein_kernel, "levenshtein", pairs)
+    # ``0.0 - raw``, not ``-raw``: equal strings score ``+0.0``.
+    return 0.0 - _memoized_scores(LEVENSHTEIN, pairs)
 
 
 def levenshtein_similarities(pairs: Sequence[StringPair]) -> np.ndarray:
@@ -282,26 +299,20 @@ def levenshtein_similarities(pairs: Sequence[StringPair]) -> np.ndarray:
     return out
 
 
-def _alignment_scores(kernel: Callable[..., np.ndarray],
-                      pairs: Sequence[StringPair], gap_cost: float,
-                      match_score: float, mismatch_score: float,
+def _alignment_scores(layer: Layer, pairs: Sequence[StringPair],
                       normalize: Callable[[np.ndarray, np.ndarray,
                                            np.ndarray], np.ndarray]
                       ) -> np.ndarray:
     """Normalized alignment scores of ``pairs``.
 
     Two empty strings score 1.0 and one empty string 0.0; every other
-    pair gets ``normalize(raw, len1, len2)`` of its memoized kernel
-    score.
+    pair gets ``normalize(raw, len1, len2)`` of its memoized score.
     """
     len1, len2 = _lengths(pairs)
     out = np.where((len1 == 0) & (len2 == 0), 1.0, 0.0)
     scored = np.flatnonzero((len1 > 0) & (len2 > 0))
     if scored.size:
-        key = (kernel.__name__, gap_cost, match_score, mismatch_score)
-        run = partial(kernel, gap_cost=gap_cost, match_score=match_score,
-                      mismatch_score=mismatch_score)
-        raw = _memoized_scores(run, key, [pairs[k] for k in scored])
+        raw = _memoized_scores(layer, [pairs[k] for k in scored])
         out[scored] = normalize(raw, len1[scored], len2[scored])
     return out
 
@@ -314,8 +325,8 @@ def needleman_wunsch_scores(pairs: Sequence[StringPair],
                   len2: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, np.minimum(
             1.0, raw / (match_score * np.maximum(len1, len2))))
-    return _alignment_scores(_needleman_wunsch_kernel, pairs, gap_cost,
-                             match_score, mismatch_score, normalize)
+    layer = Layer(gap_cost, match_score, mismatch_score, local=False)
+    return _alignment_scores(layer, pairs, normalize)
 
 
 def smith_waterman_scores(pairs: Sequence[StringPair], gap_cost: float = 1.0,
@@ -325,8 +336,14 @@ def smith_waterman_scores(pairs: Sequence[StringPair], gap_cost: float = 1.0,
     def normalize(raw: np.ndarray, len1: np.ndarray,
                   len2: np.ndarray) -> np.ndarray:
         return raw / (match_score * np.minimum(len1, len2))
-    return _alignment_scores(_smith_waterman_kernel, pairs, gap_cost,
-                             match_score, mismatch_score, normalize)
+    layer = Layer(gap_cost, match_score, mismatch_score, local=True)
+    return _alignment_scores(layer, pairs, normalize)
+
+
+#: The layers of :func:`needleman_wunsch_scores` and
+#: :func:`smith_waterman_scores` at their default scoring parameters.
+NEEDLEMAN_WUNSCH = Layer(1.0, 1.0, 0.0, local=False)
+SMITH_WATERMAN = Layer(1.0, 1.0, 0.0, local=True)
 
 
 def levenshtein_distance(s1: str, s2: str) -> float:

@@ -2,7 +2,10 @@
 
 These are the "(simfunc, tokenizer)" measures from the paper's Tables I/II:
 Jaccard, Cosine, Dice and Overlap coefficient over token sets, plus
-Monge-Elkan which averages best per-token secondary similarities.
+Monge-Elkan which averages best per-token secondary similarities.  Each
+set measure is a formula over ``(|T1|, |T2|, |T1 ∩ T2|)``
+(:func:`token_counts`), so the four measures of a tokenizer can share
+one count pass per value pair.
 """
 
 from __future__ import annotations
@@ -12,51 +15,73 @@ from collections.abc import Callable, Iterable
 
 from .sequence import jaro_winkler_similarity
 
+#: ``(|T1|, |T2|, |T1 ∩ T2|)`` of two token sets: every set measure
+#: below is a formula over these three counts.
+TokenCounts = tuple[int, int, int]
+
+
+def token_counts(tokens1: Iterable[str], tokens2: Iterable[str]
+                 ) -> TokenCounts:
+    """The sizes of both token sets and of their intersection."""
+    set1, set2 = set(tokens1), set(tokens2)
+    return len(set1), len(set2), len(set1 & set2)
+
+
+def jaccard(n1: int, n2: int, inter: int) -> float:
+    """Jaccard from token counts; two empty sets score 1.0."""
+    if not n1 and not n2:
+        return 1.0
+    return inter / (n1 + n2 - inter)
+
+
+def cosine(n1: int, n2: int, inter: int) -> float:
+    """Set cosine from token counts; 0.0 when exactly one set is empty."""
+    if not n1 and not n2:
+        return 1.0
+    if not n1 or not n2:
+        return 0.0
+    return inter / math.sqrt(n1 * n2)
+
+
+def dice(n1: int, n2: int, inter: int) -> float:
+    """Dice from token counts; two empty sets score 1.0."""
+    if not n1 and not n2:
+        return 1.0
+    return 2.0 * inter / (n1 + n2)
+
+
+def overlap(n1: int, n2: int, inter: int) -> float:
+    """Overlap coefficient from token counts; 0.0 when exactly one set is
+    empty."""
+    if not n1 and not n2:
+        return 1.0
+    if not n1 or not n2:
+        return 0.0
+    return inter / min(n1, n2)
+
 
 def jaccard_similarity(tokens1: Iterable[str], tokens2: Iterable[str]) -> float:
-    """``|T1 ∩ T2| / |T1 ∪ T2]``; two empty sets score 1.0.
+    """``|T1 ∩ T2| / |T1 ∪ T2|``; two empty sets score 1.0.
 
     >>> jaccard_similarity(["new", "york"], ["new", "york", "city"])
     0.6666666666666666
     """
-    set1, set2 = set(tokens1), set(tokens2)
-    if not set1 and not set2:
-        return 1.0
-    union = len(set1 | set2)
-    if union == 0:
-        return 0.0
-    return len(set1 & set2) / union
+    return jaccard(*token_counts(tokens1, tokens2))
 
 
 def cosine_similarity(tokens1: Iterable[str], tokens2: Iterable[str]) -> float:
     """Set cosine (Ochiai): ``|T1 ∩ T2| / sqrt(|T1| * |T2|)``."""
-    set1, set2 = set(tokens1), set(tokens2)
-    if not set1 and not set2:
-        return 1.0
-    if not set1 or not set2:
-        return 0.0
-    return len(set1 & set2) / math.sqrt(len(set1) * len(set2))
+    return cosine(*token_counts(tokens1, tokens2))
 
 
 def dice_similarity(tokens1: Iterable[str], tokens2: Iterable[str]) -> float:
     """Dice coefficient: ``2 |T1 ∩ T2| / (|T1| + |T2|)``."""
-    set1, set2 = set(tokens1), set(tokens2)
-    if not set1 and not set2:
-        return 1.0
-    total = len(set1) + len(set2)
-    if total == 0:
-        return 0.0
-    return 2.0 * len(set1 & set2) / total
+    return dice(*token_counts(tokens1, tokens2))
 
 
 def overlap_coefficient(tokens1: Iterable[str], tokens2: Iterable[str]) -> float:
     """Overlap (Szymkiewicz-Simpson): ``|T1 ∩ T2| / min(|T1|, |T2|)``."""
-    set1, set2 = set(tokens1), set(tokens2)
-    if not set1 and not set2:
-        return 1.0
-    if not set1 or not set2:
-        return 0.0
-    return len(set1 & set2) / min(len(set1), len(set2))
+    return overlap(*token_counts(tokens1, tokens2))
 
 
 #: Monge-Elkan caps the token lists it cross-compares; beyond this the

@@ -13,6 +13,7 @@ import threading
 
 import numpy as np
 import pytest
+from bit_parity import assert_bits_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,14 +21,18 @@ from repro.data import PairSet, RecordPair, Table
 from repro.features import (
     FeatureGenerator,
     FeatureMatrixCache,
+    autoem_feature_plan,
     columnar,
+    magellan_feature_plan,
     make_autoem_features,
 )
 from repro.features.columnar import TokenCache, resolve_n_jobs
+from repro.features.types import DataType
 from repro.similarity import (
     ALL_BOOLEAN_MEASURES,
     ALL_NUMERIC_MEASURES,
     ALL_STRING_MEASURES,
+    get_measure,
 )
 from repro.similarity import registry as simreg
 from repro.similarity import sequence
@@ -75,7 +80,7 @@ class TestEquivalence:
     def test_columnar_matches_naive(self, duplicate_heavy_pairs):
         generator = FeatureGenerator(FULL_PLAN)
         reference = generator.transform_naive(duplicate_heavy_pairs)
-        np.testing.assert_array_equal(generator.transform(
+        assert_bits_equal(generator.transform(
             duplicate_heavy_pairs), reference)
 
     def test_all_registered_measures_covered(self):
@@ -86,7 +91,7 @@ class TestEquivalence:
         monkeypatch.setattr(columnar, "PARALLEL_MIN_UNIQUE_PAIRS", 0)
         generator = FeatureGenerator(FULL_PLAN, n_jobs=2)
         reference = generator.transform_naive(duplicate_heavy_pairs)
-        np.testing.assert_array_equal(generator.transform(
+        assert_bits_equal(generator.transform(
             duplicate_heavy_pairs), reference)
 
     def test_repeated_transform_with_warm_token_cache(
@@ -94,7 +99,7 @@ class TestEquivalence:
         generator = FeatureGenerator(FULL_PLAN)
         first = generator.transform(duplicate_heavy_pairs)
         second = generator.transform(duplicate_heavy_pairs)
-        np.testing.assert_array_equal(first, second)
+        assert_bits_equal(first, second)
 
     def test_bool_and_float_values_not_conflated(self):
         # True and 1.0 hash equal but str() differently; dedup must
@@ -104,8 +109,18 @@ class TestEquivalence:
         pairs = make_pairs(rows_a, rows_b, [(0, 0), (1, 0), (0, 1), (1, 1)])
         generator = FeatureGenerator([("name", "exact_match")])
         reference = generator.transform_naive(pairs)
-        np.testing.assert_array_equal(generator.transform(pairs), reference)
+        assert_bits_equal(generator.transform(pairs), reference)
         assert reference[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
+
+    def test_equal_values_have_positive_zero_distances(self):
+        # ``transform_naive`` shares the DP kernel, so parity with it
+        # cannot see a sign flip there; pin the sign of a zero directly.
+        pairs = make_pairs([["arts deli", 12.5, True], ["", 3.0, None]],
+                           [["arts deli", 12.5, True], ["", 3.0, None]],
+                           [(0, 0), (1, 1)])
+        generator = FeatureGenerator([("name", "lev_dist"),
+                                      ("price", "num_lev_dist")])
+        assert_bits_equal(generator.transform(pairs), np.zeros((2, 2)))
 
     def test_empty_pair_set(self):
         pairs = make_pairs([["x", 1.0, True]], [["y", 2.0, False]], [])
@@ -134,7 +149,7 @@ class TestPropertyEquivalence:
         pairs = make_pairs(rows_a, rows_b, combos)
         plan = [("name", m) for m in ALL_STRING_MEASURES]
         generator = FeatureGenerator(plan)
-        np.testing.assert_array_equal(generator.transform(pairs),
+        assert_bits_equal(generator.transform(pairs),
                                       generator.transform_naive(pairs))
 
     @settings(max_examples=40, deadline=None)
@@ -149,9 +164,56 @@ class TestPropertyEquivalence:
         plan = [("price", m) for m in ALL_NUMERIC_MEASURES]
         generator = FeatureGenerator(plan)
         matrix = generator.transform(pairs)
-        np.testing.assert_array_equal(matrix,
+        assert_bits_equal(matrix,
                                       generator.transform_naive(pairs))
         assert not np.isinf(matrix).any()
+
+
+class TestPlanEquivalence:
+    """Whole feature plans: the fused DP run of a transform scores every
+    attribute's pairs (and the rendered numbers) in one kernel run."""
+
+    words = st.lists(st.sampled_from(["ab", "b", "abc", "\U0001F600",
+                                      "1.5", ""]), max_size=12).map(" ".join)
+    records = st.tuples(st.one_of(st.none(), words),
+                        st.one_of(st.none(), words),
+                        st.one_of(st.none(), st.floats(width=32),
+                                  st.sampled_from(["12", "x"])),
+                        st.one_of(st.none(), st.booleans()))
+    SCHEMA = ["brand", "title", "price", "in_stock"]
+
+    @pytest.mark.parametrize("plan_of", [magellan_feature_plan,
+                                         autoem_feature_plan],
+                             ids=["magellan", "table_ii"])
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.lists(records, min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_plan_matches_naive_bit_for_bit(self, plan_of, rows, seed):
+        types = {"brand": DataType.SINGLE_WORD,
+                 "title": DataType.WORDS_5_10, "price": DataType.NUMERIC,
+                 "in_stock": DataType.BOOLEAN}
+        if plan_of is autoem_feature_plan:
+            types["title"] = DataType.WORDS_1_5
+        plan = plan_of(types)
+        dp = {m for _, m in plan if get_measure(m).dp_layer is not None}
+        if plan_of is magellan_feature_plan:
+            # Only Levenshtein measures: the run has one layer.
+            assert dp == {"lev_dist", "lev_sim", "num_lev_dist",
+                          "num_lev_sim"}
+        rng = np.random.default_rng(seed)
+        n = len(rows)
+        table_a = Table("A", self.SCHEMA, [list(r) for r in rows])
+        table_b = Table("B", self.SCHEMA,
+                        [list(rows[int(i)]) for i in rng.permutation(n)])
+        pairs = PairSet(table_a, table_b, [
+            RecordPair(table_a[int(rng.integers(n))],
+                       table_b[int(rng.integers(n))])
+            for _ in range(3 * n)])
+        generator = FeatureGenerator(plan)
+        sequence.DP_MEMO.clear()
+        fast = generator.transform(pairs)
+        sequence.DP_MEMO.clear()
+        assert_bits_equal(fast, generator.transform_naive(pairs))
 
 
 def _always_inf(v1: float, v2: float) -> float:
@@ -196,7 +258,7 @@ class TestSequenceCapKnob:
             sequence_max_chars=8)
         pairs = self._pairs()
         reference = generator.transform_naive(pairs)
-        np.testing.assert_array_equal(generator.transform(pairs), reference)
+        assert_bits_equal(generator.transform(pairs), reference)
 
     def test_cap_is_part_of_cache_key(self):
         pairs = self._pairs()
@@ -215,7 +277,7 @@ class TestMatrixCache:
         generator = FeatureGenerator(FULL_PLAN, cache=True)
         first = generator.transform(duplicate_heavy_pairs)
         second = generator.transform(duplicate_heavy_pairs)
-        np.testing.assert_array_equal(first, second)
+        assert_bits_equal(first, second)
         assert generator.cache.stats == {"entries": 1, "hits": 1,
                                          "misses": 1}
 
@@ -246,7 +308,7 @@ class TestMatrixCache:
         first = make_autoem_features(table_a, table_b, cache=cache)
         second = make_autoem_features(table_a, table_b, cache=cache)
         matrix = first.transform(duplicate_heavy_pairs)
-        np.testing.assert_array_equal(
+        assert_bits_equal(
             second.transform(duplicate_heavy_pairs), matrix)
         assert cache.hits == 1
 
@@ -267,7 +329,7 @@ class TestMatrixCache:
         assert fingerprint == pairs_fingerprint(pairs)
         generator = FeatureGenerator(FULL_PLAN, cache=True)
         first = generator.transform(pairs)
-        np.testing.assert_array_equal(generator.transform(pairs), first)
+        assert_bits_equal(generator.transform(pairs), first)
         assert generator.cache.hits == 1
 
     def test_id_types_not_conflated(self):
@@ -343,7 +405,7 @@ class TestValueDedupKeys:
         pairs = make_pairs(rows_a, rows_b, [(0, 0), (1, 1)])
         plan = [("name", m) for m in ALL_STRING_MEASURES]
         generator = FeatureGenerator(plan)
-        np.testing.assert_array_equal(generator.transform(pairs),
+        assert_bits_equal(generator.transform(pairs),
                                       generator.transform_naive(pairs))
 
     def test_bool_and_float_one_stay_distinct(self):
@@ -352,7 +414,7 @@ class TestValueDedupKeys:
         pairs = make_pairs(rows_a, rows_b, [(0, 0), (1, 1)])
         plan = [("name", m) for m in ALL_STRING_MEASURES]
         generator = FeatureGenerator(plan)
-        np.testing.assert_array_equal(generator.transform(pairs),
+        assert_bits_equal(generator.transform(pairs),
                                       generator.transform_naive(pairs))
 
 
@@ -423,7 +485,7 @@ class TestSharedDPMemo:
         assert len(results) == n_threads * rounds
         for (thread_index, r), matrix in results.items():
             k = (thread_index + r) % len(pair_sets)
-            np.testing.assert_array_equal(matrix, expected[k])
+            assert_bits_equal(matrix, expected[k])
         # An insert that would cross the bound empties the memo first,
         # so it never holds more than the bound or one kernel batch (at
         # most the 30 value pairs of a pair set).

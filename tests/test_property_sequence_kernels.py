@@ -1,16 +1,18 @@
-"""The batched character-DP kernels against the textbook oracle.
+"""The batched character-DP kernel against the textbook oracle.
 
 ``tests/sequence_oracle.py`` fills the full DP table cell by cell in
 plain Python; every batched column function, and the registry's
-column-scoring path with its prefix cap, must return exactly its values.
-Inputs mix lengths inside one batch (padding must not reach a shorter
-pair's cell), include empty strings, cross the 64-character cap, and
-draw from all of Unicode, astral code points and lone surrogates
-included.
+column-scoring path with its prefix cap, must return exactly its values,
+bit for bit.  Inputs mix lengths inside one batch (padding must not
+reach a shorter pair's cell), include empty strings, cross the
+64-character cap, and draw from all of Unicode, astral code points and
+lone surrogates included.  The stacked kernel must score every layer of
+a mixed layer list exactly as a run of that layer alone.
 """
 
 import numpy as np
 import pytest
+from bit_parity import assert_bits_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,9 +63,8 @@ def _expected(reference, batch, *params):
 def test_column_functions_equal_the_oracle(batch):
     for column, reference in COLUMNS:
         sequence.DP_MEMO.clear()
-        np.testing.assert_array_equal(column(batch),
-                                      _expected(reference, batch),
-                                      err_msg=column.__name__)
+        assert_bits_equal(column(batch), _expected(reference, batch),
+                          err_msg=column.__name__)
 
 
 @settings(max_examples=40, deadline=None)
@@ -74,9 +75,9 @@ def test_alignment_scoring_parameters(batch, gap, match, mismatch):
             (sequence.needleman_wunsch_scores, oracle.needleman_wunsch),
             (sequence.smith_waterman_scores, oracle.smith_waterman)]:
         sequence.DP_MEMO.clear()
-        np.testing.assert_array_equal(column(batch, *params),
-                                      _expected(reference, batch, *params),
-                                      err_msg=column.__name__)
+        assert_bits_equal(column(batch, *params),
+                          _expected(reference, batch, *params),
+                          err_msg=column.__name__)
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,7 +107,7 @@ def test_capped_column_path_equals_the_oracle(batch):
         got = get_measure(name).score_column(batch)
         expected = [np.nan if v1 is None else reference(v1[:cap], v2[:cap])
                     for v1, v2 in batch]
-        np.testing.assert_array_equal(got, expected, err_msg=name)
+        assert_bits_equal(got, expected, err_msg=name)
 
 
 @pytest.mark.parametrize("s1,s2", [
@@ -117,3 +118,80 @@ def test_capped_column_path_equals_the_oracle(batch):
 def test_edge_pairs_equal_the_oracle(s1, s2):
     for column, reference in COLUMNS:
         assert column([(s1, s2)])[0] == reference(s1, s2), column.__name__
+
+
+#: Scoring parameters on a quarter grid: non-integer, yet every DP cell
+#: of a short pair stays exactly representable, so the oracle's
+#: cell-by-cell sums and the kernel's shifted rows agree exactly.
+quarters = st.integers(-8, 8).map(lambda q: q / 4)
+layers = st.builds(sequence.Layer, gap=st.integers(1, 8).map(lambda q: q / 4),
+                   match=quarters, mismatch=quarters, local=st.booleans())
+layer_lists = st.lists(st.one_of(st.just(sequence.LEVENSHTEIN), layers),
+                       min_size=1, max_size=5, unique=True)
+
+
+def _oracle_raw(layer, s1, s2):
+    reference = (oracle.smith_waterman_raw if layer.local
+                 else oracle.needleman_wunsch_raw)
+    return reference(s1, s2, layer.gap, layer.match, layer.mismatch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs, layer_lists)
+def test_stacked_kernel_equals_each_layer_alone_and_the_oracle(batch,
+                                                               stack):
+    stacked = sequence._dp_kernel(batch, stack)
+    assert stacked.shape == (len(stack), len(batch))
+    for layer, scores in zip(stack, stacked):
+        assert_bits_equal(scores, sequence._dp_kernel(batch, [layer])[0],
+                          err_msg=repr(layer))
+        # The oracle's empty-pair corner is ``-0.0`` where the kernel's
+        # is ``0.0``, so this half compares values.
+        np.testing.assert_array_equal(
+            scores, [_oracle_raw(layer, s1, s2) for s1, s2 in batch],
+            err_msg=repr(layer))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs, st.lists(st.builds(sequence.Layer,
+                                 gap=st.floats(0.01, 4.0),
+                                 match=st.floats(-4.0, 4.0),
+                                 mismatch=st.floats(-4.0, 4.0),
+                                 local=st.booleans()),
+                       min_size=2, max_size=4, unique=True))
+def test_stacked_kernel_is_layer_independent_for_any_float_parameters(
+        batch, stack):
+    stacked = sequence._dp_kernel(batch, stack)
+    for layer, scores in zip(stack, stacked):
+        assert_bits_equal(scores, sequence._dp_kernel(batch, [layer])[0],
+                          err_msg=repr(layer))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(texts, min_size=1, max_size=8))
+def test_zero_distance_is_positive_zero(strings):
+    distances = sequence.levenshtein_distances([(s, s) for s in strings])
+    assert_bits_equal(distances, np.zeros(len(strings)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs)
+def test_fill_memo_gives_the_column_functions_their_scores(batch):
+    expected = [column(batch) for column, _ in COLUMNS]
+    sequence.DP_MEMO.clear()
+    sequence.fill_memo([sequence.LEVENSHTEIN, sequence.NEEDLEMAN_WUNSCH,
+                        sequence.SMITH_WATERMAN], batch)
+    filled = len(sequence.DP_MEMO)
+    for (column, _), scores in zip(COLUMNS, expected):
+        assert_bits_equal(column(batch), scores, err_msg=column.__name__)
+    assert len(sequence.DP_MEMO) == filled  # every column call hit
+
+
+def test_memo_update_keeps_its_bound(monkeypatch):
+    monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES", 100)
+    memo = sequence.DPMemo()
+    memo.update(sequence.LEVENSHTEIN, {("a", str(i)): 1.0 for i in range(60)})
+    assert len(memo) == 60
+    memo.update(sequence.LEVENSHTEIN,
+                {("b", str(i)): 1.0 for i in range(250)})
+    assert len(memo) == 100

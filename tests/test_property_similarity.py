@@ -2,13 +2,16 @@
 
 import math
 
+from bit_parity import assert_bits_equal
 from hypothesis import given, settings, strategies as st
 
+from repro.features.columnar import score_value_pairs
 from repro.similarity import (
     ALL_STRING_MEASURES,
     DISTANCE_MEASURES,
     cosine_similarity,
     dice_similarity,
+    get_measure,
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
@@ -121,6 +124,72 @@ class TestSetMeasureProperties:
         o = overlap_coefficient(t1, t2)
         assert j <= d + 1e-12
         assert d <= o + 1e-12
+
+
+def _reference_set_score(name, tokens1, tokens2):
+    """The set measures from set arithmetic, independent of the counts."""
+    set1, set2 = set(tokens1), set(tokens2)
+    if not set1 and not set2:
+        return 1.0
+    common = len(set1 & set2)
+    if name == "jaccard":
+        return common / len(set1 | set2)
+    if name == "dice":
+        return 2.0 * common / (len(set1) + len(set2))
+    if not set1 or not set2:
+        return 0.0
+    if name == "cosine":
+        return common / math.sqrt(len(set1) * len(set2))
+    return common / min(len(set1), len(set2))
+
+
+#: Values with empty strings, repeated tokens and astral characters; a
+#: ``None`` side scores ``nan``.
+set_values = st.one_of(
+    st.none(),
+    st.text(alphabet=st.sampled_from(["a", "b", " ", "\U0001F600",
+                                      "\U0010FFFF", "\ud800"]),
+            max_size=12),
+    st.lists(st.sampled_from(["x", "yy", "\U0001F600"]), max_size=6)
+    .map(" ".join),
+)
+
+
+class TestSetMeasuresFromCounts:
+    """The column path scores the four set measures of a tokenizer from
+    one count pass; it must equal the scalar ``sets.*`` functions and
+    plain set arithmetic bit for bit."""
+
+    SCALARS = {"jaccard": jaccard_similarity, "cosine": cosine_similarity,
+               "dice": dice_similarity, "overlap": overlap_coefficient}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(set_values, set_values), min_size=1,
+                    max_size=8))
+    def test_column_path_equals_the_scalars(self, value_pairs):
+        names = [n for n in ALL_STRING_MEASURES
+                 if get_measure(n).tokenizer is not None]
+        assert len(names) == 8
+        measures = [get_measure(n) for n in names]
+        together = score_value_pairs(measures, value_pairs)
+        for j, measure in enumerate(measures):
+            kind = measure.name.split("_")[0]
+            tokenize = measure.tokenizer
+            expected = [
+                math.nan if v1 is None or v2 is None
+                else self.SCALARS[kind](tokenize(v1), tokenize(v2))
+                for v1, v2 in value_pairs]
+            reference = [
+                math.nan if v1 is None or v2 is None
+                else _reference_set_score(kind, tokenize(v1), tokenize(v2))
+                for v1, v2 in value_pairs]
+            assert_bits_equal(together[:, j], expected, err_msg=measure.name)
+            assert_bits_equal(measure.score_column(value_pairs), expected,
+                              err_msg=measure.name)
+            assert_bits_equal(expected, reference, err_msg=measure.name)
+            assert_bits_equal(
+                [measure(v1, v2) for v1, v2 in value_pairs], expected,
+                err_msg=measure.name)
 
 
 class TestRegistryProperties:
