@@ -24,12 +24,17 @@ the same work column-first:
    measure is scored, the unique, prefix-capped value pairs of *every*
    attribute with a DP measure, plus the rendered numbers of the
    ``num_lev_*`` measures, go through
-   :func:`~repro.similarity.sequence.fill_memo`: one kernel run, for the
-   layers the plan uses, on the pairs the memo misses.  The DP column
-   calls that follow
+   :func:`~repro.similarity.sequence.fill_memo`, each under the layer
+   its measure reads: one kernel run per set of layers (a Table II
+   string attribute's pairs take all three, the rendered numbers only
+   Levenshtein), on the pairs the memo misses.  The DP column calls that
+   follow
    (:meth:`~repro.similarity.registry.SimilarityMeasure.score_column`)
    read the memo.  A serving request of ~40 candidate pairs thus pays
-   the kernel's fixed per-run cost once, not once per attribute and DP.
+   the kernel's fixed per-run cost once or twice, not once per attribute
+   and DP.  A fit-sized transform, whose misses would not fit the memo,
+   skips the shared run: its column calls run the kernel one layer at a
+   time, as they would without it.
 5. **Optional process pool.**  For large candidate sets the unique pairs
    are chunked across ``n_jobs`` workers; below
    :data:`PARALLEL_MIN_UNIQUE_PAIRS` total unique pairs the sequential
@@ -151,18 +156,13 @@ def score_value_pairs(measures: Sequence["SimilarityMeasure"],
 def _fill_dp_memo(groups: Sequence[tuple[Sequence["SimilarityMeasure"],
                                          Sequence[tuple[Value, Value]]]],
                   sequence_max_chars: int | None) -> None:
-    """Score the DP pairs of every ``(measures, value_pairs)`` group in
-    one kernel run, so the DP column calls that follow hit the memo."""
-    layers = []
-    pairs: list[sequence.StringPair] = []
-    for measures, value_pairs in groups:
-        dp_measures = [m for m in measures if m.dp_layer is not None]
-        layers += [m.dp_layer for m in dp_measures]
-        # All DP measures of one kind see the same string pairs.
-        for measure in {m.kind: m for m in dp_measures}.values():
-            pairs += measure.dp_pairs(value_pairs, sequence_max_chars)
-    if pairs:
-        sequence.fill_memo(layers, pairs)
+    """Score the DP pairs of every ``(measures, value_pairs)`` group,
+    each under its measure's layer, so the DP column calls that follow
+    hit the memo."""
+    sequence.fill_memo(
+        (measure.dp_layer, measure.dp_pairs(value_pairs, sequence_max_chars))
+        for measures, value_pairs in groups
+        for measure in measures if measure.dp_layer is not None)
 
 
 def _score_chunk(measures: Sequence["SimilarityMeasure"],

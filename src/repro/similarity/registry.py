@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, MutableMapping, Sequence
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -41,15 +42,12 @@ _CAPPED_SEQUENCE_MEASURES = frozenset({
     "smith_waterman",
 })
 
-#: The kernel layer behind each DP measure's column function.
-_DP_LAYERS = {
-    "lev_dist": seq.LEVENSHTEIN,
-    "lev_sim": seq.LEVENSHTEIN,
-    "needleman_wunsch": seq.NEEDLEMAN_WUNSCH,
-    "smith_waterman": seq.SMITH_WATERMAN,
-    "num_lev_dist": seq.LEVENSHTEIN,
-    "num_lev_sim": seq.LEVENSHTEIN,
-}
+
+def _cap(sequence_max_chars: int | None) -> int:
+    """The prefix cap in force: ``sequence_max_chars``, else the module
+    default, read at call time so it stays patchable."""
+    return (SEQUENCE_MAX_CHARS if sequence_max_chars is None
+            else sequence_max_chars)
 
 
 def _as_numbers(v1: object, v2: object) -> tuple[float, float] | None:
@@ -97,22 +95,26 @@ class SimilarityMeasure:
     ``column``, when given, scores a list of pairs at once (capped
     strings, or parsed numbers for a numeric measure) and must agree
     element for element with ``func``; :meth:`score_column` uses it.
-    ``dp_layer`` is the kernel layer behind a DP measure's column, or
-    ``None``.
+    ``dp_layer`` is the kernel layer a DP measure's column reads, or
+    ``None``; an alignment measure gets no ``column``: it scores
+    :func:`~repro.similarity.sequence.alignment_scores` under its layer.
     """
 
     def __init__(self, name: str, func: Callable[..., float],
                  tokenizer: Tokenizer | None = None,
                  kind: str = "string",
                  column: Callable[[list[Any]], np.ndarray]
-                 | None = None):
+                 | None = None,
+                 dp_layer: seq.Layer | None = None):
         self.name = name
         self.kind = kind  # "string" | "numeric" | "boolean"
         self._func = func
+        if column is None and dp_layer is not None:
+            column = partial(seq.alignment_scores, dp_layer)
         self._column = column
         self.tokenizer = tokenizer
         self._capped = name in _CAPPED_SEQUENCE_MEASURES
-        self.dp_layer = _DP_LAYERS.get(name)
+        self.dp_layer = dp_layer
 
     def __call__(self, v1: object, v2: object,
                  sequence_max_chars: int | None = None) -> float:
@@ -128,25 +130,20 @@ class SimilarityMeasure:
             return self._func(*sets.token_counts(self.tokenizer(s1),
                                                  self.tokenizer(s2)))
         if self._capped:
-            cap = (SEQUENCE_MAX_CHARS if sequence_max_chars is None
-                   else sequence_max_chars)
+            cap = _cap(sequence_max_chars)
             s1 = s1[:cap]
             s2 = s2[:cap]
         return self._func(s1, s2)
 
-    def scorer(self, token_cache: MutableMapping[Any, Any] | None = None,
-               sequence_max_chars: int | None = None
+    def scorer(self, sequence_max_chars: int | None = None
                ) -> Callable[[object, object], float]:
         """A plain ``f(v1, v2) -> float`` equivalent to calling the measure.
 
-        The returned callable hoists the per-call dispatch (kind checks,
-        tokenizer lookup) out of hot loops, and — for token-based
-        measures — memoizes tokenization in ``token_cache``, a dict-like
-        mapping of ``(tokenizer_name, string) -> tokens``.  Sharing one
-        cache across the four set measures of a tokenizer family means
-        each unique string is tokenized once, not once per measure call.
-        ``sequence_max_chars`` overrides the module-level
-        :data:`SEQUENCE_MAX_CHARS` prefix cap for DP measures.
+        The returned callable hoists the per-call dispatch (kind checks)
+        out of hot loops.  ``sequence_max_chars`` overrides the
+        module-level :data:`SEQUENCE_MAX_CHARS` prefix cap for DP
+        measures.  Set measures have no scorer: they score
+        :func:`token_counts_column` output (:meth:`score_counts`).
         """
         nan = float("nan")
         func = self._func
@@ -161,32 +158,11 @@ class SimilarityMeasure:
                     return nan
                 return func(v1, v2)
             return score_boolean
-        tokenizer = self.tokenizer
-        if tokenizer is not None:
-            cache = {} if token_cache is None else token_cache
-            tok_name = tokenizer.name
-            def score_tokens(v1: object, v2: object) -> float:
-                if v1 is None or v2 is None:
-                    return nan
-                s1, s2 = str(v1), str(v2)
-                key1 = (tok_name, s1)
-                tokens1 = cache.get(key1)
-                if tokens1 is None:
-                    cache[key1] = tokens1 = tokenizer(s1)
-                key2 = (tok_name, s2)
-                tokens2 = cache.get(key2)
-                if tokens2 is None:
-                    cache[key2] = tokens2 = tokenizer(s2)
-                return func(*sets.token_counts(tokens1, tokens2))
-            return score_tokens
         if self._capped:
             def score_capped(v1: object, v2: object) -> float:
                 if v1 is None or v2 is None:
                     return nan
-                # Resolved at call time so the module-level default stays
-                # patchable when no explicit cap was configured.
-                cap = (SEQUENCE_MAX_CHARS if sequence_max_chars is None
-                       else sequence_max_chars)
+                cap = _cap(sequence_max_chars)
                 return func(str(v1)[:cap], str(v2)[:cap])
             return score_capped
         def score_sequence(v1: object, v2: object) -> float:
@@ -200,8 +176,8 @@ class SimilarityMeasure:
                      sequence_max_chars: int | None = None) -> np.ndarray:
         """Scores of raw ``(v1, v2)`` pairs, one float per pair.
 
-        Equal, element for element, to the :meth:`scorer` applied to each
-        pair.  Set measures score the token counts of each pair
+        Equal, element for element, to calling the measure on each pair.
+        Set measures score the token counts of each pair
         (:meth:`score_counts`); measures with a column function (the
         character DPs) score all pairs with no missing side in one
         batched call.
@@ -210,7 +186,7 @@ class SimilarityMeasure:
             return self.score_counts(token_counts_column(
                 self.tokenizer, value_pairs, token_cache))
         if self._column is None:
-            score = self.scorer(token_cache, sequence_max_chars)
+            score = self.scorer(sequence_max_chars)
             return np.fromiter((score(v1, v2) for v1, v2 in value_pairs),
                                dtype=np.float64, count=len(value_pairs))
         present, inputs = self._column_inputs(value_pairs, sequence_max_chars)
@@ -230,9 +206,18 @@ class SimilarityMeasure:
     def dp_pairs(self, value_pairs: Sequence[tuple[object, object]],
                  sequence_max_chars: int | None = None
                  ) -> list[seq.StringPair]:
-        """The string pairs this DP measure's column hands the kernel."""
+        """The string pairs this DP measure's column hands the kernel.
+
+        Renderings of numbers longer than the prefix cap are left out: in
+        a kernel run shared with other pairs, one of them would widen
+        every pair's row.  The column call scores them on its own.
+        """
         _, inputs = self._column_inputs(value_pairs, sequence_max_chars)
-        return num.renderings(inputs)[1] if self.kind == "numeric" else inputs
+        if self.kind != "numeric":
+            return inputs
+        cap = _cap(sequence_max_chars)
+        return [(s1, s2) for s1, s2 in num.renderings(inputs)[1]
+                if len(s1) <= cap and len(s2) <= cap]
 
     def _column_inputs(self, value_pairs: Sequence[tuple[object, object]],
                        sequence_max_chars: int | None
@@ -244,8 +229,7 @@ class SimilarityMeasure:
             present = [k for k, numbers in enumerate(parsed)
                        if numbers is not None]
             return present, [parsed[k] for k in present]
-        cap = (SEQUENCE_MAX_CHARS if sequence_max_chars is None
-               else sequence_max_chars)
+        cap = _cap(sequence_max_chars)
         present = [k for k, (v1, v2) in enumerate(value_pairs)
                    if v1 is not None and v2 is not None]
         return present, [(str(v1)[:cap], str(v2)[:cap])
@@ -259,16 +243,18 @@ class SimilarityMeasure:
 def _measures() -> dict[str, SimilarityMeasure]:
     string = [
         SimilarityMeasure("lev_dist", seq.levenshtein_distance,
-                          column=seq.levenshtein_distances),
+                          column=seq.levenshtein_distances,
+                          dp_layer=seq.LEVENSHTEIN),
         SimilarityMeasure("lev_sim", seq.levenshtein_similarity,
-                          column=seq.levenshtein_similarities),
+                          column=seq.levenshtein_similarities,
+                          dp_layer=seq.LEVENSHTEIN),
         SimilarityMeasure("jaro", seq.jaro_similarity),
         SimilarityMeasure("exact_match", seq.exact_match),
         SimilarityMeasure("jaro_winkler", seq.jaro_winkler_similarity),
         SimilarityMeasure("needleman_wunsch", seq.needleman_wunsch,
-                          column=seq.needleman_wunsch_scores),
+                          dp_layer=seq.NEEDLEMAN_WUNSCH),
         SimilarityMeasure("smith_waterman", seq.smith_waterman,
-                          column=seq.smith_waterman_scores),
+                          dp_layer=seq.SMITH_WATERMAN),
         SimilarityMeasure("monge_elkan", _monge_elkan_on_words),
         SimilarityMeasure("overlap_space", sets.overlap, SPACE),
         SimilarityMeasure("dice_space", sets.dice, SPACE),
@@ -282,10 +268,12 @@ def _measures() -> dict[str, SimilarityMeasure]:
     numeric = [
         SimilarityMeasure("num_lev_dist", num.numeric_levenshtein_distance,
                           kind="numeric",
-                          column=num.numeric_levenshtein_distances),
+                          column=num.numeric_levenshtein_distances,
+                          dp_layer=seq.LEVENSHTEIN),
         SimilarityMeasure("num_lev_sim", num.numeric_levenshtein_similarity,
                           kind="numeric",
-                          column=num.numeric_levenshtein_similarities),
+                          column=num.numeric_levenshtein_similarities,
+                          dp_layer=seq.LEVENSHTEIN),
         SimilarityMeasure("num_exact_match", num.numeric_exact_match,
                           kind="numeric"),
         SimilarityMeasure("abs_norm", num.absolute_norm, kind="numeric"),

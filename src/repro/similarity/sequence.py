@@ -18,9 +18,11 @@ the step along the row into a plain ``maximum.accumulate``.  Each pair's
 score is read at its own ``(len1, len2)`` cell, which no padding cell
 feeds, so a pair scores the same alone, in any batch and beside any
 other layers.  Pairs are sorted by ``len(s2)``, longest first, so a pair
-leaves the row block once done.  With integer-valued scoring parameters
-(the defaults) every cell is an exactly represented integer, so the
-scores are exact.
+leaves the row block once done.  A long run goes through the kernel in
+blocks of at most :data:`_KERNEL_BLOCK_ROWS` ``(layer, pair)`` rows, so
+its memory stays bounded however many pairs it scores.  With
+integer-valued scoring parameters (the defaults) every cell is an
+exactly represented integer, so the scores are exact.
 
 The column functions (:func:`levenshtein_distances`,
 :func:`needleman_wunsch_scores`, ...) score a whole column of pairs
@@ -28,12 +30,15 @@ under one layer; the scalar functions are the same column functions on
 a batch of one.  A process-wide memo, :data:`DP_MEMO`, keyed per layer,
 sits in front of the kernel: a column call looks its pairs up first and
 runs the kernel on the misses only.  :func:`fill_memo` scores the pairs
-of several columns under several layers in one kernel run;
-:mod:`repro.features.columnar` calls it once per transform with the
-pairs of every attribute, so the column calls that follow are memo hits.
-Feature generation applies several measures to the same value pair
-(``lev_dist`` and ``lev_sim`` share one layer) and record values repeat
-across candidate pairs and across fits.
+of several columns, each under its own layer, with one kernel run per
+set of layers; :mod:`repro.features.columnar` calls it once per
+transform with the pairs of every attribute, so the column calls that
+follow are memo hits.  It fills nothing when the misses would not fit
+the memo together (a fit-sized transform): the memo would evict them
+before the column calls read them, so those calls run the kernel
+themselves, one layer at a time.  Feature generation applies several
+measures to the same value pair (``lev_dist`` and ``lev_sim`` share one
+layer) and record values repeat across candidate pairs and across fits.
 
 All ``*_similarity`` functions return values in ``[0, 1]`` where 1 means
 identical; distances return non-negative raw scores.
@@ -56,6 +61,11 @@ StringPair = tuple[str, str]
 #: memo is emptied first (wholesale eviction).
 DP_MEMO_MAX_ENTRIES = 196_608
 
+#: Most ``(layer, pair)`` rows the kernel advances at once; a longer run
+#: goes in blocks.  At the default 64-character prefix cap a block's row
+#: array is about 2 MB.
+_KERNEL_BLOCK_ROWS = 4096
+
 
 class Layer(NamedTuple):
     """One linear-gap alignment DP the kernel can run.
@@ -75,6 +85,11 @@ class Layer(NamedTuple):
 #: Levenshtein as an alignment: the raw score is minus the distance.
 LEVENSHTEIN = Layer(1.0, 0.0, -1.0, local=False)
 
+#: Needleman-Wunsch and Smith-Waterman at the default scoring parameters
+#: of their functions.
+NEEDLEMAN_WUNSCH = Layer(1.0, 1.0, 0.0, local=False)
+SMITH_WATERMAN = Layer(1.0, 1.0, 0.0, local=True)
+
 
 class DPMemo:
     """Bounded ``(layer, s1, s2) -> raw DP score`` memo.
@@ -89,26 +104,26 @@ class DPMemo:
     def __init__(self) -> None:
         self._scores: dict[tuple, float] = {}
         self._lock = threading.Lock()
+        # The dict's own ``get``: a read costs no Python-level call.
+        self.get: Callable[[tuple], float | None] = self._scores.get
 
     def __len__(self) -> int:
         return len(self._scores)
 
-    def get(self, key: tuple) -> float | None:
-        return self._scores.get(key)
-
-    def update(self, layer: object, scores: dict[StringPair, float]) -> None:
-        """Insert ``layer``'s scores, emptying the memo at the bound.
+    def update(self, scores: dict[tuple, float]) -> None:
+        """Insert ``(layer, s1, s2) -> score`` entries, emptying the memo
+        at the bound.
 
         An update larger than the bound keeps its first
         :data:`DP_MEMO_MAX_ENTRIES` entries.
         """
         bound = DP_MEMO_MAX_ENTRIES
-        entries = {(layer, s1, s2): score
-                   for (s1, s2), score in islice(scores.items(), bound)}
+        if len(scores) > bound:
+            scores = dict(islice(scores.items(), bound))
         with self._lock:
-            if len(self._scores) + len(entries) > bound:
+            if len(self._scores) + len(scores) > bound:
                 self._scores.clear()
-            self._scores.update(entries)
+            self._scores.update(scores)
 
     def clear(self) -> None:
         with self._lock:
@@ -232,27 +247,44 @@ def _dp_kernel(pairs: Sequence[StringPair],
     return out
 
 
-def _run_and_memoize(layers: Sequence[Layer],
-                     pairs: list[StringPair]) -> np.ndarray:
-    """One kernel run over ``pairs``; every layer's scores go to the memo."""
-    raw = _dp_kernel(pairs, layers)
-    for layer, scores in zip(layers, raw.tolist()):
-        DP_MEMO.update(layer, dict(zip(pairs, scores)))
-    return raw
+def _run(layers: Sequence[Layer],
+         pairs: Sequence[StringPair]) -> dict[tuple, float]:
+    """``(layer, s1, s2) -> raw score`` of every pair under every layer.
 
-
-def fill_memo(layers: Iterable[Layer], pairs: Iterable[StringPair]) -> None:
-    """Memoize every layer's score of every pair, in one kernel run.
-
-    The run covers the pairs that miss the memo under any of ``layers``
-    and scores them under all of them.
+    One kernel run, in blocks of at most :data:`_KERNEL_BLOCK_ROWS` rows.
     """
-    layers = list(dict.fromkeys(layers))
+    step = max(1, _KERNEL_BLOCK_ROWS // len(layers))
+    scores: dict[tuple, float] = {}
+    for start in range(0, len(pairs), step):
+        block = pairs[start:start + step]
+        for layer, raw in zip(layers, _dp_kernel(block, layers).tolist()):
+            scores.update(zip([(layer, s1, s2) for s1, s2 in block], raw))
+    return scores
+
+
+def fill_memo(wanted: Iterable[tuple[Layer, Iterable[StringPair]]]) -> None:
+    """Memoize the score of every ``(layer, pairs)`` in ``wanted``.
+
+    The pairs that miss the memo under the same set of layers share one
+    kernel run, and the memo takes all runs in one update.  Nothing is
+    filled when the misses exceed :data:`DP_MEMO_MAX_ENTRIES`: the memo
+    would evict them before they were read.
+    """
     get = DP_MEMO.get
-    todo = [(s1, s2) for s1, s2 in dict.fromkeys(pairs)
-            if any(get((layer, s1, s2)) is None for layer in layers)]
-    if todo:
-        _run_and_memoize(layers, todo)
+    missing: dict[StringPair, set[Layer]] = {}
+    for layer, pairs in wanted:
+        for s1, s2 in pairs:
+            if get((layer, s1, s2)) is None:
+                missing.setdefault((s1, s2), set()).add(layer)
+    if sum(map(len, missing.values())) > DP_MEMO_MAX_ENTRIES:
+        return
+    runs: dict[tuple[Layer, ...], list[StringPair]] = {}
+    for pair, layers in missing.items():
+        runs.setdefault(tuple(sorted(layers)), []).append(pair)
+    scores: dict[tuple, float] = {}
+    for layers, pairs in runs.items():
+        scores.update(_run(layers, pairs))
+    DP_MEMO.update(scores)
 
 
 def _memoized_scores(layer: Layer, pairs: Sequence[StringPair]) -> np.ndarray:
@@ -267,9 +299,9 @@ def _memoized_scores(layer: Layer, pairs: Sequence[StringPair]) -> np.ndarray:
         else:
             out[k] = score
     if missing:
-        todo = list(dict.fromkeys(pairs[k] for k in missing))
-        computed = dict(zip(todo, _run_and_memoize([layer], todo)[0].tolist()))
-        out[missing] = [computed[pairs[k]] for k in missing]
+        computed = _run([layer], list(dict.fromkeys(pairs[k] for k in missing)))
+        DP_MEMO.update(computed)
+        out[missing] = [computed[(layer, *pairs[k])] for k in missing]
     return out
 
 
@@ -299,51 +331,46 @@ def levenshtein_similarities(pairs: Sequence[StringPair]) -> np.ndarray:
     return out
 
 
-def _alignment_scores(layer: Layer, pairs: Sequence[StringPair],
-                      normalize: Callable[[np.ndarray, np.ndarray,
-                                           np.ndarray], np.ndarray]
-                      ) -> np.ndarray:
-    """Normalized alignment scores of ``pairs``.
+def alignment_scores(layer: Layer,
+                     pairs: Sequence[StringPair]) -> np.ndarray:
+    """Normalized alignment scores of ``pairs`` under ``layer``.
 
-    Two empty strings score 1.0 and one empty string 0.0; every other
-    pair gets ``normalize(raw, len1, len2)`` of its memoized score.
+    A global layer gives :func:`needleman_wunsch`, a local one
+    :func:`smith_waterman`.  Two empty strings score 1.0 and one empty
+    string 0.0.
     """
     len1, len2 = _lengths(pairs)
     out = np.where((len1 == 0) & (len2 == 0), 1.0, 0.0)
     scored = np.flatnonzero((len1 > 0) & (len2 > 0))
     if scored.size:
         raw = _memoized_scores(layer, [pairs[k] for k in scored])
-        out[scored] = normalize(raw, len1[scored], len2[scored])
+        len1, len2 = len1[scored], len2[scored]
+        if layer.local:
+            out[scored] = raw / (layer.match * np.minimum(len1, len2))
+        else:
+            out[scored] = np.maximum(0.0, np.minimum(
+                1.0, raw / (layer.match * np.maximum(len1, len2))))
     return out
 
 
 def needleman_wunsch_scores(pairs: Sequence[StringPair],
-                            gap_cost: float = 1.0, match_score: float = 1.0,
-                            mismatch_score: float = 0.0) -> np.ndarray:
+                            gap_cost: float = NEEDLEMAN_WUNSCH.gap,
+                            match_score: float = NEEDLEMAN_WUNSCH.match,
+                            mismatch_score: float = NEEDLEMAN_WUNSCH.mismatch
+                            ) -> np.ndarray:
     """:func:`needleman_wunsch` of every ``(s1, s2)`` in ``pairs``."""
-    def normalize(raw: np.ndarray, len1: np.ndarray,
-                  len2: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, np.minimum(
-            1.0, raw / (match_score * np.maximum(len1, len2))))
-    layer = Layer(gap_cost, match_score, mismatch_score, local=False)
-    return _alignment_scores(layer, pairs, normalize)
+    return alignment_scores(
+        Layer(gap_cost, match_score, mismatch_score, local=False), pairs)
 
 
-def smith_waterman_scores(pairs: Sequence[StringPair], gap_cost: float = 1.0,
-                          match_score: float = 1.0,
-                          mismatch_score: float = 0.0) -> np.ndarray:
+def smith_waterman_scores(pairs: Sequence[StringPair],
+                          gap_cost: float = SMITH_WATERMAN.gap,
+                          match_score: float = SMITH_WATERMAN.match,
+                          mismatch_score: float = SMITH_WATERMAN.mismatch
+                          ) -> np.ndarray:
     """:func:`smith_waterman` of every ``(s1, s2)`` in ``pairs``."""
-    def normalize(raw: np.ndarray, len1: np.ndarray,
-                  len2: np.ndarray) -> np.ndarray:
-        return raw / (match_score * np.minimum(len1, len2))
-    layer = Layer(gap_cost, match_score, mismatch_score, local=True)
-    return _alignment_scores(layer, pairs, normalize)
-
-
-#: The layers of :func:`needleman_wunsch_scores` and
-#: :func:`smith_waterman_scores` at their default scoring parameters.
-NEEDLEMAN_WUNSCH = Layer(1.0, 1.0, 0.0, local=False)
-SMITH_WATERMAN = Layer(1.0, 1.0, 0.0, local=True)
+    return alignment_scores(
+        Layer(gap_cost, match_score, mismatch_score, local=True), pairs)
 
 
 def levenshtein_distance(s1: str, s2: str) -> float:
@@ -421,8 +448,11 @@ def jaro_winkler_similarity(s1: str, s2: str, prefix_weight: float = 0.1) -> flo
     return jaro + prefix * prefix_weight * (1.0 - jaro)
 
 
-def needleman_wunsch(s1: str, s2: str, gap_cost: float = 1.0,
-                     match_score: float = 1.0, mismatch_score: float = 0.0) -> float:
+def needleman_wunsch(s1: str, s2: str,
+                     gap_cost: float = NEEDLEMAN_WUNSCH.gap,
+                     match_score: float = NEEDLEMAN_WUNSCH.match,
+                     mismatch_score: float = NEEDLEMAN_WUNSCH.mismatch
+                     ) -> float:
     """Global alignment score (Needleman-Wunsch), normalized to ``[0, 1]``.
 
     The raw score aligns the full strings with linear gap penalties; it is
@@ -433,8 +463,9 @@ def needleman_wunsch(s1: str, s2: str, gap_cost: float = 1.0,
                                          mismatch_score)[0])
 
 
-def smith_waterman(s1: str, s2: str, gap_cost: float = 1.0,
-                   match_score: float = 1.0, mismatch_score: float = 0.0) -> float:
+def smith_waterman(s1: str, s2: str, gap_cost: float = SMITH_WATERMAN.gap,
+                   match_score: float = SMITH_WATERMAN.match,
+                   mismatch_score: float = SMITH_WATERMAN.mismatch) -> float:
     """Local alignment score (Smith-Waterman), normalized to ``[0, 1]``.
 
     Finds the best-scoring local alignment; normalized by the shorter

@@ -216,6 +216,73 @@ class TestPlanEquivalence:
         assert_bits_equal(fast, generator.transform_naive(pairs))
 
 
+class TestSharedKernelRun:
+    """The DP kernel runs of one transform."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        """``(sorted layers, longest string)`` of every kernel run."""
+        runs = []
+        kernel = sequence._dp_kernel
+
+        def spy(batch, layers):
+            runs.append((sorted(layers),
+                         max(max(len(s1), len(s2)) for s1, s2 in batch)))
+            return kernel(batch, layers)
+
+        monkeypatch.setattr(sequence, "_dp_kernel", spy)
+        sequence.DP_MEMO.clear()
+        yield runs
+        sequence.DP_MEMO.clear()
+
+    def test_one_run_per_set_of_layers(self, duplicate_heavy_pairs, runs):
+        # The column calls after the shared runs are memo hits: the fill
+        # scores exactly what they read.  The rendered prices take only
+        # the Levenshtein layer.
+        generator = FeatureGenerator(FULL_PLAN)
+        matrix = generator.transform(duplicate_heavy_pairs)
+        assert sorted(layers for layers, _ in runs) == [
+            [sequence.LEVENSHTEIN],
+            sorted([sequence.LEVENSHTEIN, sequence.NEEDLEMAN_WUNSCH,
+                    sequence.SMITH_WATERMAN])]
+        sequence.DP_MEMO.clear()
+        assert_bits_equal(matrix,
+                          generator.transform_naive(duplicate_heavy_pairs))
+
+    def test_a_levenshtein_only_plan_runs_one_layer(
+            self, duplicate_heavy_pairs, runs):
+        plan = [("name", "lev_dist"), ("name", "lev_sim"),
+                ("price", "num_lev_dist"), ("price", "num_lev_sim")]
+        FeatureGenerator(plan).transform(duplicate_heavy_pairs)
+        assert [layers for layers, _ in runs] == [[sequence.LEVENSHTEIN]]
+
+    def test_a_huge_number_does_not_widen_the_shared_run(self, runs):
+        # 1e300 renders as 301 digits; it is scored in a run of its own.
+        pairs = make_pairs(
+            [["arts deli", 1e300, True], ["fenix", 12.0, False]],
+            [["arts delicatessen", 12.5, True], ["fenix at the argyle", 1e300,
+                                                 None]],
+            [(0, 0), (0, 1), (1, 0), (1, 1)])
+        generator = FeatureGenerator(FULL_PLAN)
+        matrix = generator.transform(pairs)
+        shared = [longest for layers, longest in runs if len(layers) > 1]
+        assert shared and max(shared) <= simreg.SEQUENCE_MAX_CHARS
+        assert max(longest for _, longest in runs) == 301
+        sequence.DP_MEMO.clear()
+        assert_bits_equal(matrix, generator.transform_naive(pairs))
+
+    def test_a_fill_the_memo_cannot_hold_is_skipped(
+            self, duplicate_heavy_pairs, runs, monkeypatch):
+        # A fit-sized transform: the column calls run one layer each.
+        monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES", 8)
+        generator = FeatureGenerator(FULL_PLAN)
+        matrix = generator.transform(duplicate_heavy_pairs)
+        assert runs and all(len(layers) == 1 for layers, _ in runs)
+        sequence.DP_MEMO.clear()
+        assert_bits_equal(matrix,
+                          generator.transform_naive(duplicate_heavy_pairs))
+
+
 def _always_inf(v1: float, v2: float) -> float:
     return float("inf")
 
@@ -487,6 +554,5 @@ class TestSharedDPMemo:
             k = (thread_index + r) % len(pair_sets)
             assert_bits_equal(matrix, expected[k])
         # An insert that would cross the bound empties the memo first,
-        # so it never holds more than the bound or one kernel batch (at
-        # most the 30 value pairs of a pair set).
-        assert len(sequence.DP_MEMO) <= 30
+        # and one update keeps at most the bound.
+        assert len(sequence.DP_MEMO) <= 16

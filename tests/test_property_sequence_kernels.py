@@ -179,19 +179,76 @@ def test_zero_distance_is_positive_zero(strings):
 def test_fill_memo_gives_the_column_functions_their_scores(batch):
     expected = [column(batch) for column, _ in COLUMNS]
     sequence.DP_MEMO.clear()
-    sequence.fill_memo([sequence.LEVENSHTEIN, sequence.NEEDLEMAN_WUNSCH,
-                        sequence.SMITH_WATERMAN], batch)
+    sequence.fill_memo([(layer, batch) for layer in LAYERS])
     filled = len(sequence.DP_MEMO)
     for (column, _), scores in zip(COLUMNS, expected):
         assert_bits_equal(column(batch), scores, err_msg=column.__name__)
     assert len(sequence.DP_MEMO) == filled  # every column call hit
 
 
+#: The layers of the registered DP measures.
+LAYERS = [sequence.LEVENSHTEIN, sequence.NEEDLEMAN_WUNSCH,
+          sequence.SMITH_WATERMAN]
+
+FIXED_BATCH = [("kitten", "sitting"), ("flaw", "lawn"), ("", "abc"),
+               ("\U0001F600x", "x\U0001F600"), ("gumbo", "gambol")]
+
+
 def test_memo_update_keeps_its_bound(monkeypatch):
     monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES", 100)
     memo = sequence.DPMemo()
-    memo.update(sequence.LEVENSHTEIN, {("a", str(i)): 1.0 for i in range(60)})
+    layer = sequence.LEVENSHTEIN
+    memo.update({(layer, "a", str(i)): 1.0 for i in range(60)})
     assert len(memo) == 60
-    memo.update(sequence.LEVENSHTEIN,
-                {("b", str(i)): 1.0 for i in range(250)})
+    memo.update({(layer, "b", str(i)): 1.0 for i in range(250)})
     assert len(memo) == 100
+
+
+def test_fill_memo_keeps_every_layer_it_scored(monkeypatch):
+    # The memo is partly full and the fill fits it exactly: one update
+    # per fill, so no layer's scores evict another's.
+    monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES",
+                        len(LAYERS) * len(FIXED_BATCH))
+    sequence.DP_MEMO.update({(sequence.LEVENSHTEIN, "x", "y"): 1.0})
+    sequence.fill_memo([(layer, FIXED_BATCH) for layer in LAYERS])
+    assert len(sequence.DP_MEMO) == len(LAYERS) * len(FIXED_BATCH)
+    assert all(sequence.DP_MEMO.get((layer, s1, s2)) is not None
+               for layer in LAYERS for s1, s2 in FIXED_BATCH)
+
+
+def test_fill_memo_skips_a_fill_the_memo_cannot_hold(monkeypatch):
+    monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES",
+                        len(LAYERS) * len(FIXED_BATCH) - 1)
+    sequence.fill_memo([(layer, FIXED_BATCH) for layer in LAYERS])
+    assert len(sequence.DP_MEMO) == 0
+    for column, reference in COLUMNS:
+        assert_bits_equal(column(FIXED_BATCH),
+                          _expected(reference, FIXED_BATCH),
+                          err_msg=column.__name__)
+
+
+def test_fill_memo_scores_each_pair_under_its_own_layers(monkeypatch):
+    runs = []
+    kernel = sequence._dp_kernel
+
+    def spy(batch, layers):
+        runs.append((sorted(layers), sorted(batch)))
+        return kernel(batch, layers)
+
+    monkeypatch.setattr(sequence, "_dp_kernel", spy)
+    lev_only = [("12", "12.5"), ("3", "30")]
+    sequence.fill_memo([(layer, FIXED_BATCH) for layer in LAYERS]
+                       + [(sequence.LEVENSHTEIN, lev_only)])
+    assert sorted(runs) == sorted([(sorted(LAYERS), sorted(FIXED_BATCH)),
+                                   ([sequence.LEVENSHTEIN], sorted(lev_only))])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+def test_a_run_in_blocks_equals_one_block(monkeypatch, block_rows):
+    monkeypatch.setattr(sequence, "_KERNEL_BLOCK_ROWS", block_rows)
+    scores = sequence._run(LAYERS, FIXED_BATCH)
+    whole = sequence._dp_kernel(FIXED_BATCH, LAYERS)
+    for layer, raw in zip(LAYERS, whole):
+        assert_bits_equal(
+            np.array([scores[(layer, s1, s2)] for s1, s2 in FIXED_BATCH]),
+            raw, err_msg=repr(layer))
