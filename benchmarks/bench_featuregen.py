@@ -40,8 +40,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -53,6 +51,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from bit_parity import assert_bits_equal  # noqa: E402
+from common import provenance  # noqa: E402
 
 from repro.data.pairs import PairSet, RecordPair  # noqa: E402
 from repro.data.table import Table  # noqa: E402
@@ -125,25 +124,6 @@ def clear_similarity_caches() -> None:
             value.cache_clear()
 
 
-def _git(*args: str) -> str | None:
-    try:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-
-
-def provenance() -> dict:
-    """Where and on what the report was measured.  ``git_dirty`` is true
-    when the working tree differs from ``git_sha`` (a report regenerated
-    before its change is committed)."""
-    status = _git("status", "--porcelain", "--untracked-files=no")
-    return {"git_sha": _git("rev-parse", "HEAD"),
-            "git_dirty": None if status is None else bool(status),
-            "python": platform.python_version(),
-            "numpy": np.__version__, "cpu_count": os.cpu_count()}
-
-
 def _transform_in_requests(generator: FeatureGenerator,
                            pairs: PairSet) -> np.ndarray:
     """``generator`` over ``pairs`` in :data:`REQUEST_PAIRS`-pair calls."""
@@ -182,16 +162,11 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
     requests_seconds, requests = _timed(
         lambda: _transform_in_requests(FeatureGenerator(plan), pairs))
 
-    cached_generator = FeatureGenerator(plan, cache=True)
-    cached_generator.transform(pairs)  # populate
-    cached_seconds, cached = _timed(
-        lambda: cached_generator.transform(pairs))
-
     parallel_seconds, parallel = _timed(
         lambda: FeatureGenerator(plan, n_jobs=n_jobs).transform(pairs))
 
     for name, matrix in (("columnar", columnar), ("requests", requests),
-                         ("cached", cached), ("parallel", parallel)):
+                         ("parallel", parallel)):
         assert_bits_equal(matrix, reference,
                           err_msg=f"{name} path diverged")
 
@@ -215,7 +190,6 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
             "columnar": path(columnar_seconds),
             "columnar_requests": path(requests_seconds,
                                       pairs_per_call=REQUEST_PAIRS),
-            "columnar_cached": path(cached_seconds),
             "parallel": path(
                 parallel_seconds, n_jobs=n_jobs,
                 pooled=(resolve_n_jobs(n_jobs) > 1 and n_unique_value_pairs
@@ -223,8 +197,6 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
         },
         "speedup_columnar_vs_naive": round(
             naive_seconds / max(columnar_seconds, 1e-9), 2),
-        "speedup_cached_vs_naive": round(
-            naive_seconds / max(cached_seconds, 1e-9), 2),
         "speedup_parallel_vs_naive": round(
             naive_seconds / max(parallel_seconds, 1e-9), 2),
     }

@@ -9,6 +9,8 @@ measurable: identical request streams are served through the same
 bundle with and without the monitor, best-of-``repeats`` wall times are
 compared, and the report carries the overhead fraction the perf gate
 (``pytest benchmarks/test_bench_monitor.py --perf``) holds under 10%.
+It is written to ``BENCH_monitor.json`` at the repo root under the same
+provenance header as ``BENCH_featuregen.json``.
 
 Usage::
 
@@ -26,6 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from common import provenance  # noqa: E402
 from repro.core import AutoMLEM  # noqa: E402
 from repro.data.synthetic import load_benchmark  # noqa: E402
 from repro.monitor import FeatureDriftMonitor, request_batches  # noqa: E402
@@ -69,6 +72,7 @@ def run_bench(scale: float = 0.5, n_batches: int = 40,
     assert last_monitor is not None
     report = last_monitor.report()
     return {
+        "provenance": provenance(),
         "n_batches": n_batches,
         "batch_pairs": batch_pairs,
         "repeats": repeats,

@@ -200,7 +200,7 @@ class AutoML:
         """Run the search; afterwards ``best_pipeline_`` is fitted on train.
 
         ``run_context`` is merged into the run log's summary record
-        (callers use it for e.g. feature-cache hit/miss stats).
+        (callers use it for e.g. the feature plan's name).
         """
         with EventLog.opened(self.run_log) as log:
             return self._fit(log, X_train, y_train, X_valid, y_valid,

@@ -16,9 +16,7 @@ objects.  It supports:
   :meth:`IndexedBlocker.build_or_load
   <repro.blocking.indexed.IndexedBlocker.build_or_load>` reuses a saved
   index only when both the blocker-configuration fingerprint and the
-  chained record-content fingerprint still match — the same
-  content-keyed invalidation convention as
-  :class:`~repro.features.cache.FeatureMatrixCache`.
+  chained record-content fingerprint still match.
 
 The chained content digest (:func:`~repro.features.cache.chain_fingerprint`)
 is resumable from its stored hex state, which is what makes incremental

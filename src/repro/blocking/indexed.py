@@ -76,8 +76,7 @@ class IndexedBlocker(BaseBlocker):
 
         Two blockers with equal fingerprints produce identical indexes
         and probe results; a persisted index is only reused when the
-        loading blocker's fingerprint matches (the invalidation key,
-        mirroring :class:`~repro.features.cache.FeatureMatrixCache`).
+        loading blocker's fingerprint matches (the invalidation key).
         """
         payload = repr((type(self).__name__,
                         sorted(self._config().items())))

@@ -46,11 +46,6 @@ class AutoMLEM:
     n_jobs:
         Worker processes for feature generation (1 = sequential, -1 =
         all cores); forwarded to the :class:`FeatureGenerator`.
-    feature_cache:
-        Optional shared
-        :class:`~repro.features.cache.FeatureMatrixCache` (or ``True``
-        for a private one) so repeated transforms of the same pair sets
-        reuse their matrices.
     trial_timeout / trial_isolation:
         Per-trial wall-clock limit (seconds) and isolation mode for the
         search, forwarded to the AutoML engine's
@@ -58,7 +53,7 @@ class AutoMLEM:
     run_log:
         Optional JSONL telemetry path (or open
         :class:`~repro.events.EventLog`): one record per trial plus a
-        run summary that includes feature-cache hit/miss stats.
+        run summary that names the feature plan.
     capture_reference_profile:
         When True (default), :meth:`fit` records a streaming
         :class:`~repro.features.profile.ReferenceProfile` of the
@@ -82,7 +77,7 @@ class AutoMLEM:
                  include_feature_preprocessing: bool = True,
                  forest_size: int = 100, ensemble_size: int = 1,
                  exclude_attributes: tuple[str, ...] = (),
-                 n_jobs: int = 1, feature_cache=None,
+                 n_jobs: int = 1,
                  trial_timeout: float | None = None,
                  trial_isolation: str = "auto",
                  run_log=None, resume_from=None,
@@ -104,7 +99,6 @@ class AutoMLEM:
         self.ensemble_size = ensemble_size
         self.exclude_attributes = tuple(exclude_attributes)
         self.n_jobs = n_jobs
-        self.feature_cache = feature_cache
         self.trial_timeout = trial_timeout
         self.trial_isolation = trial_isolation
         self.run_log = run_log
@@ -121,7 +115,7 @@ class AutoMLEM:
                  else make_magellan_features)
         return maker(pairs.table_a, pairs.table_b,
                      exclude_attributes=self.exclude_attributes,
-                     n_jobs=self.n_jobs, cache=self.feature_cache)
+                     n_jobs=self.n_jobs)
 
     # -- training -------------------------------------------------------
 
@@ -185,13 +179,8 @@ class AutoMLEM:
         self.reference_profile_ = accumulator.finalize()
 
     def _run_context(self) -> dict:
-        """Run-summary telemetry context: feature plan + cache stats."""
-        context: dict = {"feature_plan": self.feature_plan}
-        generator = getattr(self, "feature_generator_", None)
-        cache = getattr(generator, "cache", None)
-        if cache is not None:
-            context["feature_cache"] = dict(cache.stats)
-        return context
+        """Run-summary telemetry context: the feature plan."""
+        return {"feature_plan": self.feature_plan}
 
     # -- inference ------------------------------------------------------
 
@@ -276,7 +265,6 @@ class AutoMLEM:
             or {attribute: "unspecified"
                 for attribute, _ in generator.plan},
             threshold=threshold,
-            sequence_max_chars=generator.sequence_max_chars,
             metadata=info,
             reference_profile=(None if reference is None
                                else reference.as_dict()))

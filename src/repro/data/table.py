@@ -110,9 +110,8 @@ class Table:
     def fingerprint(self) -> str:
         """Content digest over schema and rows, computed once.
 
-        Tables are immutable, so the digest is a stable identity usable
-        as a cache key (see :mod:`repro.features.cache`) even across
-        distinct ``Table`` objects holding equal data.
+        Tables are immutable, so the digest is a stable identity, equal
+        across distinct ``Table`` objects holding equal data.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:

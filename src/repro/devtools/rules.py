@@ -97,7 +97,7 @@ _IMPURE_CALLS = frozenset({
 class WallClockInHashedPath(Rule):
     """REP002: wall-clock / env-dependent calls in fingerprint paths.
 
-    ``Table.fingerprint``, ``FeatureMatrixCache`` keys and
+    ``Table.fingerprint``, block-index fingerprints and
     ``ModelBundle`` fingerprints must digest *content only*: a
     timestamp or environment read in those modules silently turns
     equal inputs into distinct cache keys (or equal bundles into

@@ -1,7 +1,6 @@
 """Feature generation: Magellan's Table I rules vs AutoML-EM's Table II."""
 
 from .autoem import TABLE_II, autoem_feature_plan, autoem_measures_for
-from .cache import FeatureMatrixCache, pairs_fingerprint, plan_fingerprint
 from .columnar import TokenCache, columnar_transform
 from .magellan import TABLE_I, magellan_feature_plan, magellan_measures_for
 from .profile import (
@@ -20,7 +19,6 @@ from .vectorize import (
 __all__ = [
     "DataType",
     "FeatureGenerator",
-    "FeatureMatrixCache",
     "FeatureProfile",
     "ProfileAccumulator",
     "ReferenceProfile",
@@ -37,6 +35,4 @@ __all__ = [
     "magellan_measures_for",
     "make_autoem_features",
     "make_magellan_features",
-    "pairs_fingerprint",
-    "plan_fingerprint",
 ]

@@ -1,32 +1,17 @@
-"""Fingerprint-keyed caching of computed feature matrices.
+"""Content fingerprints of records and record chains.
 
-Feature generation is recomputed far more often than its inputs change:
-every AutoML trial that re-enters :meth:`FeatureGenerator.transform`,
-every active-learning iteration that re-scores the same pool, and every
-``fit``/``evaluate`` round trip over the same split sees the identical
-``(plan, PairSet)`` combination.  This module keys matrices by a content
-fingerprint of both — the plan's ``(attribute, measure)`` slots plus the
-sequence cap, and the pair set's table contents plus record-id pairs —
-so a repeat request is an O(1) lookup instead of an O(pairs × measures)
-recomputation.
-
-Labels are deliberately excluded from the pair fingerprint: features do
-not depend on them, so an unlabeled pool view and its labeled original
-share one cache entry.
+A persisted :class:`~repro.blocking.index.BlockIndex` is reused only
+while the records it indexes are unchanged.  It keys itself by a chain
+digest: :func:`record_fingerprint` of each record folded in order by
+:func:`chain_fingerprint`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
-    from ..data.pairs import PairSet
     from ..data.table import Record
 
 #: Chain-digest seed: version-tags every incremental fingerprint so a
@@ -37,8 +22,8 @@ _CHAIN_SEED = "repro-record-chain-v1"
 def record_fingerprint(record: "Record") -> str:
     """Content digest of one record (id, schema and values).
 
-    repr-based like :func:`pairs_fingerprint`, so integer, string and
-    UUID record ids all hash (and ``1`` vs ``"1"`` hash differently).
+    repr-based, so integer, string and UUID record ids all hash (and
+    ``1`` vs ``"1"`` hash differently).
     """
     payload = repr((record.record_id, tuple(record.columns), record.values))
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
@@ -61,116 +46,3 @@ def chain_fingerprint(previous: str, item_digest: str) -> str:
     """
     return hashlib.sha1(
         (previous + "\x1f" + item_digest).encode("ascii")).hexdigest()
-
-
-def plan_fingerprint(plan: Iterable[tuple[str, str]],
-                     sequence_max_chars: int | None = None) -> str:
-    """Digest of a feature plan's slots (and the sequence cap in force)."""
-    digest = hashlib.sha1()
-    for attribute, measure in plan:
-        digest.update(attribute.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(measure.encode("utf-8"))
-        digest.update(b"\x00")
-    digest.update(repr(sequence_max_chars).encode("ascii"))
-    return digest.hexdigest()
-
-
-def pairs_fingerprint(pairs: "PairSet") -> str:
-    """Digest of a :class:`~repro.data.pairs.PairSet`'s feature-relevant
-    identity: both tables' contents and the ordered record-id pairs."""
-    digest = hashlib.sha1()
-    digest.update(pairs.table_a.fingerprint.encode("ascii"))
-    digest.update(pairs.table_b.fingerprint.encode("ascii"))
-    # repr-based hashing keeps the digest type-agnostic: integer, string
-    # and UUID record ids all work (and 1 vs "1" hash differently).
-    for pair in pairs:
-        digest.update(repr(pair.left.record_id).encode("utf-8"))
-        digest.update(b"\x1f")
-        digest.update(repr(pair.right.record_id).encode("utf-8"))
-        digest.update(b"\x1e")
-    return digest.hexdigest()
-
-
-class FeatureMatrixCache:
-    """A small, thread-safe LRU cache of feature matrices.
-
-    Entries are stored and returned as copies, so neither the producer
-    nor any consumer can corrupt a cached matrix by mutating it in
-    place.  One cache instance can be shared by several generators (and
-    matchers) as long as their keys embed the plan — which
-    :meth:`FeatureGenerator._cache_key` does.
-
-    All operations hold one re-entrant lock: the LRU reorder inside
-    :meth:`lookup` and the evict-after-insert inside :meth:`store` are
-    compound read-modify-write sequences, and the hit/miss counters
-    must stay consistent with the lookups that produced them when a
-    :class:`~repro.serve.service.MatchService` drives many scoring
-    threads against one shared cache (``hits + misses == lookups``
-    always holds; ``tests/test_serve_concurrent.py`` stresses it).
-    """
-
-    def __init__(self, max_entries: int = 16):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._lock = threading.RLock()
-        self._entries: OrderedDict[object, np.ndarray] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def lookup(self, key: object) -> np.ndarray | None:
-        """The cached matrix for ``key`` (a copy), or ``None``."""
-        with self._lock:
-            matrix = self._entries.get(key)
-            if matrix is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return matrix.copy()
-
-    def store(self, key: object, matrix: np.ndarray) -> None:
-        copied = np.array(matrix, dtype=np.float64, copy=True)
-        with self._lock:
-            self._entries[key] = copied
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total :meth:`lookup` calls observed (``hits + misses``)."""
-        with self._lock:
-            return self.hits + self.misses
-
-    @property
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {"entries": len(self._entries), "hits": self.hits,
-                    "misses": self.misses}
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    def __repr__(self) -> str:
-        with self._lock:
-            return (f"FeatureMatrixCache({len(self._entries)}/"
-                    f"{self.max_entries} entries, {self.hits} hits, "
-                    f"{self.misses} misses)")

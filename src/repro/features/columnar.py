@@ -73,6 +73,10 @@ PARALLEL_MIN_UNIQUE_PAIRS = 2048
 #: Smallest chunk of unique value pairs shipped to one worker task.
 _MIN_CHUNK = 128
 
+#: Value types whose ``-0.0`` and ``0.0`` compare and hash equal but
+#: render differently (:func:`_value_key`).
+_FLOAT_TYPES = (float, np.floating)
+
 
 class TokenCache(dict):
     """Bounded ``(tokenizer_name, string) -> tokens`` memo.
@@ -127,8 +131,7 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
 
 def score_value_pairs(measures: Sequence["SimilarityMeasure"],
                       value_pairs: Sequence[tuple[Value, Value]],
-                      token_cache: TokenCache | None = None,
-                      sequence_max_chars: int | None = None) -> np.ndarray:
+                      token_cache: TokenCache | None = None) -> np.ndarray:
     """Score ``measures`` over raw ``(v1, v2)`` tuples.
 
     Returns a ``(len(value_pairs), len(measures))`` float matrix with the
@@ -142,8 +145,7 @@ def score_value_pairs(measures: Sequence["SimilarityMeasure"],
     for j, measure in enumerate(measures):
         tokenizer = measure.tokenizer
         if tokenizer is None:
-            out[:, j] = measure.score_column(value_pairs, cache,
-                                             sequence_max_chars)
+            out[:, j] = measure.score_column(value_pairs, cache)
             continue
         if tokenizer not in counts:
             counts[tokenizer] = token_counts_column(tokenizer, value_pairs,
@@ -154,36 +156,35 @@ def score_value_pairs(measures: Sequence["SimilarityMeasure"],
 
 
 def _fill_dp_memo(groups: Sequence[tuple[Sequence["SimilarityMeasure"],
-                                         Sequence[tuple[Value, Value]]]],
-                  sequence_max_chars: int | None) -> None:
+                                         Sequence[tuple[Value, Value]]]]
+                  ) -> None:
     """Score the DP pairs of every ``(measures, value_pairs)`` group,
     each under its measure's layer, so the DP column calls that follow
     hit the memo."""
     sequence.fill_memo(
-        (measure.dp_layer, measure.dp_pairs(value_pairs, sequence_max_chars))
+        (measure.dp_layer, measure.dp_pairs(value_pairs))
         for measures, value_pairs in groups
         for measure in measures if measure.dp_layer is not None)
 
 
 def _score_chunk(measures: Sequence["SimilarityMeasure"],
-                 value_pairs: Sequence[tuple[Value, Value]],
-                 sequence_max_chars: int | None) -> np.ndarray:
+                 value_pairs: Sequence[tuple[Value, Value]]) -> np.ndarray:
     """Worker task: score one chunk of unique value pairs (picklable)."""
-    _fill_dp_memo([(measures, value_pairs)], sequence_max_chars)
-    return score_value_pairs(measures, value_pairs,
-                             sequence_max_chars=sequence_max_chars)
+    _fill_dp_memo([(measures, value_pairs)])
+    return score_value_pairs(measures, value_pairs)
 
 
 def _value_key(value: Value) -> tuple:
     """Type-tagged dedup key for one attribute value.
 
     The class tag keeps ``True``/``1.0`` apart (they hash equal but
-    render to different strings).  Floats additionally key on ``repr``:
-    ``-0.0 == 0.0`` with equal hashes, yet string measures see
-    ``"-0.0"`` vs ``"0.0"``, so they must not collapse into one entry.
+    render to different strings).  Floats, numpy's included, additionally
+    key on ``repr``: ``-0.0 == 0.0`` with equal hashes, yet string
+    measures see ``"-0.0"`` vs ``"0.0"``, so they must not collapse into
+    one entry.
     """
-    if value.__class__ is float:
-        return (float, repr(value))
+    if isinstance(value, _FLOAT_TYPES):
+        return (value.__class__, repr(value))
     return (value.__class__, value)
 
 
@@ -209,8 +210,7 @@ def _unique_value_pairs(pairs: Sequence,
 
 def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
                        pairs: Sequence, *, n_jobs: int | None = 1,
-                       token_cache: TokenCache | None = None,
-                       sequence_max_chars: int | None = None
+                       token_cache: TokenCache | None = None
                        ) -> np.ndarray:
     """Materialize a feature plan column-first over ``pairs``.
 
@@ -231,23 +231,19 @@ def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
         per_attribute.append((slots, unique, inverse))
         total_unique += len(unique)
     if n_jobs > 1 and total_unique >= PARALLEL_MIN_UNIQUE_PAIRS:
-        _transform_parallel(matrix, per_attribute, n_jobs,
-                            sequence_max_chars)
+        _transform_parallel(matrix, per_attribute, n_jobs)
     else:
         cache = TokenCache() if token_cache is None else token_cache
         _fill_dp_memo([([m for _, m in slots], unique)
-                       for slots, unique, _ in per_attribute],
-                      sequence_max_chars)
+                       for slots, unique, _ in per_attribute])
         for slots, unique, inverse in per_attribute:
-            scores = score_value_pairs([m for _, m in slots], unique,
-                                       cache, sequence_max_chars)
+            scores = score_value_pairs([m for _, m in slots], unique, cache)
             matrix[:, [c for c, _ in slots]] = scores[inverse, :]
     return matrix
 
 
 def _transform_parallel(matrix: np.ndarray, per_attribute: list,
-                        n_jobs: int,
-                        sequence_max_chars: int | None) -> None:
+                        n_jobs: int) -> None:
     """Chunk unique pairs across a process pool and scatter the results.
 
     Chunking is per attribute so a worker scores every measure of its
@@ -264,8 +260,7 @@ def _transform_parallel(matrix: np.ndarray, per_attribute: list,
             chunk = max(_MIN_CHUNK, -(-len(unique) // (2 * n_jobs)))
             for start in range(0, len(unique), chunk):
                 future = pool.submit(_score_chunk, measure_list,
-                                     unique[start:start + chunk],
-                                     sequence_max_chars)
+                                     unique[start:start + chunk])
                 tasks.append((gi, start, future))
         for gi, start, future in tasks:
             block = future.result()

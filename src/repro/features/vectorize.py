@@ -17,15 +17,12 @@ the equivalence tests and the featuregen benchmark compare against.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from ..data.pairs import PairSet
 from ..data.table import Table
 from ..similarity import get_measure
 from .autoem import autoem_feature_plan
-from .cache import FeatureMatrixCache, pairs_fingerprint, plan_fingerprint
 from .columnar import TokenCache, columnar_transform
 from .magellan import magellan_feature_plan
 from .types import DataType, infer_schema_types
@@ -46,34 +43,15 @@ class FeatureGenerator:
         all cores.  The pool only engages above
         :data:`~repro.features.columnar.PARALLEL_MIN_UNIQUE_PAIRS`
         unique value pairs.
-    sequence_max_chars:
-        Per-generator prefix cap for the character-level DP measures;
-        ``None`` uses the registry default
-        (:data:`repro.similarity.registry.SEQUENCE_MAX_CHARS`).
-    cache:
-        ``None`` (no caching), ``True`` (private
-        :class:`~repro.features.cache.FeatureMatrixCache`), or a cache
-        instance to share across generators.  Cached matrices are keyed
-        by plan + pair-set content fingerprints, so repeated transforms
-        of the same pairs (AutoML trials, active-learning iterations)
-        are O(1) lookups.
     """
 
     def __init__(self, plan: list[tuple[str, str]],
                  exclude_attributes: tuple[str, ...] = (), *,
-                 n_jobs: int = 1,
-                 sequence_max_chars: int | None = None,
-                 cache: FeatureMatrixCache | bool | None = None):
+                 n_jobs: int = 1):
         self.plan = [(a, m) for a, m in plan if a not in exclude_attributes]
         if not self.plan:
             raise ValueError("feature plan is empty")
         self.n_jobs = n_jobs
-        self.sequence_max_chars = sequence_max_chars
-        if cache is True:
-            cache = FeatureMatrixCache()
-        elif cache is False:
-            cache = None
-        self.cache = cache
         self._measures = [(a, get_measure(m)) for a, m in self.plan]
         self._token_cache = TokenCache()
 
@@ -87,19 +65,8 @@ class FeatureGenerator:
 
     def transform(self, pairs: PairSet) -> np.ndarray:
         """Compute the feature matrix for ``pairs`` (nan = missing)."""
-        key = None
-        if self.cache is not None:
-            key = self._cache_key(pairs)
-            cached = self.cache.lookup(key)
-            if cached is not None:
-                return cached
-        matrix = columnar_transform(
-            self._measures, pairs, n_jobs=self.n_jobs,
-            token_cache=self._token_cache,
-            sequence_max_chars=self.sequence_max_chars)
-        if self.cache is not None:
-            self.cache.store(key, matrix)
-        return matrix
+        return columnar_transform(self._measures, pairs, n_jobs=self.n_jobs,
+                                  token_cache=self._token_cache)
 
     def transform_naive(self, pairs: PairSet) -> np.ndarray:
         """Row-at-a-time reference implementation.
@@ -107,48 +74,34 @@ class FeatureGenerator:
         Kept as the ground truth the fast paths must bit-match, and as
         the baseline of ``benchmarks/bench_featuregen.py``.
         """
-        cap = self.sequence_max_chars
         matrix = np.empty((len(pairs), len(self._measures)), dtype=np.float64)
         for i, pair in enumerate(pairs):
             for j, (attribute, measure) in enumerate(self._measures):
                 matrix[i, j] = measure(pair.left.get(attribute),
-                                       pair.right.get(attribute),
-                                       sequence_max_chars=cap)
+                                       pair.right.get(attribute))
         np.copyto(matrix, np.nan, where=np.isinf(matrix))
         return matrix
-
-    def _cache_key(self, pairs: PairSet) -> tuple[str, str]:
-        return (plan_fingerprint(self.plan, self.sequence_max_chars),
-                pairs_fingerprint(pairs))
 
 
 def make_magellan_features(table_a: Table, table_b: Table,
                            types: dict[str, DataType] | None = None,
-                           exclude_attributes: tuple[str, ...] = (),
-                           **kwargs: Any) -> FeatureGenerator:
-    """Table I generator for a table pair (types inferred if omitted).
-
-    Extra keyword arguments (``n_jobs``, ``cache``,
-    ``sequence_max_chars``, ...) pass through to
-    :class:`FeatureGenerator`.
-    """
+                           exclude_attributes: tuple[str, ...] = (), *,
+                           n_jobs: int = 1) -> FeatureGenerator:
+    """Table I generator for a table pair (types inferred if omitted)."""
     if types is None:
         types = infer_schema_types(table_a, table_b)
     return FeatureGenerator(magellan_feature_plan(types),
-                            exclude_attributes=exclude_attributes, **kwargs)
+                            exclude_attributes=exclude_attributes,
+                            n_jobs=n_jobs)
 
 
 def make_autoem_features(table_a: Table, table_b: Table,
                          types: dict[str, DataType] | None = None,
-                         exclude_attributes: tuple[str, ...] = (),
-                         **kwargs: Any) -> FeatureGenerator:
-    """Table II generator for a table pair (types inferred if omitted).
-
-    Extra keyword arguments (``n_jobs``, ``cache``,
-    ``sequence_max_chars``, ...) pass through to
-    :class:`FeatureGenerator`.
-    """
+                         exclude_attributes: tuple[str, ...] = (), *,
+                         n_jobs: int = 1) -> FeatureGenerator:
+    """Table II generator for a table pair (types inferred if omitted)."""
     if types is None:
         types = infer_schema_types(table_a, table_b)
     return FeatureGenerator(autoem_feature_plan(types),
-                            exclude_attributes=exclude_attributes, **kwargs)
+                            exclude_attributes=exclude_attributes,
+                            n_jobs=n_jobs)

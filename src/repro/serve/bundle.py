@@ -38,6 +38,7 @@ from .. import persist
 from ..core.thresholding import apply_threshold
 from ..data.table import Table
 from ..features.vectorize import FeatureGenerator
+from ..similarity.registry import SEQUENCE_MAX_CHARS
 
 #: Current on-disk format; bumped on any incompatible manifest change.
 FORMAT_VERSION = 1
@@ -88,9 +89,6 @@ class ModelBundle:
         inference; a float applies
         :func:`repro.core.thresholding.apply_threshold` instead (e.g. a
         validation-tuned operating point).
-    sequence_max_chars:
-        The feature generator's character-DP prefix cap in force during
-        training (must match at serving time for identical features).
     metadata:
         Free-form JSON-serializable provenance: training metrics, the
         winning configuration, search settings, timestamps.
@@ -106,7 +104,6 @@ class ModelBundle:
                  plan: Iterable[tuple[str, str]],
                  schema: dict[str, str],
                  threshold: float | None = None,
-                 sequence_max_chars: int | None = None,
                  metadata: dict | None = None,
                  reference_profile: dict | None = None):
         self.predictor = predictor
@@ -120,7 +117,6 @@ class ModelBundle:
                 f"feature plan uses attributes absent from the recorded "
                 f"schema: {missing}")
         self.threshold = None if threshold is None else float(threshold)
-        self.sequence_max_chars = sequence_max_chars
         self.metadata = dict(metadata or {})
         self.reference_profile = (None if reference_profile is None
                                   else dict(reference_profile))
@@ -133,7 +129,6 @@ class ModelBundle:
             "plan": [list(slot) for slot in self.plan],
             "schema": self.schema,
             "threshold": self.threshold,
-            "sequence_max_chars": self.sequence_max_chars,
             "predictor_type": type(self.predictor).__name__,
             "metadata": self.metadata,
             "checksums": {PIPELINE_NAME: pipeline_checksum},
@@ -157,14 +152,9 @@ class ModelBundle:
 
     # -- serving --------------------------------------------------------
 
-    def feature_generator(self, **kwargs: Any) -> FeatureGenerator:
-        """A :class:`FeatureGenerator` reproducing the training features.
-
-        Keyword arguments (``n_jobs``, ``cache``, ...) pass through; the
-        plan and sequence cap always come from the bundle.
-        """
-        kwargs.setdefault("sequence_max_chars", self.sequence_max_chars)
-        return FeatureGenerator(list(self.plan), **kwargs)
+    def feature_generator(self, *, n_jobs: int = 1) -> FeatureGenerator:
+        """A :class:`FeatureGenerator` reproducing the training features."""
+        return FeatureGenerator(list(self.plan), n_jobs=n_jobs)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """P(match) per row of a feature matrix."""
@@ -275,11 +265,18 @@ class ModelBundle:
                 f"{path}: pickled predictor is a "
                 f"{type(predictor).__name__}, manifest says "
                 f"{manifest.get('predictor_type')!r}")
+        # Bundles written before the character-DP prefix cap became a
+        # constant record it; every one of them holds null (the default).
+        cap = manifest.get("sequence_max_chars")
+        if cap not in (None, SEQUENCE_MAX_CHARS):
+            raise BundleError(
+                f"{manifest_path}: the bundle was trained with a "
+                f"character-DP prefix cap of {cap!r}; this build "
+                f"featurizes with {SEQUENCE_MAX_CHARS} only")
         bundle = cls(predictor,
                      plan=[tuple(slot) for slot in manifest["plan"]],
                      schema=manifest["schema"],
                      threshold=manifest.get("threshold"),
-                     sequence_max_chars=manifest.get("sequence_max_chars"),
                      metadata=manifest.get("metadata"),
                      reference_profile=manifest.get("reference_profile"))
         return bundle

@@ -5,10 +5,8 @@ over whole tables: candidate pairs come from a blocker, featurization
 runs in micro-batches (so peak memory is bounded by ``batch_size`` rows
 of features, not by the candidate count) and the bundle's predictor
 scores each batch as it is produced.  The feature generator — and with
-it the shared token cache and optional
-:class:`~repro.features.cache.FeatureMatrixCache` — persists across
-batches and across calls, so repeated values are tokenized once per
-serving session.
+it the shared token cache — persists across batches and across calls,
+so repeated values are tokenized once per serving session.
 
 :class:`StreamMatcher` is the incremental variant: callers submit
 candidate-pair batches as they arrive; every request is timed and
@@ -42,7 +40,6 @@ from ..blocking.index import BlockIndex
 from ..data.pairs import PairSet
 from ..data.table import Record, Table
 from ..events import EventLog
-from ..features.cache import FeatureMatrixCache
 from ..ml.metrics import precision_recall_f1
 from .bundle import ModelBundle
 from .telemetry import ServeMetrics
@@ -145,13 +142,12 @@ class _MatcherBase:
     """Shared bundle/featurizer/telemetry plumbing of the two matchers."""
 
     def __init__(self, bundle: ModelBundle, *, n_jobs: int = 1,
-                 cache: FeatureMatrixCache | bool | None = None,
                  request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
         self.bundle = bundle
-        self.generator = bundle.feature_generator(n_jobs=n_jobs, cache=cache)
+        self.generator = bundle.feature_generator(n_jobs=n_jobs)
         self.metrics = ServeMetrics()
         self._exit = ExitStack()
         self.request_log = self._exit.enter_context(
@@ -273,7 +269,7 @@ class BatchMatcher(_MatcherBase):
         Micro-batch row cap for featurization + scoring; peak feature
         memory is ``O(batch_size × n_features)`` regardless of how many
         candidate pairs blocking produces.
-    n_jobs / cache:
+    n_jobs:
         Forwarded to the bundle's :class:`FeatureGenerator`.
     request_log:
         Optional JSONL telemetry: a path (rewritten, and closed by
@@ -292,16 +288,14 @@ class BatchMatcher(_MatcherBase):
 
     def __init__(self, bundle: ModelBundle, blocker: Blocker | None = None,
                  *, batch_size: int = 4096, n_jobs: int = 1,
-                 cache: FeatureMatrixCache | bool | None = None,
                  request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        super().__init__(bundle, n_jobs=n_jobs, cache=cache,
-                         request_log=request_log, monitor=monitor,
-                         shadow=shadow, resolver=resolver)
+        super().__init__(bundle, n_jobs=n_jobs, request_log=request_log,
+                         monitor=monitor, shadow=shadow, resolver=resolver)
         self.blocker = blocker
         self.batch_size = batch_size
 
@@ -347,14 +341,12 @@ class StreamMatcher(_MatcherBase):
     def __init__(self, bundle: ModelBundle, *,
                  index: BlockIndex | None = None,
                  max_batch_rows: int | None = None, n_jobs: int = 1,
-                 cache: FeatureMatrixCache | bool | None = None,
                  request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
-        super().__init__(bundle, n_jobs=n_jobs, cache=cache,
-                         request_log=request_log, monitor=monitor,
-                         shadow=shadow, resolver=resolver)
+        super().__init__(bundle, n_jobs=n_jobs, request_log=request_log,
+                         monitor=monitor, shadow=shadow, resolver=resolver)
         if max_batch_rows is not None and max_batch_rows < 1:
             raise ValueError(
                 f"max_batch_rows must be >= 1, got {max_batch_rows}")

@@ -6,8 +6,7 @@ front-end: callers from any number of threads enqueue requests onto a
 bounded queue and receive :class:`concurrent.futures.Future` objects; a
 pool of worker threads drains the queue and drives the wrapped matcher.
 Correctness under this concurrency rests on the locking introduced down
-the stack — the RLock-guarded
-:class:`~repro.features.cache.FeatureMatrixCache`, the locked
+the stack — the locked
 :class:`~repro.features.columnar.TokenCache` eviction, the
 reader–writer discipline on :class:`~repro.blocking.index.BlockIndex`
 (probes share the read side, :meth:`MatchService.extend_index` takes

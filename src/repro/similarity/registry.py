@@ -29,11 +29,9 @@ from .tokenizers import QGRAM3, SPACE, Tokenizer
 #: are evaluated on this prefix.  Table II applies every measure to every
 #: string attribute, and beyond ~a dozen words the alignment of the head
 #: tokens carries the identifying signal — the token-set measures cover
-#: the tail.  This module-level value is the *default*; callers that need
-#: a different cap pass ``sequence_max_chars`` to
-#: :meth:`SimilarityMeasure.__call__` / :meth:`SimilarityMeasure.scorer` /
-#: :meth:`SimilarityMeasure.score_column`
-#: (``FeatureGenerator`` exposes it as a constructor knob).
+#: the tail.  It is a constant, not an option: a model bundle's features
+#: depend on it, and :meth:`repro.serve.ModelBundle.load` rejects a
+#: bundle that records a different cap.
 SEQUENCE_MAX_CHARS = 64
 
 #: Measures that get the prefix cap (pairwise character DP / matching).
@@ -41,13 +39,6 @@ _CAPPED_SEQUENCE_MEASURES = frozenset({
     "lev_dist", "lev_sim", "jaro", "jaro_winkler", "needleman_wunsch",
     "smith_waterman",
 })
-
-
-def _cap(sequence_max_chars: int | None) -> int:
-    """The prefix cap in force: ``sequence_max_chars``, else the module
-    default, read at call time so it stays patchable."""
-    return (SEQUENCE_MAX_CHARS if sequence_max_chars is None
-            else sequence_max_chars)
 
 
 def _as_numbers(v1: object, v2: object) -> tuple[float, float] | None:
@@ -116,8 +107,7 @@ class SimilarityMeasure:
         self._capped = name in _CAPPED_SEQUENCE_MEASURES
         self.dp_layer = dp_layer
 
-    def __call__(self, v1: object, v2: object,
-                 sequence_max_chars: int | None = None) -> float:
+    def __call__(self, v1: object, v2: object) -> float:
         if v1 is None or v2 is None:
             return float("nan")
         if self.kind == "numeric":
@@ -130,66 +120,29 @@ class SimilarityMeasure:
             return self._func(*sets.token_counts(self.tokenizer(s1),
                                                  self.tokenizer(s2)))
         if self._capped:
-            cap = _cap(sequence_max_chars)
-            s1 = s1[:cap]
-            s2 = s2[:cap]
+            s1 = s1[:SEQUENCE_MAX_CHARS]
+            s2 = s2[:SEQUENCE_MAX_CHARS]
         return self._func(s1, s2)
 
-    def scorer(self, sequence_max_chars: int | None = None
-               ) -> Callable[[object, object], float]:
-        """A plain ``f(v1, v2) -> float`` equivalent to calling the measure.
-
-        The returned callable hoists the per-call dispatch (kind checks)
-        out of hot loops.  ``sequence_max_chars`` overrides the
-        module-level :data:`SEQUENCE_MAX_CHARS` prefix cap for DP
-        measures.  Set measures have no scorer: they score
-        :func:`token_counts_column` output (:meth:`score_counts`).
-        """
-        nan = float("nan")
-        func = self._func
-        if self.kind == "numeric":
-            def score_numeric(v1: object, v2: object) -> float:
-                numbers = _as_numbers(v1, v2)
-                return nan if numbers is None else func(*numbers)
-            return score_numeric
-        if self.kind == "boolean":
-            def score_boolean(v1: object, v2: object) -> float:
-                if v1 is None or v2 is None:
-                    return nan
-                return func(v1, v2)
-            return score_boolean
-        if self._capped:
-            def score_capped(v1: object, v2: object) -> float:
-                if v1 is None or v2 is None:
-                    return nan
-                cap = _cap(sequence_max_chars)
-                return func(str(v1)[:cap], str(v2)[:cap])
-            return score_capped
-        def score_sequence(v1: object, v2: object) -> float:
-            if v1 is None or v2 is None:
-                return nan
-            return func(str(v1), str(v2))
-        return score_sequence
-
     def score_column(self, value_pairs: Sequence[tuple[object, object]],
-                     token_cache: MutableMapping[Any, Any] | None = None,
-                     sequence_max_chars: int | None = None) -> np.ndarray:
+                     token_cache: MutableMapping[Any, Any] | None = None
+                     ) -> np.ndarray:
         """Scores of raw ``(v1, v2)`` pairs, one float per pair.
 
         Equal, element for element, to calling the measure on each pair.
         Set measures score the token counts of each pair
         (:meth:`score_counts`); measures with a column function (the
         character DPs) score all pairs with no missing side in one
-        batched call.
+        batched call; the rest call the measure pair by pair.
         """
         if self.tokenizer is not None:
             return self.score_counts(token_counts_column(
                 self.tokenizer, value_pairs, token_cache))
         if self._column is None:
-            score = self.scorer(sequence_max_chars)
+            score = self.__call__  # bound once, not looked up per pair
             return np.fromiter((score(v1, v2) for v1, v2 in value_pairs),
                                dtype=np.float64, count=len(value_pairs))
-        present, inputs = self._column_inputs(value_pairs, sequence_max_chars)
+        present, inputs = self._column_inputs(value_pairs)
         out = np.full(len(value_pairs), np.nan)
         if present:
             out[present] = self._column(inputs)
@@ -203,8 +156,7 @@ class SimilarityMeasure:
                             for c in counts),
                            dtype=np.float64, count=len(counts))
 
-    def dp_pairs(self, value_pairs: Sequence[tuple[object, object]],
-                 sequence_max_chars: int | None = None
+    def dp_pairs(self, value_pairs: Sequence[tuple[object, object]]
                  ) -> list[seq.StringPair]:
         """The string pairs this DP measure's column hands the kernel.
 
@@ -212,15 +164,14 @@ class SimilarityMeasure:
         a kernel run shared with other pairs, one of them would widen
         every pair's row.  The column call scores them on its own.
         """
-        _, inputs = self._column_inputs(value_pairs, sequence_max_chars)
+        _, inputs = self._column_inputs(value_pairs)
         if self.kind != "numeric":
             return inputs
-        cap = _cap(sequence_max_chars)
         return [(s1, s2) for s1, s2 in num.renderings(inputs)[1]
-                if len(s1) <= cap and len(s2) <= cap]
+                if len(s1) <= SEQUENCE_MAX_CHARS
+                and len(s2) <= SEQUENCE_MAX_CHARS]
 
-    def _column_inputs(self, value_pairs: Sequence[tuple[object, object]],
-                       sequence_max_chars: int | None
+    def _column_inputs(self, value_pairs: Sequence[tuple[object, object]]
                        ) -> tuple[list[int], list]:
         """Positions of the pairs the column function scores, and its
         input: parsed numbers, or prefix-capped strings."""
@@ -229,7 +180,7 @@ class SimilarityMeasure:
             present = [k for k, numbers in enumerate(parsed)
                        if numbers is not None]
             return present, [parsed[k] for k in present]
-        cap = _cap(sequence_max_chars)
+        cap = SEQUENCE_MAX_CHARS
         present = [k for k, (v1, v2) in enumerate(value_pairs)
                    if v1 is not None and v2 is not None]
         return present, [(str(v1)[:cap], str(v2)[:cap])

@@ -100,18 +100,17 @@ class TestConfiguration:
 
 
 class TestTelemetry:
-    def test_run_log_includes_feature_cache_stats(self, splits, tmp_path):
+    def test_run_log_summary_names_the_feature_plan(self, splits, tmp_path):
         from repro.events import read_events
 
         train, valid, _ = splits
         path = tmp_path / "em-run.jsonl"
         matcher = AutoMLEM(n_iterations=3, forest_size=8, seed=0,
-                           feature_cache=True, run_log=path)
+                           run_log=path)
         matcher.fit(train, valid)
         records = read_events(path)
         summary = [r for r in records if r["type"] == "summary"][0]
         assert summary["feature_plan"] == "autoem"
-        assert summary["feature_cache"]["misses"] >= 1
         assert sum(1 for r in records if r["type"] == "trial") == 3
 
     def test_trial_knobs_reach_automl(self, rng):

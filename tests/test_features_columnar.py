@@ -1,10 +1,9 @@
-"""Equivalence and caching tests for the columnar feature engine.
+"""Equivalence tests for the columnar feature engine.
 
-Every fast path — columnar, tokenization-cached, process-parallel,
-matrix-cached, and single-pair — must produce values bit-identical
-(nan-aware) to the naive row-at-a-time reference loop, across string,
-numeric and boolean attributes, missing values, and every registered
-measure.
+Every fast path — columnar, tokenization-cached, process-parallel and
+request-sized — must produce values bit-identical (nan-aware) to the
+naive row-at-a-time reference loop, across string, numeric and boolean
+attributes, missing values, and every registered measure.
 """
 
 import math
@@ -20,11 +19,9 @@ from hypothesis import strategies as st
 from repro.data import PairSet, RecordPair, Table
 from repro.features import (
     FeatureGenerator,
-    FeatureMatrixCache,
     autoem_feature_plan,
     columnar,
     magellan_feature_plan,
-    make_autoem_features,
 )
 from repro.features.columnar import TokenCache, resolve_n_jobs
 from repro.features.types import DataType
@@ -127,12 +124,28 @@ class TestEquivalence:
         generator = FeatureGenerator(FULL_PLAN)
         assert generator.transform(pairs).shape == (0, 21)
 
+    def test_non_integer_record_ids_supported(self):
+        from uuid import UUID
+
+        rows_a = [["arts deli", 12.0, True], ["fenix", 9.0, False]]
+        rows_b = [["arts delicatessen", 12.5, True], ["fenix bar", 8.0, None]]
+        ids_a = ["rec-alpha", UUID("12345678-1234-5678-1234-567812345678")]
+        table_a = Table("A", COLUMNS, rows_a, ids=ids_a)
+        table_b = Table("B", COLUMNS, rows_b, ids=["x", "y"])
+        pairs = PairSet(table_a, table_b,
+                        [RecordPair(table_a[0], table_b[0]),
+                         RecordPair(table_a[1], table_b[1])])
+        generator = FeatureGenerator(FULL_PLAN)
+        assert_bits_equal(generator.transform(pairs),
+                          generator.transform_naive(pairs))
+
 
 class TestPropertyEquivalence:
     values = st.one_of(
         st.none(),
         st.booleans(),
         st.floats(allow_nan=False, width=32),
+        st.floats(allow_nan=False, width=32).map(np.float64),
         st.text(alphabet="ab c'1.", max_size=12),
     )
 
@@ -301,127 +314,6 @@ class TestInfGuard:
         assert math.isnan(generator.transform_naive(pairs)[0, 0])
 
 
-class TestSequenceCapKnob:
-    long_a = "a" * 500
-    long_b = "a" * 500 + "b"
-
-    def _pairs(self):
-        return make_pairs([[self.long_a, None, None]],
-                          [[self.long_b, None, None]], [(0, 0)])
-
-    def test_default_cap_matches_registry(self):
-        generator = FeatureGenerator([("name", "lev_dist")])
-        assert generator.transform(self._pairs())[0, 0] == 0.0
-
-    def test_custom_cap_changes_dp_measures(self):
-        # With the cap beyond both strings, the trailing "b" is seen.
-        generator = FeatureGenerator([("name", "lev_dist")],
-                                     sequence_max_chars=1000)
-        assert generator.transform(self._pairs())[0, 0] == 1.0
-
-    def test_custom_cap_equivalent_across_paths(self):
-        generator = FeatureGenerator(
-            [("name", m) for m in ALL_STRING_MEASURES],
-            sequence_max_chars=8)
-        pairs = self._pairs()
-        reference = generator.transform_naive(pairs)
-        assert_bits_equal(generator.transform(pairs), reference)
-
-    def test_cap_is_part_of_cache_key(self):
-        pairs = self._pairs()
-        cache = FeatureMatrixCache()
-        capped = FeatureGenerator([("name", "lev_dist")],
-                                  sequence_max_chars=8, cache=cache)
-        uncapped = FeatureGenerator([("name", "lev_dist")],
-                                    sequence_max_chars=1000, cache=cache)
-        assert capped.transform(pairs)[0, 0] == 0.0
-        assert uncapped.transform(pairs)[0, 0] == 1.0
-        assert cache.stats["hits"] == 0
-
-
-class TestMatrixCache:
-    def test_cache_hit_on_repeat_transform(self, duplicate_heavy_pairs):
-        generator = FeatureGenerator(FULL_PLAN, cache=True)
-        first = generator.transform(duplicate_heavy_pairs)
-        second = generator.transform(duplicate_heavy_pairs)
-        assert_bits_equal(first, second)
-        assert generator.cache.stats == {"entries": 1, "hits": 1,
-                                         "misses": 1}
-
-    def test_cached_matrix_is_mutation_safe(self, duplicate_heavy_pairs):
-        generator = FeatureGenerator(FULL_PLAN, cache=True)
-        first = generator.transform(duplicate_heavy_pairs)
-        first[:] = -99.0
-        second = generator.transform(duplicate_heavy_pairs)
-        assert not (second == -99.0).any()
-
-    def test_labels_do_not_affect_the_key(self, duplicate_heavy_pairs):
-        generator = FeatureGenerator(FULL_PLAN, cache=True)
-        generator.transform(duplicate_heavy_pairs)
-        generator.transform(duplicate_heavy_pairs.without_labels())
-        assert generator.cache.hits == 1
-
-    def test_different_pairs_miss(self, duplicate_heavy_pairs):
-        generator = FeatureGenerator(FULL_PLAN, cache=True)
-        generator.transform(duplicate_heavy_pairs)
-        generator.transform(duplicate_heavy_pairs[:3])
-        assert generator.cache.stats["entries"] == 2
-        assert generator.cache.hits == 0
-
-    def test_shared_cache_across_generators(self, duplicate_heavy_pairs):
-        cache = FeatureMatrixCache()
-        table_a = duplicate_heavy_pairs.table_a
-        table_b = duplicate_heavy_pairs.table_b
-        first = make_autoem_features(table_a, table_b, cache=cache)
-        second = make_autoem_features(table_a, table_b, cache=cache)
-        matrix = first.transform(duplicate_heavy_pairs)
-        assert_bits_equal(
-            second.transform(duplicate_heavy_pairs), matrix)
-        assert cache.hits == 1
-
-    def test_non_integer_record_ids_supported(self):
-        from uuid import UUID
-
-        from repro.features.cache import pairs_fingerprint
-
-        rows_a = [["arts deli", 12.0, True], ["fenix", 9.0, False]]
-        rows_b = [["arts delicatessen", 12.5, True], ["fenix bar", 8.0, None]]
-        ids_a = ["rec-alpha", UUID("12345678-1234-5678-1234-567812345678")]
-        table_a = Table("A", COLUMNS, rows_a, ids=ids_a)
-        table_b = Table("B", COLUMNS, rows_b, ids=["x", "y"])
-        pairs = PairSet(table_a, table_b,
-                        [RecordPair(table_a[0], table_b[0]),
-                         RecordPair(table_a[1], table_b[1])])
-        fingerprint = pairs_fingerprint(pairs)  # used to crash on str ids
-        assert fingerprint == pairs_fingerprint(pairs)
-        generator = FeatureGenerator(FULL_PLAN, cache=True)
-        first = generator.transform(pairs)
-        assert_bits_equal(generator.transform(pairs), first)
-        assert generator.cache.hits == 1
-
-    def test_id_types_not_conflated(self):
-        from repro.features.cache import pairs_fingerprint
-
-        rows = [["a", 1.0, True], ["b", 2.0, False]]
-        int_ids = Table("A", COLUMNS, rows, ids=[1, 2])
-        str_ids = Table("A", COLUMNS, rows, ids=["1", "2"])
-        other = Table("B", COLUMNS, rows)
-        int_pairs = PairSet(int_ids, other,
-                            [RecordPair(int_ids[0], other[0])])
-        str_pairs = PairSet(str_ids, other,
-                            [RecordPair(str_ids[0], other[0])])
-        assert pairs_fingerprint(int_pairs) != pairs_fingerprint(str_pairs)
-
-    def test_lru_eviction(self, duplicate_heavy_pairs):
-        generator = FeatureGenerator(FULL_PLAN,
-                                     cache=FeatureMatrixCache(max_entries=1))
-        generator.transform(duplicate_heavy_pairs)
-        generator.transform(duplicate_heavy_pairs[:3])
-        assert len(generator.cache) == 1
-        generator.transform(duplicate_heavy_pairs)
-        assert generator.cache.hits == 0
-
-
 class TestKnobValidation:
     def test_resolve_n_jobs(self):
         assert resolve_n_jobs(None) == 1
@@ -466,10 +358,14 @@ class TestValueDedupKeys:
     def test_negative_zero_not_collapsed_with_positive_zero(self):
         """-0.0 == 0.0 (equal hash too) but str() renders them
         differently, so they must stay distinct dedup entries —
-        regression for the columnar/naive mismatch on [-0.0 vs 0.0]."""
-        rows_a = [[-0.0, None, None], [0.0, None, None]]
-        rows_b = [[None, None, None], [None, None, None]]
-        pairs = make_pairs(rows_a, rows_b, [(0, 0), (1, 1)])
+        regression for the columnar/naive mismatch on [-0.0 vs 0.0].
+        numpy's floats must not collapse either."""
+        zeros = [-0.0, 0.0, np.float64(-0.0), np.float64(0.0),
+                 np.float32(-0.0), np.float32(0.0)]
+        rows_a = [[zero, None, None] for zero in zeros]
+        rows_b = [["0.0", None, None]] * len(zeros)
+        pairs = make_pairs(rows_a, rows_b,
+                           [(i, i) for i in range(len(zeros))])
         plan = [("name", m) for m in ALL_STRING_MEASURES]
         generator = FeatureGenerator(plan)
         assert_bits_equal(generator.transform(pairs),

@@ -150,8 +150,7 @@ class TestForBundle:
 
         native = trained_em[0].export_bundle()
         bare = ModelBundle(native.predictor, plan=native.plan,
-                           schema=native.schema,
-                           sequence_max_chars=native.sequence_max_chars)
+                           schema=native.schema)
         with pytest.raises(ValueError, match="no reference profile"):
             FeatureDriftMonitor.for_bundle(bare)
 

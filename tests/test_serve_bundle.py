@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from bit_parity import assert_bits_equal
 
 from repro.serve import (
     FORMAT_VERSION,
@@ -13,13 +14,30 @@ from repro.serve import (
     ModelRegistry,
     SchemaMismatchError,
 )
-from repro.serve.bundle import MANIFEST_NAME, PIPELINE_NAME
+from repro.serve.bundle import (
+    MANIFEST_NAME,
+    PIPELINE_NAME,
+    _canonical_json,
+    _sha256,
+)
 
 
 @pytest.fixture()
 def bundle(trained_em):
     matcher, _, _, test = trained_em
     return matcher.export_bundle(metrics=matcher.evaluate(test))
+
+
+def _rewrite_manifest(path, **fields):
+    """Set manifest ``fields`` and recompute the manifest fingerprint, as
+    a bundle written with those fields would carry it."""
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest.pop("fingerprint")
+    manifest.update(fields)
+    manifest["fingerprint"] = _sha256(
+        _canonical_json(manifest).encode("utf-8"))
+    manifest_path.write_text(json.dumps(manifest))
 
 
 class TestRoundTrip:
@@ -39,7 +57,6 @@ class TestRoundTrip:
         assert loaded.plan == bundle.plan
         assert loaded.schema == bundle.schema
         assert loaded.threshold == bundle.threshold
-        assert loaded.sequence_max_chars == bundle.sequence_max_chars
         assert loaded.metadata == bundle.metadata
         assert loaded.fingerprint == bundle.fingerprint
 
@@ -122,6 +139,25 @@ class TestIntegrity:
         bundle.save(tmp_path / "b")
         (tmp_path / "b" / PIPELINE_NAME).unlink()
         with pytest.raises(BundleIntegrityError, match=PIPELINE_NAME):
+            ModelBundle.load(tmp_path / "b")
+
+    def test_manifest_with_null_sequence_cap_loads(self, trained_em, bundle,
+                                                   tmp_path):
+        # Bundles written while the prefix cap was a generator option
+        # record ``"sequence_max_chars": null``.
+        matcher, _, _, test = trained_em
+        bundle.save(tmp_path / "b")
+        _rewrite_manifest(tmp_path / "b", sequence_max_chars=None)
+        loaded = ModelBundle.load(tmp_path / "b")
+        X = loaded.feature_generator().transform(test)
+        assert_bits_equal(X, matcher.feature_generator_.transform(test))
+        assert_bits_equal(loaded.predict_proba(X),
+                          matcher.predict_proba(test)[:, 1])
+
+    def test_manifest_with_other_sequence_cap_raises(self, bundle, tmp_path):
+        bundle.save(tmp_path / "b")
+        _rewrite_manifest(tmp_path / "b", sequence_max_chars=8)
+        with pytest.raises(BundleError, match="prefix cap of 8"):
             ModelBundle.load(tmp_path / "b")
 
     def test_failed_overwrite_restores_old_bundle(self, bundle, tmp_path,

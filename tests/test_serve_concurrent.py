@@ -19,7 +19,6 @@ import pytest
 from repro.blocking import BlockIndex, QGramBlocker
 from repro.concurrency import lock_witness_enabled
 from repro.events import EventLog, read_events
-from repro.features.cache import FeatureMatrixCache
 from repro.monitor import ShadowEvaluator
 from repro.resolve import EntityStore
 from repro.serve import (
@@ -349,39 +348,6 @@ class TestBackpressure:
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.submit("late")
-
-
-class TestFeatureMatrixCacheConcurrency:
-    def test_counters_and_capacity_under_contention(self):
-        cache = FeatureMatrixCache(max_entries=8)
-        n_threads = 8
-        ops_per_thread = 1500
-        lookups_issued = [0] * n_threads
-
-        def hammer(thread_index, barrier):
-            rng = np.random.default_rng(thread_index)
-            keys = rng.integers(0, 32, size=ops_per_thread)
-            stores = rng.random(ops_per_thread) < 0.3
-            barrier.wait()
-            for key, store in zip(keys, stores):
-                key = int(key)
-                if store:
-                    cache.store(key, np.full((2, 2), float(key)))
-                else:
-                    matrix = cache.lookup(key)
-                    lookups_issued[thread_index] += 1
-                    if matrix is not None:
-                        # Entries are copies: corruption here must never
-                        # reach another thread's lookup.
-                        assert np.all(matrix == float(key))
-                        matrix[:] = -1.0
-
-        _run_threads(n_threads, hammer)
-        assert cache.lookups == cache.hits + cache.misses
-        assert cache.lookups == sum(lookups_issued)
-        assert len(cache) <= 8
-        stats = cache.stats
-        assert stats["hits"] + stats["misses"] == cache.lookups
 
 
 class TestRunLogConcurrency:

@@ -302,8 +302,7 @@ class TestSingleScoringPass:
         matcher, _, _, test = trained_em
         native = matcher.export_bundle()
         tuned = ModelBundle(native.predictor, plan=native.plan,
-                            schema=native.schema, threshold=0.4,
-                            sequence_max_chars=native.sequence_max_chars)
+                            schema=native.schema, threshold=0.4)
         serve = BatchMatcher(tuned)
         result = serve.match_pairs(test)
         X = serve.generator.transform(test)
