@@ -18,7 +18,9 @@ gold pairs ``(i, i)`` — then measures each indexed blocker
 The indexed candidates restricted to the naive slice are asserted equal
 to the naive slice's output first — the speedup compares two paths that
 provably return the same pairs.  Results go to ``BENCH_blocking.json``
-at the repo root.
+at the repo root, under the provenance header every ``BENCH_*.json``
+carries (``benchmarks/common.provenance()``: git SHA, python/numpy
+versions, CPU count).
 
 Usage::
 
@@ -47,6 +49,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from common import provenance  # noqa: E402
 from repro.blocking import (  # noqa: E402
     MinHashLSHBlocker,
     QGramBlocker,
@@ -175,6 +178,7 @@ def run_bench(n_records: int = 5000, seed: int = 0,
             "name", num_perm=126, bands=42, random_state=seed),
     }
     return {
+        "provenance": provenance(),
         "workload": {
             "n_records": n_records,
             "cross_product": n_records * n_records,

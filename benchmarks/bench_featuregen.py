@@ -16,8 +16,8 @@ dominates.
 
 Every path is timed cold: the process-wide memos of
 :mod:`repro.similarity.sequence` (the DP kernel's ``DP_MEMO`` and the
-Jaro ``lru_cache``) are cleared before each one, so no path reuses
-alignment or edit-distance scores an earlier path computed.  The parallel
+Jaro/Jaro-Winkler ``JARO_MEMO``) are cleared before each one, so no path
+reuses a score an earlier path computed.  The parallel
 path runs at the engine's default pool threshold
 (:data:`repro.features.columnar.PARALLEL_MIN_UNIQUE_PAIRS`); the report
 records whether the workload crossed it.
@@ -116,12 +116,10 @@ def build_workload(n_pairs: int = 6000, duplication: int = 4,
 
 def clear_similarity_caches() -> None:
     """Empty the similarity memos of :mod:`repro.similarity.sequence`:
-    the DP kernel's :data:`~repro.similarity.sequence.DP_MEMO` and every
-    ``lru_cache`` (Jaro)."""
+    the DP kernel's :data:`~repro.similarity.sequence.DP_MEMO` and the
+    Jaro/Jaro-Winkler :data:`~repro.similarity.sequence.JARO_MEMO`."""
     sequence.DP_MEMO.clear()
-    for value in vars(sequence).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    sequence.JARO_MEMO.clear()
 
 
 def _transform_in_requests(generator: FeatureGenerator,

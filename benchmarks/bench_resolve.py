@@ -18,7 +18,10 @@ ways a serving path can keep entity ids current:
 Parity comes before speed: the incremental store's final partition —
 including the correlation-clustering refined view — must be
 bit-identical to the one-shot batch re-cluster, and both fingerprints
-must agree.  Results go to ``BENCH_resolve.json`` at the repo root.
+must agree.  Results go to ``BENCH_resolve.json`` at the repo root,
+under the provenance header every ``BENCH_*.json`` carries
+(``benchmarks/common.provenance()``: git SHA, python/numpy versions,
+CPU count).
 
 Usage::
 
@@ -45,6 +48,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from common import provenance  # noqa: E402
 from repro.resolve import (  # noqa: E402
     ConnectedComponents,
     CorrelationClustering,
@@ -172,6 +176,7 @@ def run_bench(n_decisions: int = 50000, seed: int = 0,
     raw_matches = bare.n_components == len(incremental_entities)
 
     return {
+        "provenance": provenance(),
         "workload": {
             "n_decisions": len(decisions),
             "n_gold_pairs": len(gold),

@@ -8,7 +8,6 @@ tuples against a fixed schema; values are ``str``, ``float``, ``bool`` or
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
@@ -105,23 +104,6 @@ class Table:
     @property
     def num_rows(self) -> int:
         return len(self._records)
-
-    @property
-    def fingerprint(self) -> str:
-        """Content digest over schema and rows, computed once.
-
-        Tables are immutable, so the digest is a stable identity, equal
-        across distinct ``Table`` objects holding equal data.
-        """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            digest = hashlib.sha1()
-            digest.update(repr(self.columns).encode("utf-8"))
-            for record in self._records:
-                digest.update(
-                    repr((record.record_id, record.values)).encode("utf-8"))
-            cached = self._fingerprint = digest.hexdigest()
-        return cached
 
     def __len__(self) -> int:
         return self.num_rows

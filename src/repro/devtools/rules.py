@@ -97,11 +97,10 @@ _IMPURE_CALLS = frozenset({
 class WallClockInHashedPath(Rule):
     """REP002: wall-clock / env-dependent calls in fingerprint paths.
 
-    ``Table.fingerprint``, block-index fingerprints and
-    ``ModelBundle`` fingerprints must digest *content only*: a
-    timestamp or environment read in those modules silently turns
-    equal inputs into distinct cache keys (or equal bundles into
-    distinct fingerprints).  Scoped to every package that defines a
+    Block-index (record chain and blocker config) and ``ModelBundle``
+    fingerprints must digest *content only*: a timestamp or environment
+    read in those modules silently turns equal inputs into distinct
+    cache keys (or equal bundles into distinct fingerprints).  Scoped to every package that defines a
     fingerprint or cache key (``tests/test_devtools_lint.py`` checks
     that none lives elsewhere); telemetry and latency measurement
     elsewhere may use clocks freely (``time.monotonic``/``perf_counter``

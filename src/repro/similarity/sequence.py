@@ -22,7 +22,9 @@ leaves the row block once done.  A long run goes through the kernel in
 blocks of at most :data:`_KERNEL_BLOCK_ROWS` ``(layer, pair)`` rows, so
 its memory stays bounded however many pairs it scores.  With
 integer-valued scoring parameters (the defaults) every cell is an
-exactly represented integer, so the scores are exact.
+integer, so the scores are exact; when a bound on the run's cells fits
+``int16`` (the defaults at the 64-character cap) the row block is
+``int16``, a quarter of the bytes ``float64`` moves per row step.
 
 The column functions (:func:`levenshtein_distances`,
 :func:`needleman_wunsch_scores`, ...) score a whole column of pairs
@@ -40,6 +42,11 @@ themselves, one layer at a time.  Feature generation applies several
 measures to the same value pair (``lev_dist`` and ``lev_sim`` share one
 layer) and record values repeat across candidate pairs and across fits.
 
+Jaro finds each match with ``str.find`` over the match window.  Its
+scores, and the Jaro-Winkler scores of the word pairs Monge-Elkan
+compares (:func:`best_jaro_winkler`), live in a second bounded memo,
+:data:`JARO_MEMO`.
+
 All ``*_similarity`` functions return values in ``[0, 1]`` where 1 means
 identical; distances return non-negative raw scores.
 """
@@ -48,7 +55,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Iterable, Sequence
-from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -57,8 +63,9 @@ import numpy as np
 #: A value pair as the DP kernel sees it (already prefix-capped).
 StringPair = tuple[str, str]
 
-#: Entry bound of :data:`DP_MEMO`.  When an insert would cross it the
-#: memo is emptied first (wholesale eviction).
+#: Entry bound of each :class:`DPMemo` (:data:`DP_MEMO`, :data:`JARO_MEMO`).
+#: When an insert would cross it the memo is emptied first (wholesale
+#: eviction).
 DP_MEMO_MAX_ENTRIES = 196_608
 
 #: Most ``(layer, pair)`` rows the kernel advances at once; a longer run
@@ -92,7 +99,8 @@ SMITH_WATERMAN = Layer(1.0, 1.0, 0.0, local=True)
 
 
 class DPMemo:
-    """Bounded ``(layer, s1, s2) -> raw DP score`` memo.
+    """Bounded ``key -> score`` memo: :data:`DP_MEMO` keys raw DP scores
+    ``(layer, s1, s2)``, :data:`JARO_MEMO` Jaro and Jaro-Winkler scores.
 
     Shared by every thread of the process (a
     :class:`~repro.serve.service.MatchService` scores on two).  Reads
@@ -111,8 +119,8 @@ class DPMemo:
         return len(self._scores)
 
     def update(self, scores: dict[tuple, float]) -> None:
-        """Insert ``(layer, s1, s2) -> score`` entries, emptying the memo
-        at the bound.
+        """Insert ``key -> score`` entries, emptying the memo at the
+        bound.
 
         An update larger than the bound keeps its first
         :data:`DP_MEMO_MAX_ENTRIES` entries.
@@ -132,6 +140,12 @@ class DPMemo:
 
 #: The memo in front of the DP kernel.
 DP_MEMO = DPMemo()
+
+#: Jaro scores under ``(s1, s2)``, and the Jaro-Winkler scores of
+#: Monge-Elkan's word pairs under ``(w1, w2, 0.1)``.  Apart from
+#: :data:`DP_MEMO`, so that word pairs cannot evict the DP scores a
+#: transform has just filled before its column calls read them.
+JARO_MEMO = DPMemo()
 
 
 def exact_match(s1: str, s2: str) -> float:
@@ -172,11 +186,32 @@ class _Batch:
         self.active: list[int] = np.searchsorted(
             -len2[self.order], -np.arange(self.rows + 2),
             side="right").tolist()
-        self.index = np.arange(self.codes1.shape[1] + 1, dtype=np.float64)
 
     def finished(self, j: int) -> slice:
         """The (sorted) pairs whose last DP row is ``j``."""
         return slice(self.active[j + 1], self.active[j])
+
+
+def _row_dtype(layers: Sequence[Layer], width: int, rows: int) -> type:
+    """The dtype of a kernel run's row block: ``int16`` when it is exact,
+    else ``float64``.
+
+    With integer-valued scoring parameters every cell is an integer.  A
+    cell is a sum of at most ``width + rows`` steps of at most ``size``
+    each, plus its shift of at most ``gap * width``, so
+    ``3 * size * (width + rows + 1)`` bounds every cell, intermediate and
+    score of the run.  A zero gap keeps ``float64``: its column-zero
+    cells are ``-0.0`` there, which no integer row can reproduce.
+    """
+    values = [v for layer in layers
+              for v in (layer.gap, layer.match, layer.mismatch)]
+    if not all(float(v).is_integer() for v in values) \
+            or not all(layer.gap > 0 for layer in layers):
+        return np.float64
+    size = max(abs(v) for v in values)
+    if 3 * size * (width + rows + 1) > np.iinfo(np.int16).max:
+        return np.float64
+    return np.int16
 
 
 def _dp_kernel(pairs: Sequence[StringPair],
@@ -188,7 +223,8 @@ def _dp_kernel(pairs: Sequence[StringPair],
     global rows start from ``h[i] = -gap * i``, local rows from 0.  Each
     row step is a substitution, a gap in ``s1`` and a prefix maximum for
     the gaps in ``s2``; local rows then take the zero floor and fold
-    into a per-pair running best of each column.
+    into a per-pair running best of each column.  The row block has
+    :func:`_row_dtype`'s dtype; the scores are ``float64`` either way.
     """
     batch = _Batch(pairs)
     order = sorted(range(len(layers)), key=lambda i: layers[i].local)
@@ -196,19 +232,22 @@ def _dp_kernel(pairs: Sequence[StringPair],
     n_global = sum(not layer.local for layer in stack)
     has_global, has_local = n_global > 0, n_global < len(stack)
     local = slice(n_global, len(stack))
+    width = batch.codes1.shape[1]
+    dtype = _row_dtype(stack, width, batch.rows)
+    index = np.arange(width + 1, dtype=dtype)
     # One value per layer, shaped to broadcast over the row block.
     gap, on_match, on_mismatch, first = np.array(
         [(layer.gap, layer.gap + layer.match, layer.gap + layer.mismatch,
           0.0 if layer.local else -layer.gap) for layer in stack],
-        dtype=np.float64).T[..., None, None]
-    gap_index = gap * batch.index
+        dtype=dtype).T[..., None, None]
+    gap_index = gap * index
     # A global pair's score is its cell minus the shift; a local pair's
     # is the maximum over its own columns of the unshifted running best.
     offset = -gap_index[:n_global, 0]
-    own_columns = batch.index <= batch.len1[:, None]
+    own_columns = index <= batch.len1[:, None]
     scores = np.empty((len(stack), len(pairs)))
 
-    row = np.zeros((len(stack), len(pairs), len(batch.index)))
+    row = np.zeros((len(stack), len(pairs), len(index)), dtype=dtype)
     row[local] = gap_index[local]
     best = np.zeros_like(row[local])
     for j in range(batch.rows + 1):
@@ -241,7 +280,7 @@ def _dp_kernel(pairs: Sequence[StringPair],
             if has_local:
                 scores[local, done] = np.where(
                     own_columns[done], best[:, done] - gap_index[local],
-                    0.0).max(axis=-1)
+                    0).max(axis=-1)
     out = np.empty_like(scores)
     out[np.array(order)[:, None], batch.order] = scores
     return out
@@ -390,46 +429,65 @@ def levenshtein_similarity(s1: str, s2: str) -> float:
     return float(levenshtein_similarities([(s1, s2)])[0])
 
 
-@lru_cache(maxsize=65536)
-def jaro_similarity(s1: str, s2: str) -> float:
-    """Jaro similarity: transposition-aware common-character matching.
+def _jaro(s1: str, s2: str) -> float:
+    """:func:`jaro_similarity`, unmemoized.
 
-    Returns 1.0 for identical strings, 0.0 when nothing matches.
+    Each character of ``s1`` matches the first unmatched equal character
+    of ``s2`` within the match window: ``str.find`` from the window's
+    start, then again past every position already matched.
     """
     if s1 == s2:
         return 1.0
     len1, len2 = len(s1), len(s2)
     if len1 == 0 or len2 == 0:
         return 0.0
-    window = max(len1, len2) // 2 - 1
-    window = max(window, 0)
-    matched1 = [False] * len1
+    window = max(max(len1, len2) // 2 - 1, 0)
+    find = s2.find
     matched2 = [False] * len2
-    matches = 0
+    chars1: list[str] = []  # the matched characters of s1, in order
     for i, c1 in enumerate(s1):
-        lo = max(0, i - window)
-        hi = min(len2, i + window + 1)
-        for j in range(lo, hi):
-            if not matched2[j] and s2[j] == c1:
-                matched1[i] = True
-                matched2[j] = True
-                matches += 1
-                break
-    if matches == 0:
+        lo, hi = i - window, i + window + 1
+        if lo < 0:
+            lo = 0
+        elif lo >= len2:
+            break  # no window left in s2
+        j = find(c1, lo, hi)
+        while j >= 0 and matched2[j]:
+            j = find(c1, j + 1, hi)
+        if j >= 0:
+            matched2[j] = True
+            chars1.append(c1)
+    if not chars1:
         return 0.0
-    # Count transpositions between the matched subsequences.
-    transpositions = 0
-    j = 0
-    for i in range(len1):
-        if matched1[i]:
-            while not matched2[j]:
-                j += 1
-            if s1[i] != s2[j]:
-                transpositions += 1
-            j += 1
-    transpositions //= 2
-    m = float(matches)
+    # Half the positions where the two matched subsequences differ.
+    chars2 = [c2 for c2, matched in zip(s2, matched2) if matched]
+    transpositions = sum(map(str.__ne__, chars1, chars2)) // 2
+    m = float(len(chars1))
     return (m / len1 + m / len2 + (m - transpositions) / m) / 3.0
+
+
+def _winkler(jaro: float, s1: str, s2: str, prefix_weight: float) -> float:
+    """Jaro-Winkler from the Jaro score of ``s1`` and ``s2``."""
+    prefix = 0
+    for c1, c2 in zip(s1, s2):
+        if c1 != c2 or prefix == 4:
+            break
+        prefix += 1
+    return jaro + prefix * prefix_weight * (1.0 - jaro)
+
+
+def jaro_similarity(s1: str, s2: str) -> float:
+    """Jaro similarity: transposition-aware common-character matching.
+
+    Returns 1.0 for identical strings, 0.0 when nothing matches.
+    Memoized in :data:`JARO_MEMO` under ``(s1, s2)``.
+    """
+    key = (s1, s2)
+    score = JARO_MEMO.get(key)
+    if score is None:
+        score = _jaro(s1, s2)
+        JARO_MEMO.update({key: score})
+    return score
 
 
 def jaro_winkler_similarity(s1: str, s2: str, prefix_weight: float = 0.1) -> float:
@@ -439,13 +497,40 @@ def jaro_winkler_similarity(s1: str, s2: str, prefix_weight: float = 0.1) -> flo
     """
     if not 0.0 <= prefix_weight <= 0.25:
         raise ValueError(f"prefix_weight must be in [0, 0.25], got {prefix_weight}")
-    jaro = jaro_similarity(s1, s2)
-    prefix = 0
-    for c1, c2 in zip(s1, s2):
-        if c1 != c2 or prefix == 4:
-            break
-        prefix += 1
-    return jaro + prefix * prefix_weight * (1.0 - jaro)
+    return _winkler(jaro_similarity(s1, s2), s1, s2, prefix_weight)
+
+
+def best_jaro_winkler(words1: Iterable[str], words2: set[str]
+                      ) -> dict[str, float]:
+    """Each word of ``words1`` -> its best :func:`jaro_winkler_similarity`
+    over ``words2``.
+
+    A word that is in ``words2`` scores exactly 1.0 (the measure never
+    exceeds 1.0, in floats too) without a comparison.  Every other word
+    pair, at the default prefix weight 0.1, is a :data:`JARO_MEMO`
+    lookup; the misses are scored once, and the memo takes them in one
+    update.
+    """
+    get = JARO_MEMO.get
+    computed: dict[tuple, float] = {}
+    best: dict[str, float] = {}
+    for w1 in words1:
+        if w1 in best:
+            continue
+        if w1 in words2:
+            best[w1] = 1.0
+            continue
+        scores = []
+        for w2 in words2:
+            key = (w1, w2, 0.1)
+            score = get(key)
+            if score is None:
+                score = computed[key] = _winkler(_jaro(w1, w2), w1, w2, 0.1)
+            scores.append(score)
+        best[w1] = max(scores)
+    if computed:
+        JARO_MEMO.update(computed)
+    return best
 
 
 def needleman_wunsch(s1: str, s2: str,

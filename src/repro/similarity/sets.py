@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 
-from .sequence import jaro_winkler_similarity
+from .sequence import best_jaro_winkler, jaro_winkler_similarity
 
 #: ``(|T1|, |T2|, |T1 ∩ T2|)`` of two token sets: every set measure
 #: below is a formula over these three counts.
@@ -106,7 +106,12 @@ def monge_elkan(tokens1: list[str], tokens2: list[str],
         return 0.0
     tokens1 = tokens1[:MONGE_ELKAN_MAX_TOKENS]
     tokens2 = tokens2[:MONGE_ELKAN_MAX_TOKENS]
+    if secondary is jaro_winkler_similarity:
+        best = best_jaro_winkler(tokens1, set(tokens2))
+        scores = [best[t1] for t1 in tokens1]
+    else:
+        scores = [max(secondary(t1, t2) for t2 in tokens2) for t1 in tokens1]
     total = 0.0
-    for t1 in tokens1:
-        total += max(secondary(t1, t2) for t2 in tokens2)
+    for score in scores:  # plain left to right; sum() compensates on 3.12+
+        total += score
     return total / len(tokens1)

@@ -5,6 +5,8 @@ if :func:`clear_similarity_caches` missed a memo, the later paths
 would silently reuse scores an earlier path computed.
 """
 
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -12,15 +14,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 from bench_featuregen import clear_similarity_caches  # noqa: E402
 
-from repro.similarity import sequence  # noqa: E402
+import repro.similarity  # noqa: E402
+from repro.similarity import sequence, sets  # noqa: E402
+
+
+def _memos() -> list:
+    """Every :class:`~repro.similarity.sequence.DPMemo` in
+    :mod:`repro.similarity`."""
+    modules = [importlib.import_module(f"repro.similarity.{info.name}")
+               for info in pkgutil.iter_modules(repro.similarity.__path__)]
+    found = {id(value): value for module in modules
+             for value in vars(module).values()
+             if isinstance(value, sequence.DPMemo)}
+    return list(found.values())
 
 
 def test_clear_similarity_caches_empties_every_memo():
     sequence.levenshtein_distances([("abc", "abd")])
     sequence.needleman_wunsch_scores([("abc", "abd")])
     sequence.smith_waterman_scores([("abc", "abd")])
-    sequence.jaro_similarity("abc", "abd")
-    assert len(sequence.DP_MEMO) >= 3
+    sequence.jaro_winkler_similarity("abc", "abd")
+    sets.monge_elkan(["new", "york"], ["yrok"])
+    memos = _memos()
+    assert len(memos) >= 2
+    assert all(len(memo) for memo in memos)
     clear_similarity_caches()
-    assert len(sequence.DP_MEMO) == 0
-    assert sequence.jaro_similarity.cache_info().currsize == 0
+    assert [len(memo) for memo in memos] == [0] * len(memos)

@@ -252,3 +252,56 @@ def test_a_run_in_blocks_equals_one_block(monkeypatch, block_rows):
         assert_bits_equal(
             np.array([scores[(layer, s1, s2)] for s1, s2 in FIXED_BATCH]),
             raw, err_msg=repr(layer))
+
+
+#: Layer stacks on each path of the kernel's row block: integer
+#: parameters run in ``int16``; a non-integer one (gap 0.5) keeps
+#: ``float64`` for the whole stack, and so does a huge one (gap 1000)
+#: once the strings are long enough for its cells to leave ``int16``.
+INT16_LAYERS = LAYERS + [sequence.Layer(2.0, 3.0, -1.0, local=True)]
+HUGE_GAP = [sequence.Layer(1000.0, 1.0, 0.0, local=False),
+            sequence.Layer(1000.0, 1.0, 0.0, local=True)]
+FLOAT64_LAYERS = HUGE_GAP + [sequence.Layer(0.5, 1.0, 0.0, local=False),
+                             sequence.Layer(0.5, 1.0, -0.5, local=True)]
+
+
+def _row_dtype_of(stack, batch):
+    width = max(1, max(len(s1) for s1, _ in batch))
+    return sequence._row_dtype(stack, width, max(len(s2) for _, s2 in batch))
+
+
+def _assert_kernel_equals_the_oracle(batch, stack):
+    for layer, scores in zip(stack, sequence._dp_kernel(batch, stack)):
+        np.testing.assert_array_equal(
+            scores, [_oracle_raw(layer, s1, s2) for s1, s2 in batch],
+            err_msg=repr(layer))
+        # No signed zero: an integer row casts every zero to ``+0.0``,
+        # and a positive-gap float64 row never makes ``-0.0``.
+        assert not np.signbit(scores[scores == 0]).any(), repr(layer)
+
+
+def test_row_dtype_follows_the_layers():
+    assert sequence._row_dtype(INT16_LAYERS, 64, 64) is np.int16
+    assert sequence._row_dtype(HUGE_GAP, 1, 1) is np.int16
+    assert sequence._row_dtype(HUGE_GAP, 64, 64) is np.float64
+    assert sequence._row_dtype(LAYERS, 6000, 6000) is np.float64
+    for gap in (0.5, 0.0):  # non-integer; a zero gap's -0.0 cells
+        layer = sequence.Layer(gap, 1.0, 0.0, local=False)
+        assert sequence._row_dtype([layer], 1, 1) is np.float64
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs, st.sampled_from([np.int16, np.float64]))
+def test_kernel_equals_the_oracle_on_both_row_dtypes(batch, dtype):
+    stack = INT16_LAYERS if dtype is np.int16 else FLOAT64_LAYERS
+    assert _row_dtype_of(stack, batch) is dtype
+    _assert_kernel_equals_the_oracle(batch, stack)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(long_texts, long_texts), min_size=1, max_size=3),
+       pairs)
+def test_huge_gap_falls_back_to_float64_on_long_strings(long_pairs, batch):
+    batch = long_pairs + batch
+    assert _row_dtype_of(HUGE_GAP, batch) is np.float64
+    _assert_kernel_equals_the_oracle(batch, HUGE_GAP)
