@@ -28,8 +28,9 @@ Usage::
     python benchmarks/bench_featuregen.py --check   # exit 1 if columnar
                                                     # is slower than naive
 
-Every run asserts that each path's matrix equals the naive loop's bit
-for bit (``tests/bit_parity.py``), so a flipped zero sign fails it too.
+Every run asserts that each path's matrix equals the naive loop's
+(``tests/feature_oracle.py``) bit for bit (``tests/bit_parity.py``), so
+a flipped zero sign fails it too.
 
 The ``--check`` mode also runs as an opt-in pytest marker:
 ``pytest benchmarks/test_bench_featuregen.py --perf``.
@@ -52,14 +53,15 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from bit_parity import assert_bits_equal  # noqa: E402
 from common import provenance  # noqa: E402
+from feature_oracle import transform_naive  # noqa: E402
 
+from repro.concurrency import resolve_n_jobs  # noqa: E402
 from repro.data.pairs import PairSet, RecordPair  # noqa: E402
 from repro.data.table import Table  # noqa: E402
 from repro.features import FeatureGenerator, autoem_feature_plan  # noqa: E402
 from repro.features.columnar import (  # noqa: E402
     PARALLEL_MIN_UNIQUE_PAIRS,
     _unique_value_pairs,
-    resolve_n_jobs,
 )
 from repro.features.types import DataType  # noqa: E402
 from repro.similarity import sequence  # noqa: E402
@@ -152,7 +154,7 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
         for attribute in dict.fromkeys(a for a, _ in plan))
 
     naive_seconds, reference = _timed(
-        lambda: FeatureGenerator(plan).transform_naive(pairs))
+        lambda: transform_naive(FeatureGenerator(plan), pairs))
 
     columnar_seconds, columnar = _timed(
         lambda: FeatureGenerator(plan).transform(pairs))

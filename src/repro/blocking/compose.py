@@ -25,11 +25,9 @@ other blocker.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
+from ..concurrency import process_map
 from ..data.pairs import PairSet, RecordPair
 from ..data.table import Record, Table
-from ..features.columnar import resolve_n_jobs
 from .base import BaseBlocker
 
 
@@ -63,17 +61,11 @@ class _CompositeBlocker(BaseBlocker):
 
     def _member_keys(self, table_a: Table,
                      table_b: Table) -> list[list[tuple]]:
-        """Each member's candidate keys, in member order."""
-        n_jobs = resolve_n_jobs(self.n_jobs)
-        if n_jobs > 1 and len(self.blockers) > 1:
-            workers = min(n_jobs, len(self.blockers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_block_pair_keys, blocker,
-                                       table_a, table_b)
-                           for blocker in self.blockers]
-                return [future.result() for future in futures]
-        return [_block_pair_keys(blocker, table_a, table_b)
-                for blocker in self.blockers]
+        """Each member's candidate keys, in member order (one pool
+        worker per member when ``n_jobs`` resolves above 1)."""
+        return process_map(_block_pair_keys,
+                           [(blocker, table_a, table_b)
+                            for blocker in self.blockers], self.n_jobs)
 
     @staticmethod
     def _materialize(keys: list[tuple], table_a: Table,

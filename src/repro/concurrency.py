@@ -1,4 +1,5 @@
-"""Thread-coordination primitives shared across the serving stack.
+"""Concurrency primitives: thread coordination for the serving stack,
+and the one process-pool map.
 
 The serving layer promises that "a streaming matcher may be driven from
 several threads" (:mod:`repro.serve.telemetry`), which makes every
@@ -10,6 +11,12 @@ primitives those call sites share that the stdlib does not provide: a
 reader–writer lock, and an every-Nth-event gate used by the monitoring
 layer to emit periodic drift records from concurrent workers without
 double-firing.
+
+:func:`process_map` is the project's only process pool: an ordered
+``fn(*task)`` map that the feature engine
+(:mod:`repro.features.columnar`) and the composite blockers
+(:mod:`repro.blocking.compose`) fan out over, with
+:func:`resolve_n_jobs` normalizing their ``n_jobs`` knobs.
 
 :class:`ReadWriteLock` semantics:
 
@@ -36,9 +43,14 @@ test suites.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from typing import Any, TypeVar
+
+T = TypeVar("T")
 
 _lock_names = itertools.count(1)
 
@@ -393,3 +405,34 @@ class EventGate:
 
     def __repr__(self) -> str:
         return f"EventGate(interval={self.interval}, count={self.count})"
+
+
+def resolve_n_jobs(n_jobs: int | None) -> int:
+    """Normalize an ``n_jobs`` knob: ``None``->1, negatives count from
+    the CPU count (``-1`` = all cores, joblib-style)."""
+    if n_jobs is None:
+        return 1
+    n_jobs = int(n_jobs)
+    if n_jobs == 0:
+        raise ValueError("n_jobs must be >= 1 or negative (-1 = all cores)")
+    if n_jobs < 0:
+        n_jobs = max(1, (os.cpu_count() or 1) + 1 + n_jobs)
+    return n_jobs
+
+
+def process_map(fn: Callable[..., T], tasks: Iterable[tuple[Any, ...]],
+                n_jobs: int | None) -> list[T]:
+    """``[fn(*task) for task in tasks]``, in task order, over a process
+    pool of at most one worker per task when ``n_jobs`` resolves above 1.
+
+    Whether a pool pays off is the caller's decision; with ``n_jobs``
+    1 the tasks run in this process.  ``fn`` and every task must pickle.
+    """
+    task_list = list(tasks)
+    n_jobs = resolve_n_jobs(n_jobs)
+    if n_jobs <= 1 or not task_list:
+        return [fn(*task) for task in task_list]
+    with ProcessPoolExecutor(max_workers=min(n_jobs,
+                                             len(task_list))) as pool:
+        futures = [pool.submit(fn, *task) for task in task_list]
+        return [future.result() for future in futures]

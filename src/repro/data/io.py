@@ -9,10 +9,17 @@ when they have them.
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 from .pairs import PairSet, RecordPair
 from .table import Table, Value
+
+
+#: A plain decimal numeral: sign, digits, point, exponent.  ``float()``
+#: alone also accepts ``nan``, ``inf``, ``1_000`` and padded ``" 12 "``,
+#: which would turn such string cells into floats.
+_NUMERAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _parse_value(text: str) -> Value:
@@ -22,10 +29,9 @@ def _parse_value(text: str) -> Value:
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    try:
+    if _NUMERAL.fullmatch(text):
         return float(text)
-    except ValueError:
-        return text
+    return text
 
 
 def _render_value(value: Value) -> str:

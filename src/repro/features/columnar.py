@@ -48,13 +48,12 @@ reference loop — ``tests/test_features_columnar.py`` enforces it.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..concurrency import process_map, resolve_n_jobs
 from ..similarity import sequence
 from ..similarity.registry import token_counts_column
 
@@ -114,19 +113,6 @@ class TokenCache(dict):
         # entries are deliberately dropped — a memo is cheap to refill
         # and only bloats pickled blockers and persisted block indexes.
         return (type(self), (self.max_entries,))
-
-
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` knob: ``None``->1, negatives count from
-    the CPU count (``-1`` = all cores, joblib-style)."""
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs == 0:
-        raise ValueError("n_jobs must be >= 1 or negative (-1 = all cores)")
-    if n_jobs < 0:
-        n_jobs = max(1, (os.cpu_count() or 1) + 1 + n_jobs)
-    return n_jobs
 
 
 def score_value_pairs(measures: Sequence["SimilarityMeasure"],
@@ -253,17 +239,15 @@ def _transform_parallel(matrix: np.ndarray, per_attribute: list,
     """
     unique_scores = [np.empty((len(unique), len(slots)), dtype=np.float64)
                      for slots, unique, _ in per_attribute]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        tasks = []
-        for gi, (slots, unique, _) in enumerate(per_attribute):
-            measure_list = [m for _, m in slots]
-            chunk = max(_MIN_CHUNK, -(-len(unique) // (2 * n_jobs)))
-            for start in range(0, len(unique), chunk):
-                future = pool.submit(_score_chunk, measure_list,
-                                     unique[start:start + chunk])
-                tasks.append((gi, start, future))
-        for gi, start, future in tasks:
-            block = future.result()
-            unique_scores[gi][start:start + len(block)] = block
+    tasks, offsets = [], []
+    for gi, (slots, unique, _) in enumerate(per_attribute):
+        measure_list = [m for _, m in slots]
+        chunk = max(_MIN_CHUNK, -(-len(unique) // (2 * n_jobs)))
+        for start in range(0, len(unique), chunk):
+            tasks.append((measure_list, unique[start:start + chunk]))
+            offsets.append((gi, start))
+    for (gi, start), block in zip(offsets,
+                                  process_map(_score_chunk, tasks, n_jobs)):
+        unique_scores[gi][start:start + len(block)] = block
     for (slots, _, inverse), scores in zip(per_attribute, unique_scores):
         matrix[:, [c for c, _ in slots]] = scores[inverse, :]

@@ -10,9 +10,8 @@ pipeline step, not the feature generator's job.
 Execution is columnar (:mod:`repro.features.columnar`):
 value pairs are deduplicated per attribute, tokenization is shared
 across measures, and large transforms can fan out over a process pool
-via ``n_jobs``.  The original row-at-a-time loop survives as
-:meth:`FeatureGenerator.transform_naive` — the reference implementation
-the equivalence tests and the featuregen benchmark compare against.
+via ``n_jobs``.  The row-at-a-time reference loop every path must
+bit-match lives with the tests (``tests/feature_oracle.py``).
 """
 
 from __future__ import annotations
@@ -67,20 +66,6 @@ class FeatureGenerator:
         """Compute the feature matrix for ``pairs`` (nan = missing)."""
         return columnar_transform(self._measures, pairs, n_jobs=self.n_jobs,
                                   token_cache=self._token_cache)
-
-    def transform_naive(self, pairs: PairSet) -> np.ndarray:
-        """Row-at-a-time reference implementation.
-
-        Kept as the ground truth the fast paths must bit-match, and as
-        the baseline of ``benchmarks/bench_featuregen.py``.
-        """
-        matrix = np.empty((len(pairs), len(self._measures)), dtype=np.float64)
-        for i, pair in enumerate(pairs):
-            for j, (attribute, measure) in enumerate(self._measures):
-                matrix[i, j] = measure(pair.left.get(attribute),
-                                       pair.right.get(attribute))
-        np.copyto(matrix, np.nan, where=np.isinf(matrix))
-        return matrix
 
 
 def make_magellan_features(table_a: Table, table_b: Table,

@@ -12,6 +12,7 @@ from repro.data import (
     write_pairs,
     write_table,
 )
+from repro.data.io import _parse_value
 
 
 @pytest.fixture()
@@ -67,6 +68,31 @@ class TestTableRoundTrip:
         path.write_text("id,a,b\n1,x\n")
         with pytest.raises(ValueError, match="expected 3 cells"):
             read_table(path)
+
+
+class TestCellParsing:
+    @pytest.mark.parametrize("text", [
+        "nan", "NaN", "Nan", "inf", "-inf", "Infinity", "1_000", " 12 ",
+        "12 ", "0x1f", "1e", ".", "+"])
+    def test_non_numerals_stay_strings(self, text):
+        assert _parse_value(text) == text
+
+    @pytest.mark.parametrize("text, value", [
+        ("12", 12.0), ("-3", -3.0), ("+4.5", 4.5), ("7.", 7.0),
+        (".25", 0.25), ("1e-05", 1e-05), ("2.5E+20", 2.5e20),
+        ("-0.0", -0.0)])
+    def test_decimal_numerals_are_floats(self, text, value):
+        parsed = _parse_value(text)
+        assert isinstance(parsed, float)
+        assert parsed == value
+
+    def test_string_named_like_a_float_round_trips(self, tmp_path):
+        table = Table("products", ["name", "code"],
+                      [["Nan", "1_000"], ["Infinity", " 12 "]])
+        path = tmp_path / "t.csv"
+        write_table(table, path)
+        assert [list(r.values) for r in read_table(path)] == \
+            [["Nan", "1_000"], ["Infinity", " 12 "]]
 
 
 class TestPairRoundTrip:

@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 from bit_parity import assert_bits_equal
+from feature_oracle import transform_naive
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,8 @@ from repro.features import (
     columnar,
     magellan_feature_plan,
 )
-from repro.features.columnar import TokenCache, resolve_n_jobs
+from repro.concurrency import resolve_n_jobs
+from repro.features.columnar import TokenCache
 from repro.features.types import DataType
 from repro.similarity import (
     ALL_BOOLEAN_MEASURES,
@@ -76,7 +78,7 @@ def duplicate_heavy_pairs() -> PairSet:
 class TestEquivalence:
     def test_columnar_matches_naive(self, duplicate_heavy_pairs):
         generator = FeatureGenerator(FULL_PLAN)
-        reference = generator.transform_naive(duplicate_heavy_pairs)
+        reference = transform_naive(generator, duplicate_heavy_pairs)
         assert_bits_equal(generator.transform(
             duplicate_heavy_pairs), reference)
 
@@ -87,7 +89,7 @@ class TestEquivalence:
                                     monkeypatch):
         monkeypatch.setattr(columnar, "PARALLEL_MIN_UNIQUE_PAIRS", 0)
         generator = FeatureGenerator(FULL_PLAN, n_jobs=2)
-        reference = generator.transform_naive(duplicate_heavy_pairs)
+        reference = transform_naive(generator, duplicate_heavy_pairs)
         assert_bits_equal(generator.transform(
             duplicate_heavy_pairs), reference)
 
@@ -105,7 +107,7 @@ class TestEquivalence:
         rows_b = [["1.0", 1.0, True], ["True", 1.0, True]]
         pairs = make_pairs(rows_a, rows_b, [(0, 0), (1, 0), (0, 1), (1, 1)])
         generator = FeatureGenerator([("name", "exact_match")])
-        reference = generator.transform_naive(pairs)
+        reference = transform_naive(generator, pairs)
         assert_bits_equal(generator.transform(pairs), reference)
         assert reference[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
 
@@ -137,7 +139,7 @@ class TestEquivalence:
                          RecordPair(table_a[1], table_b[1])])
         generator = FeatureGenerator(FULL_PLAN)
         assert_bits_equal(generator.transform(pairs),
-                          generator.transform_naive(pairs))
+                          transform_naive(generator, pairs))
 
 
 class TestPropertyEquivalence:
@@ -163,7 +165,7 @@ class TestPropertyEquivalence:
         plan = [("name", m) for m in ALL_STRING_MEASURES]
         generator = FeatureGenerator(plan)
         assert_bits_equal(generator.transform(pairs),
-                                      generator.transform_naive(pairs))
+                                      transform_naive(generator, pairs))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.one_of(st.none(), st.floats(width=32)),
@@ -178,7 +180,7 @@ class TestPropertyEquivalence:
         generator = FeatureGenerator(plan)
         matrix = generator.transform(pairs)
         assert_bits_equal(matrix,
-                                      generator.transform_naive(pairs))
+                                      transform_naive(generator, pairs))
         assert not np.isinf(matrix).any()
 
 
@@ -226,7 +228,7 @@ class TestPlanEquivalence:
         sequence.DP_MEMO.clear()
         fast = generator.transform(pairs)
         sequence.DP_MEMO.clear()
-        assert_bits_equal(fast, generator.transform_naive(pairs))
+        assert_bits_equal(fast, transform_naive(generator, pairs))
 
 
 class TestSharedKernelRun:
@@ -260,7 +262,7 @@ class TestSharedKernelRun:
                     sequence.SMITH_WATERMAN])]
         sequence.DP_MEMO.clear()
         assert_bits_equal(matrix,
-                          generator.transform_naive(duplicate_heavy_pairs))
+                          transform_naive(generator, duplicate_heavy_pairs))
 
     def test_a_levenshtein_only_plan_runs_one_layer(
             self, duplicate_heavy_pairs, runs):
@@ -282,7 +284,7 @@ class TestSharedKernelRun:
         assert shared and max(shared) <= simreg.SEQUENCE_MAX_CHARS
         assert max(longest for _, longest in runs) == 301
         sequence.DP_MEMO.clear()
-        assert_bits_equal(matrix, generator.transform_naive(pairs))
+        assert_bits_equal(matrix, transform_naive(generator, pairs))
 
     def test_a_fill_the_memo_cannot_hold_is_skipped(
             self, duplicate_heavy_pairs, runs, monkeypatch):
@@ -293,7 +295,7 @@ class TestSharedKernelRun:
         assert runs and all(len(layers) == 1 for layers, _ in runs)
         sequence.DP_MEMO.clear()
         assert_bits_equal(matrix,
-                          generator.transform_naive(duplicate_heavy_pairs))
+                          transform_naive(generator, duplicate_heavy_pairs))
 
 
 def _always_inf(v1: float, v2: float) -> float:
@@ -311,7 +313,7 @@ class TestInfGuard:
         pairs = make_pairs([["x", 1.0, True]], [["y", 2.0, False]], [(0, 0)])
         generator = FeatureGenerator([("price", "always_inf")])
         assert math.isnan(generator.transform(pairs)[0, 0])
-        assert math.isnan(generator.transform_naive(pairs)[0, 0])
+        assert math.isnan(transform_naive(generator, pairs)[0, 0])
 
 
 class TestKnobValidation:
@@ -369,7 +371,7 @@ class TestValueDedupKeys:
         plan = [("name", m) for m in ALL_STRING_MEASURES]
         generator = FeatureGenerator(plan)
         assert_bits_equal(generator.transform(pairs),
-                                      generator.transform_naive(pairs))
+                                      transform_naive(generator, pairs))
 
     def test_bool_and_float_one_stay_distinct(self):
         rows_a = [[True, None, None], [1.0, None, None]]
@@ -378,7 +380,7 @@ class TestValueDedupKeys:
         plan = [("name", m) for m in ALL_STRING_MEASURES]
         generator = FeatureGenerator(plan)
         assert_bits_equal(generator.transform(pairs),
-                                      generator.transform_naive(pairs))
+                                      transform_naive(generator, pairs))
 
 
 class TestSharedDPMemo:

@@ -16,6 +16,9 @@ cell_values = st.one_of(
     # numerals, no "true"/"false" collisions, no surrounding whitespace
     st.from_regex(r"[a-z][a-z ]{0,15}[a-z]", fullmatch=True).filter(
         lambda s: s not in ("true", "false")),
+    # strings float() would read as numbers but a CSV cell keeps as text
+    st.sampled_from(["nan", "NaN", "Nan", "inf", "-inf", "Infinity",
+                     "infinity", "1_000", " 12 "]),
 )
 
 
