@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from ..concurrency import BoundedMemo
 from ..data.pairs import PairSet, RecordPair
 from ..data.table import Record, Table
-from ..features.columnar import TokenCache
 from ..similarity.tokenizers import ALNUM, Tokenizer
 from .base import BaseBlocker
 
@@ -78,7 +78,8 @@ class AttributeEquivalenceBlocker(BaseBlocker):
 class OverlapBlocker(BaseBlocker):
     """Pair records sharing >= ``min_overlap`` tokens of an attribute.
 
-    Tokenization is memoized in a shared :class:`TokenCache` (the same
+    Tokenization is memoized in a shared token memo (a
+    :class:`~repro.concurrency.BoundedMemo`, with the same
     ``(tokenizer_name, string) -> tokens`` convention the feature engine
     uses), so each distinct attribute value is tokenized once per
     blocker — not once per record — and a cache can be shared with a
@@ -91,7 +92,7 @@ class OverlapBlocker(BaseBlocker):
 
     def __init__(self, attribute: str, min_overlap: int = 1,
                  tokenizer: Tokenizer = ALNUM,
-                 token_cache: TokenCache | None = None):
+                 token_cache: BoundedMemo | None = None):
         if not attribute:
             raise ValueError("attribute must be a non-empty column name")
         if min_overlap < 1:
@@ -99,7 +100,7 @@ class OverlapBlocker(BaseBlocker):
         self.attribute = attribute
         self.min_overlap = min_overlap
         self.tokenizer = tokenizer
-        self.token_cache = TokenCache() if token_cache is None \
+        self.token_cache = BoundedMemo() if token_cache is None \
             else token_cache
 
     def _token_set(self, value: object) -> set[str]:

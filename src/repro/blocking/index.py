@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
 from .. import persist
-from ..concurrency import ReadWriteLock, WitnessedLock
+from ..concurrency import WitnessedLock
 from ..data.pairs import PairSet, RecordPair
 from ..data.table import Record, Table
 from ..features.cache import (
@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from .indexed import IndexedBlocker
 
 #: Bumped whenever the pickled layout changes incompatibly.
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 INDEX_KIND = "block index"
 
@@ -76,13 +76,14 @@ class BlockIndex:
     it can keep growing and keep serving probes without reconstructing
     the blocker configuration.
 
-    A :class:`~repro.concurrency.ReadWriteLock` imposes reader–writer
-    discipline: :meth:`probe` / :meth:`block_sizes` / :meth:`as_table`
-    share the read side, :meth:`add_records` takes the exclusive write
-    side.  A probe therefore always sees a whole index state — never a
-    half-applied batch of new records — and concurrent extends serialize
-    into a clean chain of states.  The lock is dropped on pickling
-    (:meth:`save`) and recreated on load.
+    One :class:`~repro.concurrency.WitnessedLock` guards all of it:
+    :meth:`probe`, :meth:`block_sizes`, :meth:`as_table`, :meth:`save`
+    and :meth:`add_records` each run under it.  A probe therefore always
+    sees a whole index state — never a half-applied batch of new
+    records — and concurrent extends serialize into a clean chain of
+    states.  The lock is reentrant, so :meth:`probe` takes the
+    :meth:`as_table` snapshot under the hold it already has.  It is
+    dropped on pickling (:meth:`save`) and recreated on load.
     """
 
     def __init__(self, blocker: "IndexedBlocker",
@@ -95,13 +96,10 @@ class BlockIndex:
         self.state: dict = blocker._new_state()
         self._records: dict[object, Record] = {}
         self._fingerprint = empty_chain_fingerprint()
-        # The cached snapshot is the one attribute readers may fill in:
-        # _table is guarded by its own _table_lock, always nested
-        # *inside* either side of _rw_lock, so concurrent probes build
-        # the table exactly once without upgrading their read lock.
+        # _lock guards every attribute above and the cached as_table
+        # snapshot _table, which the first reader after a change fills.
         self._table: Table | None = None
-        self._table_lock = WitnessedLock()
-        self._rw_lock = ReadWriteLock()
+        self._lock = WitnessedLock()
 
     # -- content -------------------------------------------------------
 
@@ -135,8 +133,7 @@ class BlockIndex:
         self._records[record.record_id] = record
         self._fingerprint = chain_fingerprint(self._fingerprint,
                                               record_fingerprint(record))
-        with self._table_lock:
-            self._table = None
+        self._table = None
 
     def add_records(self, source: Union[Table, Iterable[Record]]) -> int:
         """Fold new records into the index; returns how many were added.
@@ -146,7 +143,7 @@ class BlockIndex:
         blocking attribute is missing are stored (they are part of the
         indexed table) but never surface as candidates.
         """
-        with self._rw_lock.write_locked():
+        with self._lock:
             added = 0
             for record in source:
                 self._register(record)
@@ -164,15 +161,14 @@ class BlockIndex:
         snapshot a probe's :class:`PairSet` references always matches
         the index content.
         """
-        with self._rw_lock.read_locked():
-            with self._table_lock:
-                if self._table is None:
-                    records = list(self._records.values())
-                    self._table = Table(
-                        self.table_name, self.columns or (),
-                        [list(record.values) for record in records],
-                        ids=[record.record_id for record in records])
-                return self._table
+        with self._lock:
+            if self._table is None:
+                records = list(self._records.values())
+                self._table = Table(
+                    self.table_name, self.columns or (),
+                    [list(record.values) for record in records],
+                    ids=[record.record_id for record in records])
+            return self._table
 
     # -- probing -------------------------------------------------------
 
@@ -185,12 +181,12 @@ class BlockIndex:
         probe record's matches come back in sorted-id order, so output
         is deterministic and duplicate-free.
 
-        The whole probe runs under the read lock, so the returned
+        The whole probe runs under the lock, so the returned
         :class:`PairSet` (including its ``table_b`` snapshot) reflects
         exactly one index state even while :meth:`add_records` calls are
         in flight on other threads.
         """
-        with self._rw_lock.read_locked():
+        with self._lock:
             table_b = self.as_table()
             attribute = self.blocker.attribute
             matches_by_text: dict[str, list] = {}
@@ -212,27 +208,25 @@ class BlockIndex:
     def block_sizes(self) -> list[int]:
         """Sizes of the blocker's internal blocks (postings / buckets),
         the input to :func:`repro.blocking.metrics.block_size_histogram`."""
-        with self._rw_lock.read_locked():
+        with self._lock:
             return self.blocker._state_block_sizes(self.state)
 
     # -- persistence ---------------------------------------------------
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_rw_lock"]
-        del state["_table_lock"]
+        del state["_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._table_lock = WitnessedLock()
-        self._rw_lock = ReadWriteLock()
+        self._lock = WitnessedLock()
 
     def save(self, path: Union[str, Path]) -> None:
         """Persist the full index (blocker included) atomically."""
-        # The read lock keeps add_records out while pickling walks the
-        # live structures, so the payload is one consistent state.
-        with self._rw_lock.read_locked():
+        # The lock keeps add_records out while pickling walks the live
+        # structures, so the payload is one consistent state.
+        with self._lock:
             data = persist.checked_pickle(
                 INDEX_KIND, INDEX_FORMAT_VERSION, self,
                 blocker_fingerprint=self.blocker.fingerprint)

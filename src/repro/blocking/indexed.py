@@ -33,9 +33,9 @@ from typing import Union
 
 import numpy as np
 
+from ..concurrency import BoundedMemo
 from ..data.pairs import PairSet
 from ..data.table import Record, Table
-from ..features.columnar import TokenCache
 from ..similarity.tokenizers import (
     QGRAM3,
     Tokenizer,
@@ -154,12 +154,13 @@ class QGramBlocker(IndexedBlocker):
     postings short and probing sub-linear in each record's token count
     for ``min_overlap > 1``.
 
-    Tokenization is memoized in a shared :class:`TokenCache` under the
-    same ``(tokenizer_name, string)`` convention as the feature engine.
+    Tokenization is memoized in a shared token memo (a
+    :class:`~repro.concurrency.BoundedMemo`) under the same
+    ``(tokenizer_name, string)`` convention as the feature engine.
     """
 
     def __init__(self, attribute: str, q: int = 3, min_overlap: int = 1,
-                 token_cache: TokenCache | None = None):
+                 token_cache: BoundedMemo | None = None):
         if not attribute:
             raise ValueError("attribute must be a non-empty column name")
         if q < 2:
@@ -172,7 +173,7 @@ class QGramBlocker(IndexedBlocker):
         self.q = q
         self.min_overlap = min_overlap
         self.tokenizer: Tokenizer = qgram_tokenizer(q)
-        self.token_cache = TokenCache() if token_cache is None \
+        self.token_cache = BoundedMemo() if token_cache is None \
             else token_cache
 
     def _config(self) -> dict[str, object]:
@@ -258,7 +259,7 @@ class MinHashLSHBlocker(IndexedBlocker):
     def __init__(self, attribute: str, num_perm: int = 128,
                  bands: int = 32, rows: int | None = None,
                  tokenizer: Tokenizer = QGRAM3, random_state: int = 0,
-                 token_cache: TokenCache | None = None):
+                 token_cache: BoundedMemo | None = None):
         if not attribute:
             raise ValueError("attribute must be a non-empty column name")
         if num_perm < 1:
@@ -282,17 +283,17 @@ class MinHashLSHBlocker(IndexedBlocker):
         self.rows = rows
         self.tokenizer = tokenizer
         self.random_state = random_state
-        self.token_cache = TokenCache() if token_cache is None \
+        self.token_cache = BoundedMemo() if token_cache is None \
             else token_cache
         rng = np.random.default_rng(random_state)
         self._a = rng.integers(1, _LSH_PRIME, size=num_perm,
                                dtype=np.uint64)
         self._b = rng.integers(0, _LSH_PRIME, size=num_perm,
                                dtype=np.uint64)
-        # Signature memo, (tokenizer_name, text)-keyed like a TokenCache
+        # Signature memo, (tokenizer_name, text)-keyed like token_cache
         # (``False`` marks a tokenless text, which has no signature).
-        self._signatures = TokenCache()
-        self._token_hashes = TokenCache()
+        self._signatures = BoundedMemo()
+        self._token_hashes = BoundedMemo()
 
     def _config(self) -> dict[str, object]:
         return {"attribute": self.attribute, "num_perm": self.num_perm,

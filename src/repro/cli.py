@@ -513,25 +513,25 @@ def _cmd_block(args) -> int:
     return 0
 
 
-def _traffic(args):
+def _traffic(args, pairs):
     """Serving-side traffic for ``monitor watch`` / ``shadow``: the
-    benchmark's test pairs, corrupted by ``--drift`` when it is set,
+    benchmark's test ``pairs``, corrupted by ``--drift`` when it is set,
     as a seeded stream of ``--batches`` requests."""
     from .monitor import drifted_pairs, request_batches
 
-    pairs = _load_splits(args)[2]
     if args.drift > 0:
         pairs = drifted_pairs(pairs, factor=args.drift, seed=args.seed)
     return request_batches(pairs, args.batch_pairs, n_batches=args.batches,
                            seed=args.seed)
 
 
-def _train_bundle(args, path: Path) -> None:
-    """Train a small AutoML-EM model and export it (with reference
-    profile) to ``path`` — the ``monitor watch --train`` bootstrap."""
+def _train_bundle(args, path: Path, splits) -> None:
+    """Train a small AutoML-EM model on the train / valid / test
+    ``splits`` and export it (with reference profile) to ``path`` — the
+    ``monitor watch --train`` bootstrap."""
     from .core import AutoMLEM
 
-    train, valid, test = _load_splits(args)
+    train, valid, test = splits
     matcher = AutoMLEM(n_iterations=args.budget,
                        forest_size=args.forest_size, seed=args.seed)
     print(f"training bootstrap model on {len(train)} train / "
@@ -569,15 +569,16 @@ def _cmd_watch(args) -> int:
     from .serve import ModelBundle, StreamMatcher
 
     bundle_path = Path(args.bundle)
+    if not bundle_path.exists() and not args.train:
+        raise SystemExit(f"bundle {bundle_path} does not exist "
+                         f"(pass --train to bootstrap one)")
+    splits = _load_splits(args)
     if not bundle_path.exists():
-        if not args.train:
-            raise SystemExit(f"bundle {bundle_path} does not exist "
-                             f"(pass --train to bootstrap one)")
-        _train_bundle(args, bundle_path)
+        _train_bundle(args, bundle_path, splits)
     bundle = ModelBundle.load(bundle_path)
     monitor = FeatureDriftMonitor.for_bundle(
         bundle, min_rows=args.min_rows, seed=args.seed)
-    batches = _traffic(args)
+    batches = _traffic(args, splits[2])
     matcher = StreamMatcher(bundle, monitor=monitor)
     n_batches = 0
     with EventLog.opened(args.log) as log, matcher:
@@ -621,7 +622,7 @@ def _cmd_shadow(args) -> int:
         args.registry, args.model_name, args.challenger,
         champion_version=args.champion, sample_rate=args.sample_rate,
         seed=args.seed, log=args.log)
-    batches = _traffic(args)
+    batches = _traffic(args, _load_splits(args)[2])
     matcher = StreamMatcher(evaluator.champion, shadow=evaluator)
     try:
         for batch in batches:

@@ -5,30 +5,23 @@ The serving layer promises that "a streaming matcher may be driven from
 several threads" (:mod:`repro.serve.telemetry`), which makes every
 mutable structure on the serving path a concurrency boundary: the
 standing :class:`~repro.blocking.index.BlockIndex` grows while probes
-are in flight, caches reorder their LRU lists on every hit, and JSONL
-telemetry writers append from every worker.  This module holds the
-primitives those call sites share that the stdlib does not provide: a
-reader–writer lock, and an every-Nth-event gate used by the monitoring
-layer to emit periodic drift records from concurrent workers without
-double-firing.
+are in flight, the entity store and the drift monitor take writes from
+every worker, and the token and similarity memos fill from every
+scoring thread.  This module holds the two primitives those call sites
+share:
+
+* :class:`WitnessedLock` — the one lock class.  Every guarded object
+  holds exactly one; it is reentrant per thread (a locked method may
+  call another locked method of the same object) and reports to the
+  lock-order witness.
+* :class:`BoundedMemo` — the one memo class: a dict with lock-free
+  reads that empties itself when an insert would cross its bound.
 
 :func:`process_map` is the project's only process pool: an ordered
 ``fn(*task)`` map that the feature engine
 (:mod:`repro.features.columnar`) and the composite blockers
 (:mod:`repro.blocking.compose`) fan out over, with
 :func:`resolve_n_jobs` normalizing their ``n_jobs`` knobs.
-
-:class:`ReadWriteLock` semantics:
-
-* Any number of threads may hold the **read** side simultaneously.
-* The **write** side is exclusive: it waits for all readers to drain
-  and blocks new first-time readers while it holds (or waits for) the
-  lock, so writers cannot starve behind a steady read stream.
-* Both sides are **reentrant per thread**: a reader may re-enter
-  ``read_locked`` (needed when a locked operation calls another locked
-  read helper on the same object), and the writing thread may take
-  either side again.  Upgrading — acquiring write while holding only
-  read — deadlocks by construction and raises ``RuntimeError`` instead.
 
 A debug-mode **lock-order witness** (:func:`enable_lock_witness`) is
 the project's lock-order check: every witnessed acquisition records
@@ -186,18 +179,17 @@ def lock_witness_enabled() -> Iterator[LockWitness]:
 
 
 class WitnessedLock:
-    """A plain mutex that reports to the lock-order witness.
+    """A reentrant mutex that reports to the lock-order witness.
 
-    A named wrapper around :class:`threading.Lock` for code (and
-    fixtures) that wants plain-lock semantics with witness coverage.
-    Non-reentrant, like the lock it wraps — the witness flags a
-    same-name re-acquire path as reentrant, but the underlying lock
-    still deadlocks, so don't.
+    Wraps :class:`threading.RLock`: the holding thread may take it
+    again (``BlockIndex.probe`` calls ``as_table`` under the same
+    lock), and every other thread waits.  The witness records a
+    re-acquire as reentrant, with no order edge.
     """
 
     def __init__(self, name: str | None = None):
         self.name = name or _fresh_name("lock")
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def acquire(self, blocking: bool = True,
                 timeout: float = -1) -> bool:
@@ -222,189 +214,57 @@ class WitnessedLock:
     def __exit__(self, *exc_info: object) -> None:
         self.release()
 
-    def locked(self) -> bool:
-        return self._lock.locked()
-
     def __repr__(self) -> str:
-        state = "locked" if self._lock.locked() else "unlocked"
-        return f"WitnessedLock({self.name!r}, {state})"
+        return f"WitnessedLock({self.name!r})"
 
 
-class ReadWriteLock:
-    """A reentrant reader–writer lock with writer preference.
+class BoundedMemo(dict):
+    """A ``key -> value`` memo of at most ``max_entries`` entries.
 
-    >>> lock = ReadWriteLock()
-    >>> with lock.read_locked():
-    ...     pass  # shared with other readers
-    >>> with lock.write_locked():
-    ...     pass  # exclusive
+    Eviction is wholesale: an insert that would cross the bound empties
+    the memo first — refilling is cheap enough that an occasional cold
+    restart beats per-entry LRU bookkeeping.  The memos are shared by
+    every thread of the process (a
+    :class:`~repro.serve.service.MatchService` scores on several), so
+    the check-clear-insert of :meth:`__setitem__` and :meth:`update`
+    holds a lock.  Reads are plain, lock-free dict reads: a racing
+    eviction can at worst turn a hit into a recomputation, never
+    corrupt an entry.  The default bound is the token memos'; the
+    similarity memos pass their own.
     """
 
-    def __init__(self, name: str | None = None) -> None:
-        #: Identity reported to the lock-order witness; both sides of
-        #: one ReadWriteLock are one node in the order graph.
-        self.name = name or _fresh_name("rwlock")
-        self._cond = threading.Condition()
-        self._active_readers = 0
-        self._waiting_writers = 0
-        self._writer: int | None = None  # ident of the writing thread
-        self._write_depth = 0
-        self._local = threading.local()
-
-    # -- per-thread read-hold bookkeeping ------------------------------
-
-    def _held_reads(self) -> int:
-        return getattr(self._local, "reads", 0)
-
-    def _set_held_reads(self, count: int) -> None:
-        self._local.reads = count
-
-    # -- read side -----------------------------------------------------
-
-    def acquire_read(self) -> None:
-        me = threading.get_ident()
-        witness = _witness
-        if witness is not None:
-            witness.on_acquire(self.name)
-        try:
-            with self._cond:
-                if self._writer == me or self._held_reads() > 0:
-                    # Reentrant: this thread already excludes writers.
-                    self._set_held_reads(self._held_reads() + 1)
-                    self._active_readers += 1
-                    return
-                # First-time readers queue behind waiting writers so a
-                # steady probe stream cannot starve extend_index forever.
-                while self._writer is not None or self._waiting_writers:
-                    self._cond.wait()
-                self._set_held_reads(1)
-                self._active_readers += 1
-        except BaseException:
-            if witness is not None:
-                witness.on_release(self.name)
-            raise
-
-    def release_read(self) -> None:
-        with self._cond:
-            held = self._held_reads()
-            if held < 1:
-                raise RuntimeError("release_read without a matching acquire")
-            self._set_held_reads(held - 1)
-            self._active_readers -= 1
-            if self._active_readers == 0:
-                self._cond.notify_all()
-        witness = _witness
-        if witness is not None:
-            witness.on_release(self.name)
-
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    # -- write side ----------------------------------------------------
-
-    def acquire_write(self) -> None:
-        me = threading.get_ident()
-        witness = _witness
-        if witness is not None:
-            witness.on_acquire(self.name)
-        try:
-            with self._cond:
-                if self._writer == me:
-                    self._write_depth += 1
-                    return
-                if self._held_reads() > 0:
-                    raise RuntimeError(
-                        "cannot upgrade a read lock to a write lock; "
-                        "release the read side first")
-                self._waiting_writers += 1
-                try:
-                    while self._writer is not None or self._active_readers:
-                        self._cond.wait()
-                finally:
-                    self._waiting_writers -= 1
-                self._writer = me
-                self._write_depth = 1
-        except BaseException:
-            if witness is not None:
-                witness.on_release(self.name)
-            raise
-
-    def release_write(self) -> None:
-        with self._cond:
-            if self._writer != threading.get_ident():
-                raise RuntimeError("release_write by a non-owning thread")
-            self._write_depth -= 1
-            if self._write_depth == 0:
-                self._writer = None
-                self._cond.notify_all()
-        witness = _witness
-        if witness is not None:
-            witness.on_release(self.name)
-
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
-
-    def __repr__(self) -> str:
-        with self._cond:
-            return (f"ReadWriteLock(readers={self._active_readers}, "
-                    f"writer={'held' if self._writer is not None else 'free'}, "
-                    f"waiting_writers={self._waiting_writers})")
-
-
-class EventGate:
-    """A thread-safe "every Nth event" gate.
-
-    Many threads call :meth:`tick`; exactly one call out of every
-    ``interval`` returns ``True`` — the caller that crossed the
-    boundary — no matter how the calls interleave.  The monitoring
-    layer uses this to emit one drift record per N served requests
-    from a :class:`~repro.serve.service.MatchService` worker pool:
-    every worker ticks, one worker writes.
-
-    >>> gate = EventGate(100)
-    >>> if gate.tick():            # in any worker thread
-    ...     log.event("drift", **monitor.report().as_dict())
-    """
-
-    def __init__(self, interval: int):
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        self.interval = int(interval)
+    def __init__(self, max_entries: int = 200_000) -> None:
+        super().__init__()
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._count = 0
 
-    def tick(self, n: int = 1) -> bool:
-        """Count ``n`` events; True iff this call crossed a boundary."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+    def __setitem__(self, key: object, value: object) -> None:
         with self._lock:
-            before = self._count
-            self._count += n
-            return self._count // self.interval > before // self.interval
+            if len(self) >= self.max_entries:
+                self.clear()
+            super().__setitem__(key, value)
 
-    @property
-    def count(self) -> int:
-        """Total events ticked so far."""
+    def update(self, entries: dict) -> None:  # type: ignore[override]
+        """Insert ``entries`` in one locked step, emptying the memo
+        first if they would cross the bound; an update larger than the
+        bound keeps its first ``max_entries`` entries."""
+        bound = self.max_entries
+        if len(entries) > bound:
+            entries = dict(itertools.islice(entries.items(), bound))
         with self._lock:
-            return self._count
+            if len(self) + len(entries) > bound:
+                self.clear()
+            super().update(entries)
 
-    def reset(self) -> None:
-        """Zero the event counter (e.g. after a promotion)."""
-        with self._lock:
-            self._count = 0
-
-    def __repr__(self) -> str:
-        return f"EventGate(interval={self.interval}, count={self.count})"
+    def __reduce__(self) -> tuple:
+        # The default dict-subclass pickling restores items through
+        # __setitem__ *before* __init__ runs, when max_entries does not
+        # exist yet; reconstruct through the constructor instead.  The
+        # entries are deliberately dropped — a memo is cheap to refill
+        # and only bloats pickled blockers and persisted block indexes.
+        return (type(self), (self.max_entries,))
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:

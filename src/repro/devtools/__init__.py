@@ -14,8 +14,9 @@ Every rule reads one file at a time.  The registries (AutoML
 components, similarity measures, trigger policies, fusion resolvers)
 are not linted: tests import and build them (see
 ``tests/test_registry_conformance.py``).  Lock order is not checked
-statically: the runtime lock witness in :mod:`repro.concurrency`
-checks it under the concurrency test suites.
+statically: each guarded object holds one lock and none is taken while
+another is held, which the runtime lock witness in
+:mod:`repro.concurrency` checks under the concurrency test suites.
 
 See DESIGN.md section 10 for the rule catalog and the
 baseline/suppression workflow, and section 14 for the lock witness.

@@ -1,7 +1,7 @@
 """Feature generation: Magellan's Table I rules vs AutoML-EM's Table II."""
 
 from .autoem import TABLE_II, autoem_feature_plan, autoem_measures_for
-from .columnar import TokenCache, columnar_transform
+from .columnar import columnar_transform
 from .magellan import TABLE_I, magellan_feature_plan, magellan_measures_for
 from .profile import (
     FeatureProfile,
@@ -25,7 +25,6 @@ __all__ = [
     "Reservoir",
     "TABLE_I",
     "TABLE_II",
-    "TokenCache",
     "autoem_feature_plan",
     "autoem_measures_for",
     "columnar_transform",

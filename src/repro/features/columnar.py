@@ -15,8 +15,9 @@ the same work column-first:
    unique pairs only; results are scattered back with one fancy-indexed
    assignment per attribute.
 3. **Share tokenization and counts.**  All set measures of a tokenizer
-   family (SPACE, QGRAM3) read tokens from one :class:`TokenCache`, so
-   each unique string is tokenized once per tokenizer, and they score
+   family (SPACE, QGRAM3) read tokens from one token memo (a
+   :class:`~repro.concurrency.BoundedMemo`), so each unique string is
+   tokenized once per tokenizer, and they score
    one ``(|T1|, |T2|, |T1 ∩ T2|)`` count pass per unique value pair
    (:meth:`~repro.similarity.registry.SimilarityMeasure.score_counts`).
 4. **One DP kernel run per transform.**  Levenshtein, Needleman-Wunsch
@@ -48,12 +49,11 @@ reference loop — ``tests/test_features_columnar.py`` enforces it.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..concurrency import process_map, resolve_n_jobs
+from ..concurrency import BoundedMemo, process_map, resolve_n_jobs
 from ..similarity import sequence
 from ..similarity.registry import token_counts_column
 
@@ -77,55 +77,18 @@ _MIN_CHUNK = 128
 _FLOAT_TYPES = (float, np.floating)
 
 
-class TokenCache(dict):
-    """Bounded ``(tokenizer_name, string) -> tokens`` memo.
-
-    Shared by every token-based measure of a transform (and across
-    repeated single-pair scoring).  Eviction is wholesale: when the entry
-    cap is hit the cache is cleared — tokenization is cheap enough that
-    an occasional cold restart beats per-entry LRU bookkeeping.
-
-    The check-then-clear-then-insert in :meth:`__setitem__` is a
-    compound operation, so it holds a lock: a generator-level cache is
-    shared by every scoring thread a
-    :class:`~repro.serve.service.MatchService` runs.  Reads stay
-    lock-free dict reads — a racing wholesale eviction can at worst turn
-    a hit into a recomputation, never corrupt an entry.
-    """
-
-    def __init__(self, max_entries: int = 200_000) -> None:
-        super().__init__()
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-
-    def __setitem__(self, key: object, value: object) -> None:
-        with self._lock:
-            if len(self) >= self.max_entries:
-                self.clear()
-            super().__setitem__(key, value)
-
-    def __reduce__(self) -> tuple:
-        # The default dict-subclass pickling restores items through
-        # __setitem__ *before* __init__ runs, when max_entries does not
-        # exist yet; reconstruct through the constructor instead.  Cached
-        # entries are deliberately dropped — a memo is cheap to refill
-        # and only bloats pickled blockers and persisted block indexes.
-        return (type(self), (self.max_entries,))
-
-
 def score_value_pairs(measures: Sequence["SimilarityMeasure"],
                       value_pairs: Sequence[tuple[Value, Value]],
-                      token_cache: TokenCache | None = None) -> np.ndarray:
+                      token_cache: BoundedMemo | None = None) -> np.ndarray:
     """Score ``measures`` over raw ``(v1, v2)`` tuples.
 
     Returns a ``(len(value_pairs), len(measures))`` float matrix with the
-    ``inf -> nan`` guard applied.  ``token_cache`` is shared across all
+    ``inf -> nan`` guard applied.  ``token_cache``, a
+    ``(tokenizer_name, string) -> tokens`` memo, is shared across all
     token-based measures in the list, and the set measures of one
     tokenizer share one token-count pass.
     """
-    cache = TokenCache() if token_cache is None else token_cache
+    cache = BoundedMemo() if token_cache is None else token_cache
     counts: dict["Tokenizer", list] = {}
     out = np.empty((len(value_pairs), len(measures)), dtype=np.float64)
     for j, measure in enumerate(measures):
@@ -196,7 +159,7 @@ def _unique_value_pairs(pairs: Sequence,
 
 def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
                        pairs: Sequence, *, n_jobs: int | None = 1,
-                       token_cache: TokenCache | None = None
+                       token_cache: BoundedMemo | None = None
                        ) -> np.ndarray:
     """Materialize a feature plan column-first over ``pairs``.
 
@@ -219,7 +182,7 @@ def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
     if n_jobs > 1 and total_unique >= PARALLEL_MIN_UNIQUE_PAIRS:
         _transform_parallel(matrix, per_attribute, n_jobs)
     else:
-        cache = TokenCache() if token_cache is None else token_cache
+        cache = BoundedMemo() if token_cache is None else token_cache
         _fill_dp_memo([([m for _, m in slots], unique)
                        for slots, unique, _ in per_attribute])
         for slots, unique, inverse in per_attribute:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..concurrency import BoundedMemo
 from ..data.pairs import PairSet
 from ..data.table import Table
 from ..similarity import get_measure
 from .autoem import autoem_feature_plan
-from .columnar import TokenCache, columnar_transform
+from .columnar import columnar_transform
 from .magellan import magellan_feature_plan
 from .types import DataType, infer_schema_types
 
@@ -52,7 +53,7 @@ class FeatureGenerator:
             raise ValueError("feature plan is empty")
         self.n_jobs = n_jobs
         self._measures = [(a, get_measure(m)) for a, m in self.plan]
-        self._token_cache = TokenCache()
+        self._token_cache = BoundedMemo()
 
     @property
     def feature_names(self) -> list[str]:

@@ -15,12 +15,11 @@ match-rate shift, plus the drifted/quiet verdict the trigger policies
 consume.
 
 The monitor is driven concurrently by :class:`~repro.serve.service.
-MatchService` worker threads, so all state lives behind a
-:class:`~repro.concurrency.ReadWriteLock`: taps and report-time buffer
-flushes take the write side, cheap snapshots share the read side.  Taps
-buffer their micro-batches and the per-column reduction work runs once
-per ``_FLUSH_ROWS`` buffered rows, keeping the serving-path cost per
-request O(1) numpy calls.
+MatchService` worker threads, so all state lives behind one
+:class:`~repro.concurrency.WitnessedLock`, taken by taps, resets and
+reports alike.  Taps buffer their micro-batches and the per-column
+reduction work runs once per ``_FLUSH_ROWS`` buffered rows, keeping the
+serving-path cost per request O(1) numpy calls.
 """
 
 from __future__ import annotations
@@ -30,23 +29,25 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..concurrency import ReadWriteLock
+from ..concurrency import WitnessedLock
 from ..features.profile import FeatureProfile, ReferenceProfile, Reservoir
 from .stats import fractions, ks_statistic, psi
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.bundle import ModelBundle
 
-#: Default PSI threshold per feature (the usual "action" level).
+#: PSI threshold per feature (the usual "action" level).
 PSI_THRESHOLD = 0.25
-#: Default two-sample KS D threshold per feature.
+#: Two-sample KS D threshold per feature.
 KS_THRESHOLD = 0.25
-#: Default absolute null-rate shift flagged as drift.
+#: Absolute null-rate shift flagged as drift.
 NULL_SHIFT_THRESHOLD = 0.20
-#: Default absolute match-rate shift flagged as drift.
+#: Absolute match-rate shift flagged as drift.
 MATCH_RATE_THRESHOLD = 0.25
-#: Minimum live rows before any verdict is rendered.
+#: Default minimum live rows before any verdict is rendered.
 MIN_ROWS = 100
+#: Live per-feature reservoir capacity for the KS side.
+RESERVOIR_SIZE = 512
 
 #: Buffered rows folded into per-column state in one go.  The tap sits
 #: on the serving path, so per-request cost must stay negligible: small
@@ -133,14 +134,13 @@ class DriftReport:
 class _LiveColumn:
     """Live-side accumulation of one feature column."""
 
-    def __init__(self, profile: FeatureProfile, seed_key: tuple[int, int],
-                 reservoir_size: int):
+    def __init__(self, profile: FeatureProfile, seed_key: tuple[int, int]):
         self.profile = profile
         self.counts = np.zeros(profile.n_bins, dtype=np.int64)
         self.n = 0
         self.n_null = 0
         self.reservoir = Reservoir(
-            reservoir_size,
+            RESERVOIR_SIZE,
             seed=np.random.SeedSequence(seed_key).generate_state(1)[0])
 
     def update(self, column: np.ndarray) -> None:
@@ -160,14 +160,9 @@ class FeatureDriftMonitor:
     reference:
         The :class:`ReferenceProfile` captured at export time (see
         :meth:`for_bundle` to pull it straight from a loaded bundle).
-    psi_threshold / ks_threshold / null_shift_threshold /
-    match_rate_threshold:
-        Per-statistic drift thresholds (module defaults above).
     min_rows:
         Live rows required before ``report()`` may declare drift; below
         it every verdict is "insufficient data", never "drifted".
-    reservoir_size:
-        Live per-feature reservoir capacity for the KS side.
     seed:
         Seeds the live reservoirs (reports stay reproducible).
 
@@ -175,35 +170,27 @@ class FeatureDriftMonitor:
     >>> matcher = StreamMatcher(bundle, monitor=monitor)
     >>> ... serve ...
     >>> monitor.report().drifted
+
+    The drift thresholds and the reservoir capacity are the module
+    constants above; ``report().thresholds`` records the ones applied.
     """
 
     def __init__(self, reference: ReferenceProfile, *,
-                 psi_threshold: float = PSI_THRESHOLD,
-                 ks_threshold: float = KS_THRESHOLD,
-                 null_shift_threshold: float = NULL_SHIFT_THRESHOLD,
-                 match_rate_threshold: float = MATCH_RATE_THRESHOLD,
-                 min_rows: int = MIN_ROWS, reservoir_size: int = 512,
-                 seed: int = 0):
+                 min_rows: int = MIN_ROWS, seed: int = 0):
         self.reference = reference
-        self.psi_threshold = float(psi_threshold)
-        self.ks_threshold = float(ks_threshold)
-        self.null_shift_threshold = float(null_shift_threshold)
-        self.match_rate_threshold = float(match_rate_threshold)
         self.min_rows = int(min_rows)
         self._seed = seed
-        self._reservoir_size = reservoir_size
-        self._lock = ReadWriteLock()
+        self._lock = WitnessedLock()
         self._reset_locked()
 
     def _reset_locked(self) -> None:
         reference, seed = self.reference, self._seed
         self._columns = [
-            _LiveColumn(profile, (seed, index), self._reservoir_size)
+            _LiveColumn(profile, (seed, index))
             for index, profile in enumerate(reference.features)]
         self._score = (None if reference.score is None else
                        _LiveColumn(reference.score,
-                                   (seed, len(reference.features)),
-                                   self._reservoir_size))
+                                   (seed, len(reference.features))))
         self._n_rows = 0
         self._n_matches = 0
         self._pending_X: list[np.ndarray] = []
@@ -240,7 +227,7 @@ class FeatureDriftMonitor:
             raise ValueError(
                 f"expected a (n, {len(self._columns)}) matrix matching "
                 f"the reference profile, got shape {X.shape}")
-        with self._lock.write_locked():
+        with self._lock:
             self._n_rows += X.shape[0]
             self._pending_X.append(X.copy())
             self._pending_rows += X.shape[0]
@@ -255,7 +242,7 @@ class FeatureDriftMonitor:
 
     def _flush_locked(self) -> None:
         """Fold buffered batches into per-column state (callers hold
-        the write lock)."""
+        the lock)."""
         if not self._pending_rows:
             return
         X = (self._pending_X[0] if len(self._pending_X) == 1
@@ -272,22 +259,22 @@ class FeatureDriftMonitor:
 
     @property
     def n_rows(self) -> int:
-        with self._lock.read_locked():
+        with self._lock:
             return self._n_rows
 
     def reset(self) -> None:
         """Drop all live state (e.g. after a promotion)."""
-        with self._lock.write_locked():
+        with self._lock:
             self._reset_locked()
 
     def report(self) -> DriftReport:
         """Reduce the live state to a :class:`DriftReport`.
 
-        Takes the write lock just long enough to fold any buffered
-        batches into the per-column state, then reduces — so the report
-        always reflects every observed row.
+        Folds any buffered batches into the per-column state under the
+        lock, then reduces — so the report always reflects every
+        observed row.
         """
-        with self._lock.write_locked():
+        with self._lock:
             self._flush_locked()
             sufficient = self._n_rows >= self.min_rows
             features: list[FeatureDrift] = []
@@ -300,10 +287,10 @@ class FeatureDriftMonitor:
                                           live.reservoir.sample())
                 null_rate = live.n_null / live.n if live.n else 0.0
                 drifted = sufficient and (
-                    feature_psi >= self.psi_threshold
-                    or feature_ks >= self.ks_threshold
+                    feature_psi >= PSI_THRESHOLD
+                    or feature_ks >= KS_THRESHOLD
                     or abs(null_rate - profile.null_rate)
-                    >= self.null_shift_threshold)
+                    >= NULL_SHIFT_THRESHOLD)
                 features.append(FeatureDrift(
                     profile.name, feature_psi, feature_ks, null_rate,
                     profile.null_rate, live.n, drifted))
@@ -318,9 +305,9 @@ class FeatureDriftMonitor:
                           if self._n_rows else 0.0)
             drifted = sufficient and bool(
                 drifted_features
-                or score_psi >= self.psi_threshold
+                or score_psi >= PSI_THRESHOLD
                 or abs(match_rate - self.reference.match_rate)
-                >= self.match_rate_threshold)
+                >= MATCH_RATE_THRESHOLD)
             return DriftReport(
                 n_rows=self._n_rows, sufficient=sufficient,
                 features=features, score_psi=score_psi,
@@ -328,10 +315,10 @@ class FeatureDriftMonitor:
                 reference_match_rate=self.reference.match_rate,
                 drifted_features=drifted_features, drifted=drifted,
                 thresholds={
-                    "psi": self.psi_threshold,
-                    "ks": self.ks_threshold,
-                    "null_shift": self.null_shift_threshold,
-                    "match_rate": self.match_rate_threshold,
+                    "psi": PSI_THRESHOLD,
+                    "ks": KS_THRESHOLD,
+                    "null_shift": NULL_SHIFT_THRESHOLD,
+                    "match_rate": MATCH_RATE_THRESHOLD,
                 })
 
     def __repr__(self) -> str:

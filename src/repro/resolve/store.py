@@ -5,12 +5,12 @@ serving layer: it owns the incremental clusterer, the decision log, the
 member records, and hands out stable entity ids while matchers keep
 streaming decisions in.  The contract:
 
-* **Thread safety** — a :class:`~repro.concurrency.ReadWriteLock`
-  imposes reader–writer discipline (the same convention as
-  :class:`~repro.blocking.index.BlockIndex`): lookups and snapshots
-  share the read side, :meth:`apply` / :meth:`add_records` take the
-  exclusive write side, so a reader always observes a whole store
-  version — never a half-applied decision batch.
+* **Thread safety** — one :class:`~repro.concurrency.WitnessedLock`
+  guards the whole store (the same convention as
+  :class:`~repro.blocking.index.BlockIndex`): lookups, snapshots,
+  :meth:`apply` and :meth:`add_records` each run under it, so a reader
+  always observes a whole store version — never a half-applied
+  decision batch.
 * **Versioning** — every applied batch bumps :attr:`version` and
   yields a :class:`ResolveDelta` (churn accounting for telemetry and
   the monitoring layer's cluster-churn trigger).
@@ -26,9 +26,8 @@ streaming decisions in.  The contract:
   reads one partition: connected components, split by the ``refiner``
   where negative evidence shows over-merging.  Writes only append to
   the decision log; the first read after a write brings the view up to
-  date on the write side of the lock, re-splitting just the components
-  that decisions or newly registered records touched since the last
-  read.  Reads of an up-to-date view share the read side.
+  date under the lock, re-splitting just the components that decisions
+  or newly registered records touched since the last read.
 * **Fingerprint-keyed persistence** — :meth:`save` writes an atomic,
   checksummed ``snapshot-v%06d.pkl`` (:mod:`repro.persist`) carrying
   the order-independent decision fingerprint; :meth:`load` verifies
@@ -36,9 +35,10 @@ streaming decisions in.  The contract:
   the same convention as the block index.
 
 Telemetry (``resolve`` and ``snapshot`` records of an
-:class:`~repro.events.EventLog`) is emitted *outside* the write lock: the delta is computed under the lock, the
-JSONL line is written after release, so the store never nests the log's
-internal lock inside ``_rw_lock``.
+:class:`~repro.events.EventLog`) is emitted *outside* the lock: the
+delta is computed under the lock, the JSONL line is written after
+release, so the store never nests the log's internal lock inside its
+own.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
 from .. import persist
-from ..concurrency import ReadWriteLock
+from ..concurrency import WitnessedLock
 from ..data.table import Record, Value
 from ..events import EventLog
 from .correlation import CorrelationClustering
@@ -152,11 +152,10 @@ class EntityStore:
         self.refiner = refiner
         self.fusion = fusion if fusion is not None else RecordFusion()
         self.log = log
-        # _rw_lock guards every attribute below (_cc, _decisions,
+        # _lock guards every attribute below (_cc, _decisions,
         # _records, _version, _last_delta and the refined view
-        # _entity_ids, _clusters, _observed, _new_nodes): writers hold
-        # the exclusive side, readers the shared side, so a reader sees
-        # whole versions only.
+        # _entity_ids, _clusters, _observed, _new_nodes), so a reader
+        # sees whole versions only.
         self._cc = ConnectedComponents(threshold)
         self._decisions: list[MatchDecision] = []
         self._records: dict[NodeKey, Record] = {}
@@ -169,19 +168,19 @@ class EntityStore:
         self._clusters: dict[str, tuple[NodeKey, ...]] = {}
         self._observed = 0
         self._new_nodes: set[NodeKey] = set()
-        self._rw_lock = ReadWriteLock()
+        self._lock = WitnessedLock()
 
     # -- content -------------------------------------------------------
 
     @property
     def version(self) -> int:
         """Monotone batch counter; bumped once per :meth:`apply`."""
-        with self._rw_lock.read_locked():
+        with self._lock:
             return self._version
 
     @property
     def n_decisions(self) -> int:
-        with self._rw_lock.read_locked():
+        with self._lock:
             return len(self._decisions)
 
     @property
@@ -190,25 +189,25 @@ class EntityStore:
 
         With a ``refiner`` this can be fewer than ``len(entities())``.
         """
-        with self._rw_lock.read_locked():
+        with self._lock:
             return self._cc.n_components
 
     @property
     def n_records(self) -> int:
-        with self._rw_lock.read_locked():
+        with self._lock:
             return len(self._records)
 
     @property
     def fingerprint(self) -> str:
         """Order-independent digest of the applied decision set."""
-        with self._rw_lock.read_locked():
+        with self._lock:
             return decisions_fingerprint(self._decisions)
 
     def __len__(self) -> int:
         return self.n_entities
 
     def __repr__(self) -> str:
-        with self._rw_lock.read_locked():
+        with self._lock:
             return (f"EntityStore(v{self._version}, "
                     f"{len(self._decisions)} decisions, "
                     f"{self._cc.n_components} entities, "
@@ -226,7 +225,7 @@ class EntityStore:
         Returns how many records were registered.
         """
         count = 0
-        with self._rw_lock.write_locked():
+        with self._lock:
             for record in records:
                 node = node_key(side, record.record_id)
                 self._records[node] = record
@@ -241,12 +240,12 @@ class EntityStore:
               ) -> ResolveDelta:
         """Fold one decision batch in; returns the churn delta.
 
-        The store mutates under the exclusive write lock; the telemetry
+        The store mutates under the lock; the telemetry
         line (delta plus optional caller ``context``, e.g. a request
         id) is written after release.  The refined view is brought up
         to date by the next read, not here.
         """
-        with self._rw_lock.write_locked():
+        with self._lock:
             delta = self._apply_locked(decisions)
         self._log_delta(delta, context)
         return delta
@@ -288,7 +287,7 @@ class EntityStore:
         cover streamed data), applies the decisions, and maps each
         touched record — keyed ``"<side>:<record_id>"`` — to its
         refined entity id, the same id :meth:`entity_of` and
-        :meth:`entities` report.  All of it happens in one write-lock
+        :meth:`entities` report.  All of it happens in one lock
         section, so the ids reflect this batch and no other caller's.
         """
         decisions = decisions_from_result(
@@ -298,7 +297,7 @@ class EntityStore:
             touched[node_key(left_side, pair.left.record_id)] = pair.left
             touched[node_key(right_side, pair.right.record_id)] = \
                 pair.right
-        with self._rw_lock.write_locked():
+        with self._lock:
             for node, record in touched.items():
                 self._records.setdefault(node, record)
                 self._cc.add_node(node)
@@ -313,7 +312,7 @@ class EntityStore:
     # -- the refined view ----------------------------------------------
 
     def _refresh_locked(self) -> None:
-        """Bring the refined view up to date; callers hold the write side.
+        """Bring the refined view up to date; callers hold the lock.
 
         Only components holding an endpoint of a decision applied since
         the last refresh, or a node registered since then, are
@@ -343,19 +342,12 @@ class EntityStore:
 
     @contextmanager
     def _fresh_view(self) -> Iterator[None]:
-        """Hold the lock over an up-to-date refined view.
-
-        A current view is read on the shared side.  The first read
-        after a write finds it stale, refreshes it on the write side
-        and answers there, so no reader sees a half-refreshed view.
-        """
-        with self._rw_lock.read_locked():
-            if self._observed == len(self._decisions) \
-                    and not self._new_nodes:
-                yield
-                return
-        with self._rw_lock.write_locked():
-            self._refresh_locked()
+        """Hold the lock over an up-to-date refined view: the first
+        read after a write refreshes it, so no reader sees a
+        half-refreshed view."""
+        with self._lock:
+            if self._observed < len(self._decisions) or self._new_nodes:
+                self._refresh_locked()
             yield
 
     # -- lookups -------------------------------------------------------
@@ -390,7 +382,7 @@ class EntityStore:
 
     def record_of(self, node: NodeKey) -> Record | None:
         """The stored payload record for ``node``, if any."""
-        with self._rw_lock.read_locked():
+        with self._lock:
             return self._records.get(node)
 
     def golden(self, entity_id: str) -> dict[str, Value]:
@@ -425,7 +417,7 @@ class EntityStore:
 
     def stats(self) -> dict[str, int | float]:
         """Store-level counters for telemetry and monitoring."""
-        with self._rw_lock.read_locked():
+        with self._lock:
             stats: dict[str, int | float] = dict(self._cc.stats())
             stats["version"] = self._version
             stats["n_decisions"] = len(self._decisions)
@@ -441,7 +433,7 @@ class EntityStore:
 
     def __getstate__(self) -> dict[str, object]:
         state = self.__dict__.copy()
-        del state["_rw_lock"]
+        del state["_lock"]
         # The telemetry log is an open file handle + lock — runtime
         # plumbing, not store content.  A loaded snapshot starts silent;
         # callers reattach a log if they want one.
@@ -453,7 +445,7 @@ class EntityStore:
 
     def __setstate__(self, state: dict[str, object]) -> None:
         self.__dict__.update(state)
-        self._rw_lock = ReadWriteLock()
+        self._lock = WitnessedLock()
         # The first read rebuilds the view from the whole decision log.
         self._entity_ids = {}
         self._clusters = {}
@@ -468,9 +460,9 @@ class EntityStore:
         following ``LATEST`` always finds a complete snapshot, even
         mid-save.
         """
-        # The read lock keeps apply() out while pickling walks the live
+        # The lock keeps apply() out while pickling walks the live
         # structures, so the payload is one consistent version.
-        with self._rw_lock.read_locked():
+        with self._lock:
             version = self._version
             fingerprint = decisions_fingerprint(self._decisions)
             data = persist.checked_pickle(

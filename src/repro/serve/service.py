@@ -5,15 +5,14 @@ the calling thread.  :class:`MatchService` turns that into a concurrent
 front-end: callers from any number of threads enqueue requests onto a
 bounded queue and receive :class:`concurrent.futures.Future` objects; a
 pool of worker threads drains the queue and drives the wrapped matcher.
-Correctness under this concurrency rests on the locking introduced down
-the stack — the locked
-:class:`~repro.features.columnar.TokenCache` eviction, the
-reader–writer discipline on :class:`~repro.blocking.index.BlockIndex`
-(probes share the read side, :meth:`MatchService.extend_index` takes
-the exclusive write side) and the serialized
-:class:`~repro.events.EventLog` writes, so a matcher, its shadow
-evaluator and its entity store can share one log (see DESIGN.md §12
-for the full inventory).
+Correctness under this concurrency rests on the locking down the
+stack — the locked eviction of every
+:class:`~repro.concurrency.BoundedMemo`, the one lock of
+:class:`~repro.blocking.index.BlockIndex` (probes and
+:meth:`MatchService.extend_index` each hold it for a whole index state)
+and the serialized :class:`~repro.events.EventLog` writes, so a
+matcher, its shadow evaluator and its entity store can share one log
+(see DESIGN.md §12 for the full inventory).
 
 Backpressure is explicit and configurable.  The queue is bounded by
 ``max_queue``; when it is full:

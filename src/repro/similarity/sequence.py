@@ -53,19 +53,19 @@ identical; distances return non-negative raw scores.
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable, Iterable, Sequence
-from itertools import islice
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
+from ..concurrency import BoundedMemo
+
 #: A value pair as the DP kernel sees it (already prefix-capped).
 StringPair = tuple[str, str]
 
-#: Entry bound of each :class:`DPMemo` (:data:`DP_MEMO`, :data:`JARO_MEMO`).
-#: When an insert would cross it the memo is emptied first (wholesale
-#: eviction).
+#: The ``max_entries`` :data:`DP_MEMO` and :data:`JARO_MEMO` are built
+#: with.  When an insert would cross it the memo is emptied first
+#: (wholesale eviction).
 DP_MEMO_MAX_ENTRIES = 196_608
 
 #: Most ``(layer, pair)`` rows the kernel advances at once; a longer run
@@ -98,54 +98,15 @@ NEEDLEMAN_WUNSCH = Layer(1.0, 1.0, 0.0, local=False)
 SMITH_WATERMAN = Layer(1.0, 1.0, 0.0, local=True)
 
 
-class DPMemo:
-    """Bounded ``key -> score`` memo: :data:`DP_MEMO` keys raw DP scores
-    ``(layer, s1, s2)``, :data:`JARO_MEMO` Jaro and Jaro-Winkler scores.
-
-    Shared by every thread of the process (a
-    :class:`~repro.serve.service.MatchService` scores on two).  Reads
-    are lock-free dict reads; the check-clear-insert of
-    :meth:`update` holds the lock, so a racing wholesale eviction can at
-    worst turn a hit into a recomputation, never corrupt an entry.
-    """
-
-    def __init__(self) -> None:
-        self._scores: dict[tuple, float] = {}
-        self._lock = threading.Lock()
-        # The dict's own ``get``: a read costs no Python-level call.
-        self.get: Callable[[tuple], float | None] = self._scores.get
-
-    def __len__(self) -> int:
-        return len(self._scores)
-
-    def update(self, scores: dict[tuple, float]) -> None:
-        """Insert ``key -> score`` entries, emptying the memo at the
-        bound.
-
-        An update larger than the bound keeps its first
-        :data:`DP_MEMO_MAX_ENTRIES` entries.
-        """
-        bound = DP_MEMO_MAX_ENTRIES
-        if len(scores) > bound:
-            scores = dict(islice(scores.items(), bound))
-        with self._lock:
-            if len(self._scores) + len(scores) > bound:
-                self._scores.clear()
-            self._scores.update(scores)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._scores.clear()
-
-
-#: The memo in front of the DP kernel.
-DP_MEMO = DPMemo()
+#: The memo in front of the DP kernel: raw DP scores under
+#: ``(layer, s1, s2)``.
+DP_MEMO = BoundedMemo(DP_MEMO_MAX_ENTRIES)
 
 #: Jaro scores under ``(s1, s2)``, and the Jaro-Winkler scores of
 #: Monge-Elkan's word pairs under ``(w1, w2, 0.1)``.  Apart from
 #: :data:`DP_MEMO`, so that word pairs cannot evict the DP scores a
 #: transform has just filled before its column calls read them.
-JARO_MEMO = DPMemo()
+JARO_MEMO = BoundedMemo(DP_MEMO_MAX_ENTRIES)
 
 
 def exact_match(s1: str, s2: str) -> float:
@@ -306,7 +267,7 @@ def fill_memo(wanted: Iterable[tuple[Layer, Iterable[StringPair]]]) -> None:
 
     The pairs that miss the memo under the same set of layers share one
     kernel run, and the memo takes all runs in one update.  Nothing is
-    filled when the misses exceed :data:`DP_MEMO_MAX_ENTRIES`: the memo
+    filled when the misses exceed the memo's ``max_entries``: the memo
     would evict them before they were read.
     """
     get = DP_MEMO.get
@@ -315,7 +276,7 @@ def fill_memo(wanted: Iterable[tuple[Layer, Iterable[StringPair]]]) -> None:
         for s1, s2 in pairs:
             if get((layer, s1, s2)) is None:
                 missing.setdefault((s1, s2), set()).add(layer)
-    if sum(map(len, missing.values())) > DP_MEMO_MAX_ENTRIES:
+    if sum(map(len, missing.values())) > DP_MEMO.max_entries:
         return
     runs: dict[tuple[Layer, ...], list[StringPair]] = {}
     for pair, layers in missing.items():
@@ -485,8 +446,7 @@ def jaro_similarity(s1: str, s2: str) -> float:
     key = (s1, s2)
     score = JARO_MEMO.get(key)
     if score is None:
-        score = _jaro(s1, s2)
-        JARO_MEMO.update({key: score})
+        score = JARO_MEMO[key] = _jaro(s1, s2)
     return score
 
 

@@ -15,17 +15,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from bench_featuregen import clear_similarity_caches  # noqa: E402
 
 import repro.similarity  # noqa: E402
+from repro.concurrency import BoundedMemo  # noqa: E402
 from repro.similarity import sequence, sets  # noqa: E402
 
 
 def _memos() -> list:
-    """Every :class:`~repro.similarity.sequence.DPMemo` in
+    """Every :class:`~repro.concurrency.BoundedMemo` in
     :mod:`repro.similarity`."""
     modules = [importlib.import_module(f"repro.similarity.{info.name}")
                for info in pkgutil.iter_modules(repro.similarity.__path__)]
     found = {id(value): value for module in modules
              for value in vars(module).values()
-             if isinstance(value, sequence.DPMemo)}
+             if isinstance(value, BoundedMemo)}
     return list(found.values())
 
 

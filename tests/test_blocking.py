@@ -123,10 +123,10 @@ class TestOverlapBlockerDedup:
         assert len(blocker.token_cache) == len(distinct)
 
     def test_shared_token_cache_instance(self, repeated_tables):
-        from repro.features.columnar import TokenCache
+        from repro.concurrency import BoundedMemo
 
         a, b = repeated_tables
-        shared = TokenCache()
+        shared = BoundedMemo()
         first = OverlapBlocker("name", token_cache=shared).block(a, b)
         warm = OverlapBlocker("name", token_cache=shared).block(a, b)
         assert {p.key for p in first} == {p.key for p in warm}

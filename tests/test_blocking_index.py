@@ -219,11 +219,12 @@ class TestRegistration:
 
 class TestConcurrentSnapshot:
     def test_as_table_races_with_growth(self, catalog):
-        """Regression: ``as_table`` used to cache ``_table`` while
-        holding only the read side of the rw-lock, racing concurrent
-        readers and growers.  The snapshot cache now has its own mutex;
-        hammering snapshots against growth must stay consistent (and
-        lock-order clean, which the witness checks)."""
+        """Regression: ``as_table`` once filled its ``_table`` cache
+        under a lock shared by concurrent readers, racing them and the
+        growers.  The cache now fills under the index's one lock;
+        hammering snapshots and probes (which take the snapshot under
+        the same, reentrant lock) against growth must stay consistent
+        and take no lock while holding another (the witness checks)."""
         import threading
 
         from repro.concurrency import lock_witness_enabled
@@ -233,6 +234,8 @@ class TestConcurrentSnapshot:
             index = BlockIndex(blocker, table_name=catalog.name,
                                columns=catalog.columns)
             index.add_records(list(catalog)[:2])
+            probe = Table("A", catalog.columns, [list(r.values)
+                                                 for r in catalog][:3])
             errors = []
             barrier = threading.Barrier(6)
             stop = threading.Event()
@@ -245,6 +248,10 @@ class TestConcurrentSnapshot:
                         # A snapshot is internally consistent: row count
                         # and id count always agree.
                         assert table.num_rows == len(list(table))
+                        pairs = index.probe(probe)
+                        assert all(pairs.table_b.by_id(
+                            pair.right.record_id) is pair.right
+                            for pair in pairs)
                 except BaseException as exc:  # pragma: no cover
                     errors.append(exc)
 
@@ -271,9 +278,8 @@ class TestConcurrentSnapshot:
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
             assert index.as_table().num_rows == 2 + 20
-            # The witness saw the program's one nested lock pair.
-            assert index._table_lock.name in \
-                witness.edges()[index._rw_lock.name]
+            # One lock per index, and none taken while another is held.
+            assert witness.edges() == {}
 
     def test_snapshot_cache_survives_pickle(self, catalog):
         index = QGramBlocker("name", min_overlap=2).index(catalog)

@@ -80,6 +80,30 @@ class TestCommands:
         assert "f1=" in capsys.readouterr().out
 
 
+class TestMonitorWatchLoading:
+    def test_watch_train_generates_the_benchmark_once(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """``--train`` fits on the splits the traffic then replays: one
+        benchmark generation serves both."""
+        from repro.data import synthetic
+
+        calls = []
+        load_benchmark = synthetic.load_benchmark
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return load_benchmark(*args, **kwargs)
+
+        monkeypatch.setattr(synthetic, "load_benchmark", counted)
+        code = main(["monitor", "watch", str(tmp_path / "bundle"),
+                     "--train", "--budget", "1", "--forest-size", "2",
+                     "--dataset", "fodors_zagats", "--scale", "0.25",
+                     "--batches", "2", "--batch-pairs", "8"])
+        assert code == 0
+        assert len(calls) == 1
+        assert "exported bundle" in capsys.readouterr().out
+
+
 class TestVersionFlag:
     def test_version_exits_zero_and_prints_version(self, capsys):
         import repro

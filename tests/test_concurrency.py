@@ -1,15 +1,15 @@
-"""ReadWriteLock and EventGate semantics: sharing, exclusion,
-reentrancy, misuse, every-Nth gating."""
+"""WitnessedLock and BoundedMemo semantics: exclusion, reentrancy,
+misuse, lock-order witnessing, memo pickling."""
 
+import pickle
 import threading
 import time
 
 import pytest
 
 from repro.concurrency import (
-    EventGate,
+    BoundedMemo,
     LockOrderError,
-    ReadWriteLock,
     WitnessedLock,
     active_lock_witness,
     lock_witness_enabled,
@@ -25,84 +25,73 @@ def _in_thread(fn, timeout=30.0):
     return not thread.is_alive(), holder
 
 
-class TestReadWriteLock:
-    def test_readers_share(self):
-        lock = ReadWriteLock()
-        entered = threading.Barrier(3, timeout=30)
+def _held_elsewhere(lock):
+    """Whether another thread holds ``lock`` (a non-blocking try from a
+    fresh thread fails)."""
+    def attempt():
+        if lock.acquire(blocking=False):
+            lock.release()
+            return False
+        return True
 
-        def reader():
-            with lock.read_locked():
-                entered.wait()  # all three inside simultaneously
+    finished, holder = _in_thread(attempt)
+    assert finished
+    return holder[0]
+
+
+class TestWitnessedLock:
+    def test_excludes_other_threads(self):
+        lock = WitnessedLock()
+        entered = threading.Event()
+
+        def contender():
+            with lock:
+                entered.set()
             return True
 
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
-        assert not any(t.is_alive() for t in threads)
+        with lock:
+            thread = threading.Thread(target=contender)
+            thread.start()
+            assert not entered.wait(0.3), "a second thread entered"
+        thread.join(30)
+        assert entered.is_set()
 
-    def test_writer_excludes_readers_and_writers(self):
-        lock = ReadWriteLock()
-        observed = []
-        with lock.write_locked():
-            finished, _ = _in_thread(
-                lambda: lock.acquire_read(), timeout=0.3)
-            assert not finished, "reader entered during a write"
-            observed.append("exclusive")
-        # After release the blocked reader gets in.
-        time.sleep(0.1)
-        assert observed == ["exclusive"]
-
-    def test_write_waits_for_readers_to_drain(self):
-        lock = ReadWriteLock()
-        lock.acquire_read()
-        finished, _ = _in_thread(lambda: lock.acquire_write(), timeout=0.3)
+    def test_waiter_proceeds_after_release(self):
+        lock = WitnessedLock()
+        lock.acquire()
+        finished, _ = _in_thread(lambda: lock.acquire(), timeout=0.3)
         assert not finished
-        lock.release_read()
-        # The waiting writer proceeds once readers drain.
+        lock.release()
+        # The waiting thread gets in once the holder releases.
         deadline = time.monotonic() + 30
-        while lock._writer is None and time.monotonic() < deadline:
+        while not _held_elsewhere(lock) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert lock._writer is not None
+        assert _held_elsewhere(lock)
 
-    def test_read_reentrancy(self):
-        lock = ReadWriteLock()
-        with lock.read_locked():
-            with lock.read_locked():  # same thread re-enters freely
-                pass
-        # Fully released: a writer can proceed immediately.
-        finished, _ = _in_thread(
-            lambda: (lock.acquire_write(), lock.release_write()))
-        assert finished
-
-    def test_writer_may_reenter_both_sides(self):
-        lock = ReadWriteLock()
-        with lock.write_locked():
-            with lock.write_locked():
-                with lock.read_locked():  # write implies read
+    def test_reentrancy(self):
+        lock = WitnessedLock()
+        with lock:
+            with lock:  # the holding thread re-enters freely
+                with lock:
                     pass
-        finished, _ = _in_thread(
-            lambda: (lock.acquire_write(), lock.release_write()))
+            assert _held_elsewhere(lock)  # one release per acquire
+        # Fully released: another thread can take it immediately.
+        finished, _ = _in_thread(lambda: (lock.acquire(), lock.release()))
         assert finished
 
-    def test_upgrade_raises(self):
-        lock = ReadWriteLock()
-        with lock.read_locked():
-            with pytest.raises(RuntimeError, match="upgrade"):
-                lock.acquire_write()
-
-    def test_unbalanced_releases_raise(self):
-        lock = ReadWriteLock()
-        with pytest.raises(RuntimeError, match="release_read"):
-            lock.release_read()
-        with pytest.raises(RuntimeError, match="non-owning"):
-            lock.release_write()
+    def test_unbalanced_release_raises(self):
+        lock = WitnessedLock()
+        with pytest.raises(RuntimeError):
+            lock.release()
+        with lock:
+            finished, holder = _in_thread(
+                lambda: pytest.raises(RuntimeError, lock.release))
+            assert finished and holder
 
     def test_stress_counter_consistency(self):
-        """Increments under the write lock are never lost; readers see
-        only fully applied values."""
-        lock = ReadWriteLock()
+        """Increments under the lock are never lost; readers see only
+        fully applied values."""
+        lock = WitnessedLock()
         state = {"value": 0}
         n_threads, per_thread = 8, 300
         barrier = threading.Barrier(n_threads)
@@ -110,11 +99,11 @@ class TestReadWriteLock:
         def worker(thread_index):
             barrier.wait()
             for i in range(per_thread):
-                if i % 3 == 0:
-                    with lock.write_locked():
-                        state["value"] += 1
-                else:
-                    with lock.read_locked():
+                with lock:
+                    if i % 3 == 0:
+                        with lock:  # a nested locked helper
+                            state["value"] += 1
+                    else:
                         assert state["value"] >= 0
 
         threads = [threading.Thread(target=worker, args=(i,))
@@ -128,69 +117,22 @@ class TestReadWriteLock:
         assert state["value"] == expected
 
 
-class TestEventGate:
-    def test_fires_exactly_every_nth_tick(self):
-        gate = EventGate(3)
-        fired = [gate.tick() for _ in range(9)]
-        assert fired == [False, False, True] * 3
-        assert gate.count == 9
+class TestBoundedMemo:
+    """Eviction at the bound is tested where the memos are used
+    (``test_features_columnar``, ``test_property_sequence_kernels``)."""
 
-    def test_interval_one_fires_every_time(self):
-        gate = EventGate(1)
-        assert [gate.tick() for _ in range(4)] == [True] * 4
+    def test_pickle_drops_entries_and_keeps_the_bound(self):
+        memo = BoundedMemo(max_entries=3)
+        memo.update({"a": 1, "b": 2})
+        clone = pickle.loads(pickle.dumps(memo))
+        assert isinstance(clone, BoundedMemo)
+        assert clone == {} and clone.max_entries == 3
+        clone.update({"x": 1, "y": 2, "z": 3, "w": 4})
+        assert len(clone) == 3
 
-    def test_bulk_tick_crossing_multiple_boundaries_fires_once(self):
-        """tick(n) reports boundary crossings, not a per-event count —
-        a 25-event batch over a 10-gate is one True, and the next
-        boundary arrives 5 events later."""
-        gate = EventGate(10)
-        assert gate.tick(25) is True
-        assert gate.tick(4) is False
-        assert gate.tick(1) is True   # crosses 30
-        assert gate.count == 30
-
-    def test_zero_tick_is_a_no_op(self):
-        gate = EventGate(5)
-        assert gate.tick(0) is False
-        assert gate.count == 0
-
-    def test_reset_restarts_the_cycle(self):
-        gate = EventGate(4)
-        for _ in range(3):
-            gate.tick()
-        gate.reset()
-        assert gate.count == 0
-        assert [gate.tick() for _ in range(4)] == [False, False, False,
-                                                   True]
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError, match="interval"):
-            EventGate(0)
-        with pytest.raises(ValueError, match="n must be"):
-            EventGate(3).tick(-1)
-
-    def test_concurrent_ticks_fire_exactly_once_per_boundary(self):
-        gate = EventGate(10)
-        n_threads, per_thread = 8, 250
-        fired = [0] * n_threads
-        barrier = threading.Barrier(n_threads)
-
-        def worker(index):
-            barrier.wait()
-            for _ in range(per_thread):
-                if gate.tick():
-                    fired[index] += 1
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-        assert not any(thread.is_alive() for thread in threads)
-        total = n_threads * per_thread
-        assert gate.count == total
-        assert sum(fired) == total // 10
+    def test_invalid_bound(self):
+        with pytest.raises(ValueError, match="max_entries"):
+            BoundedMemo(max_entries=0)
 
 
 class TestLockWitness:
@@ -243,37 +185,23 @@ class TestLockWitness:
                         pass
             assert witness.edges() == {"ca": {"cb"}}
 
-    def test_rwlock_inversion_between_two_locks_trips(self):
-        with lock_witness_enabled():
-            outer = ReadWriteLock("rw-outer")
-            inner = ReadWriteLock("rw-inner")
-            with outer.read_locked():
-                with inner.write_locked():
-                    pass
-            with pytest.raises(LockOrderError):
-                with inner.read_locked():
-                    with outer.write_locked():
-                        pass
-
-    def test_rwlock_reentrancy_is_not_an_inversion(self):
+    def test_reentrancy_is_not_an_inversion(self):
         with lock_witness_enabled() as witness:
-            lock = ReadWriteLock("rw-re")
-            with lock.read_locked():
-                with lock.read_locked():
-                    pass
-            with lock.write_locked():
-                with lock.write_locked():
-                    with lock.read_locked():
-                        pass
+            lock = WitnessedLock("re")
+            with lock:
+                with lock:
+                    with lock:
+                        assert witness.held() == ("re", "re", "re")
             assert witness.held() == ()
             assert witness.edges() == {}
 
-    def test_upgrade_attempt_leaves_the_witness_stack_balanced(self):
+    def test_failed_acquire_leaves_the_witness_stack_balanced(self):
         with lock_witness_enabled() as witness:
-            lock = ReadWriteLock("rw-up")
-            with lock.read_locked():
-                with pytest.raises(RuntimeError, match="upgrade"):
-                    lock.acquire_write()
+            lock = WitnessedLock("busy")
+            with lock:
+                finished, holder = _in_thread(
+                    lambda: (lock.acquire(blocking=False), witness.held()))
+            assert finished and holder == [(False, ())]
             assert witness.held() == ()
 
     def test_disabled_witness_has_no_hooks(self):
@@ -286,11 +214,11 @@ class TestLockWitness:
             with a:
                 pass
 
-    def test_stress_rwlock_counter_under_witness(self):
-        """The existing reader/writer stress pattern stays correct (and
-        trip-free) with the witness enabled."""
+    def test_stress_counter_under_witness(self):
+        """The counter stress pattern stays correct (and trip-free, with
+        no order edge) with the witness enabled."""
         with lock_witness_enabled() as witness:
-            lock = ReadWriteLock("rw-stress")
+            lock = WitnessedLock("stress")
             state = {"value": 0}
             totals = []
             barrier = threading.Barrier(8)
@@ -298,14 +226,14 @@ class TestLockWitness:
             def writer():
                 barrier.wait()
                 for _ in range(200):
-                    with lock.write_locked():
+                    with lock:
                         state["value"] += 1
 
             def reader():
                 barrier.wait()
                 local = 0
                 for _ in range(200):
-                    with lock.read_locked():
+                    with lock:
                         local = max(local, state["value"])
                 totals.append(local)
 
@@ -319,12 +247,15 @@ class TestLockWitness:
             assert state["value"] == 4 * 200
             assert all(0 <= total <= 800 for total in totals)
             assert witness.held() == ()
+            assert witness.edges() == {}
 
     def test_witnessed_lock_basics(self):
         lock = WitnessedLock("basic")
-        assert not lock.locked()
+        assert lock.name == "basic"
+        assert not _held_elsewhere(lock)
         with lock:
-            assert lock.locked()
-        assert not lock.locked()
+            assert _held_elsewhere(lock)
+        assert not _held_elsewhere(lock)
         assert lock.acquire(blocking=False)
         lock.release()
+        assert WitnessedLock().name != WitnessedLock().name

@@ -24,8 +24,7 @@ from repro.features import (
     columnar,
     magellan_feature_plan,
 )
-from repro.concurrency import resolve_n_jobs
-from repro.features.columnar import TokenCache
+from repro.concurrency import BoundedMemo, resolve_n_jobs
 from repro.features.types import DataType
 from repro.similarity import (
     ALL_BOOLEAN_MEASURES,
@@ -289,7 +288,7 @@ class TestSharedKernelRun:
     def test_a_fill_the_memo_cannot_hold_is_skipped(
             self, duplicate_heavy_pairs, runs, monkeypatch):
         # A fit-sized transform: the column calls run one layer each.
-        monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES", 8)
+        monkeypatch.setattr(sequence.DP_MEMO, "max_entries", 8)
         generator = FeatureGenerator(FULL_PLAN)
         matrix = generator.transform(duplicate_heavy_pairs)
         assert runs and all(len(layers) == 1 for layers, _ in runs)
@@ -325,7 +324,7 @@ class TestKnobValidation:
             resolve_n_jobs(0)
 
     def test_token_cache_bounded(self):
-        cache = TokenCache(max_entries=2)
+        cache = BoundedMemo(max_entries=2)
         cache[("space", "a")] = ["a"]
         cache[("space", "b")] = ["b"]
         cache[("space", "c")] = ["c"]  # triggers wholesale eviction
@@ -333,7 +332,7 @@ class TestKnobValidation:
         assert ("space", "c") in cache
 
     def test_token_cache_safe_under_concurrent_writers(self):
-        cache = TokenCache(max_entries=64)
+        cache = BoundedMemo(max_entries=64)
         n_threads, per_thread = 8, 500
         barrier = threading.Barrier(n_threads)
 
@@ -383,7 +382,7 @@ class TestValueDedupKeys:
                                       transform_naive(generator, pairs))
 
 
-class TestSharedDPMemo:
+class TestSharedSimilarityMemo:
     """The process-wide DP memo under the threads a MatchService runs."""
 
     WORDS = ("sony", "samsung", "hdmi", "cable", "black", "1080p", "lcd",
@@ -416,7 +415,7 @@ class TestSharedDPMemo:
         # Far fewer entries than the unique DP keys of one transform, so
         # the memo empties wholesale many times while threads read it.
         assert len(sequence.DP_MEMO) > 16
-        monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES", 16)
+        monkeypatch.setattr(sequence.DP_MEMO, "max_entries", 16)
         sequence.DP_MEMO.clear()
         generator = FeatureGenerator(FULL_PLAN)
         n_threads, rounds = 4, 3

@@ -6,8 +6,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.concurrency import lock_witness_enabled
 from repro.features import ProfileAccumulator
-from repro.monitor import FeatureDriftMonitor
+from repro.monitor import FeatureDriftMonitor, drift
 
 
 def make_reference(seed=7, n=600, columns=("a", "b", "c")):
@@ -63,10 +64,11 @@ class TestVerdicts:
         assert feature.drifted
         assert "b" in report.drifted_features
 
-    def test_match_rate_shift_alone_is_drift(self):
-        monitor = FeatureDriftMonitor(make_reference(), min_rows=100,
-                                      psi_threshold=99, ks_threshold=99,
-                                      null_shift_threshold=99)
+    def test_match_rate_shift_alone_is_drift(self, monkeypatch):
+        for name in ("PSI_THRESHOLD", "KS_THRESHOLD",
+                     "NULL_SHIFT_THRESHOLD"):
+            monkeypatch.setattr(drift, name, 99)
+        monitor = FeatureDriftMonitor(make_reference(), min_rows=100)
         rng = np.random.default_rng(11)
         X, probs, _ = reference_like_traffic(rng, 400)
         monitor.observe(X, probs, np.ones(400, dtype=int))
@@ -75,6 +77,8 @@ class TestVerdicts:
         assert report.match_rate == 1.0
         assert report.match_rate_shift > 0.25
         assert report.drifted
+        assert report.thresholds == {"psi": 99, "ks": 99,
+                                     "null_shift": 99, "match_rate": 0.25}
 
     def test_below_min_rows_is_never_drifted(self):
         monitor = FeatureDriftMonitor(make_reference(), min_rows=1000)
@@ -124,12 +128,23 @@ class TestTapContract:
             for _ in range(batches):
                 monitor.observe(*reference_like_traffic(rng, rows))
 
+        reported = []
+
+        def reporter():
+            for _ in range(batches):
+                reported.append(monitor.report().n_rows)
+
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        threads.append(threading.Thread(target=reporter))
+        with lock_witness_enabled() as witness:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert witness.edges() == {}
+        assert reported == sorted(reported)
+        assert reported[-1] <= n_threads * batches * rows
         assert monitor.n_rows == n_threads * batches * rows
         report = monitor.report()
         assert report.n_rows == n_threads * batches * rows

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sequence_oracle as oracle
+from repro.concurrency import BoundedMemo
 from repro.similarity import get_measure, sequence
 from repro.similarity.registry import SEQUENCE_MAX_CHARS
 
@@ -194,9 +195,8 @@ FIXED_BATCH = [("kitten", "sitting"), ("flaw", "lawn"), ("", "abc"),
                ("\U0001F600x", "x\U0001F600"), ("gumbo", "gambol")]
 
 
-def test_memo_update_keeps_its_bound(monkeypatch):
-    monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES", 100)
-    memo = sequence.DPMemo()
+def test_memo_update_keeps_its_bound():
+    memo = BoundedMemo(max_entries=100)
     layer = sequence.LEVENSHTEIN
     memo.update({(layer, "a", str(i)): 1.0 for i in range(60)})
     assert len(memo) == 60
@@ -207,7 +207,7 @@ def test_memo_update_keeps_its_bound(monkeypatch):
 def test_fill_memo_keeps_every_layer_it_scored(monkeypatch):
     # The memo is partly full and the fill fits it exactly: one update
     # per fill, so no layer's scores evict another's.
-    monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES",
+    monkeypatch.setattr(sequence.DP_MEMO, "max_entries",
                         len(LAYERS) * len(FIXED_BATCH))
     sequence.DP_MEMO.update({(sequence.LEVENSHTEIN, "x", "y"): 1.0})
     sequence.fill_memo([(layer, FIXED_BATCH) for layer in LAYERS])
@@ -217,7 +217,7 @@ def test_fill_memo_keeps_every_layer_it_scored(monkeypatch):
 
 
 def test_fill_memo_skips_a_fill_the_memo_cannot_hold(monkeypatch):
-    monkeypatch.setattr(sequence, "DP_MEMO_MAX_ENTRIES",
+    monkeypatch.setattr(sequence.DP_MEMO, "max_entries",
                         len(LAYERS) * len(FIXED_BATCH) - 1)
     sequence.fill_memo([(layer, FIXED_BATCH) for layer in LAYERS])
     assert len(sequence.DP_MEMO) == 0

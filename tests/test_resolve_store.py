@@ -186,7 +186,7 @@ class TestEntityStore:
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 errors.append(exc)
 
-        with lock_witness_enabled():
+        with lock_witness_enabled() as witness:
             threads = [threading.Thread(target=worker, args=(i,))
                        for i in range(4)]
             for thread in threads:
@@ -194,6 +194,7 @@ class TestEntityStore:
             for thread in threads:
                 thread.join()
         assert errors == []
+        assert witness.edges() == {}
         decisions = [decision for batch in batches for decision in batch]
         assert store.entities() == resolve_oracle.batch_entities(
             decisions, CorrelationClustering(seed=0))

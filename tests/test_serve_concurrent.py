@@ -45,9 +45,12 @@ def deadlock_deadline():
 def lock_order_witness():
     """Run the whole stress suite under the runtime lock-order witness:
     any acquisition that closes an order cycle raises LockOrderError in
-    the offending thread instead of deadlocking some future run."""
+    the offending thread instead of deadlocking some future run.  Each
+    test must also end with no order edge at all: every guarded object
+    holds one lock, and no lock is taken while another is held."""
     with lock_witness_enabled() as witness:
         yield witness
+        assert witness.edges() == {}
 
 
 @pytest.fixture()
