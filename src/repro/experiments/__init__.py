@@ -16,7 +16,6 @@ from .extra import (
 from .results import ResultTable
 from .runners import (
     DatasetBundle,
-    clear_bundle_cache,
     f1_spread,
     load_bundle,
     run_fig3,
@@ -39,7 +38,6 @@ __all__ = [
     "HARD_DATASETS",
     "PAPER_NUMBERS",
     "ResultTable",
-    "clear_bundle_cache",
     "f1_spread",
     "load_bundle",
     "run_blocking_study",

@@ -108,10 +108,6 @@ def load_bundle(name: str, config: ExperimentConfig = FAST,
     return _BUNDLES[key]
 
 
-def clear_bundle_cache() -> None:
-    _BUNDLES.clear()
-
-
 def _automl_em(config: ExperimentConfig, **overrides) -> AutoMLEM:
     kwargs = dict(n_iterations=config.automl_iterations,
                   forest_size=config.forest_size,

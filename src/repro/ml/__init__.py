@@ -2,45 +2,35 @@
 
 Everything the AutoML engine searches over lives here: tree ensembles,
 boosting, linear models, naive Bayes, k-NN, an MLP, preprocessing,
-feature selection and decomposition — plus metrics and validation
-utilities.  See DESIGN.md for why this substrate exists (the offline
+feature selection and decomposition — plus the F1 metrics the search
+scores with.  See DESIGN.md for why this substrate exists (the offline
 environment has no scikit-learn).
 """
 
 from .base import BaseEstimator, NotFittedError, clone
 from .boosting import AdaBoostClassifier, GradientBoostingClassifier
-from .calibration import PlattCalibrator, expected_calibration_error
 from .decomposition import PCA, FeatureAgglomeration
 from .feature_selection import (
     SelectKBest,
     SelectPercentile,
     SelectRates,
     TreeFeatureSelector,
-    VarianceThreshold,
     chi2,
     f_classif,
 )
 from .forest import ExtraTreesClassifier, RandomForestClassifier
 from .linear import LinearSVC, LogisticRegression
 from .metrics import (
-    accuracy_score,
-    confusion_matrix,
     f1_score,
     precision_recall_f1,
     precision_score,
     recall_score,
-)
-from .model_selection import (
-    GridSearchCV,
-    ParameterGrid,
-    RandomizedSearchCV,
 )
 from .naive_bayes import BernoulliNB, GaussianNB
 from .neighbors import KNeighborsClassifier
 from .neural import MLPClassifier
 from .pipeline import Pipeline
 from .preprocessing import (
-    IdentityTransform,
     MinMaxScaler,
     NonNegativeShift,
     Normalizer,
@@ -48,11 +38,8 @@ from .preprocessing import (
     RobustScaler,
     SimpleImputer,
     StandardScaler,
-    balanced_sample_weight,
-    compute_class_weight,
 )
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
-from .validation import StratifiedKFold, cross_val_score, train_test_split
 
 __all__ = [
     "AdaBoostClassifier",
@@ -64,8 +51,6 @@ __all__ = [
     "FeatureAgglomeration",
     "GaussianNB",
     "GradientBoostingClassifier",
-    "GridSearchCV",
-    "IdentityTransform",
     "KNeighborsClassifier",
     "LinearSVC",
     "LogisticRegression",
@@ -75,12 +60,8 @@ __all__ = [
     "NotFittedError",
     "Normalizer",
     "PCA",
-    "ParameterGrid",
     "Pipeline",
-    "PlattCalibrator",
-    "expected_calibration_error",
     "RandomForestClassifier",
-    "RandomizedSearchCV",
     "RandomOverSampler",
     "RobustScaler",
     "SelectKBest",
@@ -88,20 +69,12 @@ __all__ = [
     "SelectRates",
     "SimpleImputer",
     "StandardScaler",
-    "StratifiedKFold",
     "TreeFeatureSelector",
-    "VarianceThreshold",
-    "accuracy_score",
-    "balanced_sample_weight",
     "chi2",
     "clone",
-    "compute_class_weight",
-    "confusion_matrix",
-    "cross_val_score",
     "f1_score",
     "f_classif",
     "precision_recall_f1",
     "precision_score",
     "recall_score",
-    "train_test_split",
 ]

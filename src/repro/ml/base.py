@@ -93,3 +93,10 @@ def encode_labels(y) -> tuple[np.ndarray, np.ndarray]:
     """Map labels to 0..k-1; returns ``(classes, encoded)``."""
     classes, encoded = np.unique(y, return_inverse=True)
     return classes, encoded.astype(np.int64)
+
+
+def balanced_weights(y_encoded: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-sample 'balanced' class weights: n / (k * count(class))."""
+    counts = np.bincount(y_encoded, minlength=n_classes)
+    weights = len(y_encoded) / (n_classes * np.maximum(counts, 1))
+    return weights[y_encoded]

@@ -2,8 +2,8 @@
 
 The AutoML space's *feature preprocessing* stage: ANOVA F and chi²
 scores, ``SelectPercentile`` (the Figure 3b sweep), ``SelectRates`` with
-FPR/FDR/FWE control (the ``select_rates`` component of Figures 5/11),
-variance thresholding and extra-trees-based selection.
+FPR/FDR/FWE control (the ``select_rates`` component of Figures 5/11)
+and extra-trees-based selection.
 """
 
 from __future__ import annotations
@@ -178,31 +178,6 @@ class SelectRates(BaseEstimator):
         return check_X(X)[:, self.support_]
 
     def fit_transform(self, X, y) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-class VarianceThreshold(BaseEstimator):
-    """Drop features whose training variance is <= ``threshold``."""
-
-    def __init__(self, threshold: float = 0.0):
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
-        self.threshold = threshold
-
-    def fit(self, X, y=None) -> "VarianceThreshold":
-        X = check_X(X)
-        variances = X.var(axis=0)
-        mask = variances > self.threshold
-        if not mask.any():
-            mask[np.argmax(variances)] = True
-        self.support_ = mask
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        self._check_fitted("support_")
-        return check_X(X)[:, self.support_]
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X, y).transform(X)
 
 

@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_X, check_X_y, encode_labels
-from .tree import DecisionTreeClassifier, _balanced_weights
+from .base import (
+    BaseEstimator,
+    balanced_weights,
+    check_X,
+    check_X_y,
+    encode_labels,
+)
+from .tree import DecisionTreeClassifier
 
 
 class _BaseForest(BaseEstimator):
@@ -51,7 +57,7 @@ class _BaseForest(BaseEstimator):
         else:
             sample_weight = np.asarray(sample_weight, dtype=np.float64)
         if self.class_weight == "balanced":
-            sample_weight = sample_weight * _balanced_weights(
+            sample_weight = sample_weight * balanced_weights(
                 encoded, len(self.classes_))
         rng = np.random.default_rng(self.random_state)
         n = X.shape[0]

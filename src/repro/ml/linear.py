@@ -11,7 +11,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from .base import BaseEstimator, check_X, check_X_y, encode_labels
+from .base import (
+    BaseEstimator,
+    balanced_weights,
+    check_X,
+    check_X_y,
+    encode_labels,
+)
 
 
 def _add_bias(X: np.ndarray) -> np.ndarray:
@@ -41,8 +47,7 @@ class LogisticRegression(BaseEstimator):
         target = 2.0 * encoded - 1.0  # ±1
         weights = np.ones(len(y))
         if self.class_weight == "balanced":
-            counts = np.bincount(encoded, minlength=2)
-            weights = (len(y) / (2.0 * np.maximum(counts, 1)))[encoded]
+            weights = balanced_weights(encoded, 2)
         Xb = _add_bias(X)
         n_params = Xb.shape[1]
         penalty_mask = np.ones(n_params)
@@ -99,8 +104,7 @@ class LinearSVC(BaseEstimator):
         target = 2.0 * encoded - 1.0
         weights = np.ones(len(y))
         if self.class_weight == "balanced":
-            counts = np.bincount(encoded, minlength=2)
-            weights = (len(y) / (2.0 * np.maximum(counts, 1)))[encoded]
+            weights = balanced_weights(encoded, 2)
         Xb = _add_bias(X)
         penalty_mask = np.ones(Xb.shape[1])
         penalty_mask[-1] = 0.0

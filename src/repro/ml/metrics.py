@@ -47,31 +47,6 @@ def f1_score(y_true, y_pred, pos_label=1) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def accuracy_score(y_true, y_pred) -> float:
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(
-            f"shape mismatch: y_true {y_true.shape} vs y_pred {y_pred.shape}")
-    if y_true.size == 0:
-        raise ValueError("accuracy of an empty prediction set is undefined")
-    return float((y_true == y_pred).mean())
-
-
-def confusion_matrix(y_true, y_pred, labels=None) -> np.ndarray:
-    """Counts[i, j] = samples with gold ``labels[i]`` predicted ``labels[j]``."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    labels = np.asarray(labels)
-    index = {label: i for i, label in enumerate(labels.tolist())}
-    matrix = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for gold, pred in zip(y_true, y_pred):
-        matrix[index[gold], index[pred]] += 1
-    return matrix
-
-
 def precision_recall_f1(y_true, y_pred, pos_label=1) -> tuple[float, float, float]:
     """All three EM metrics in one call."""
     return (precision_score(y_true, y_pred, pos_label),

@@ -3,8 +3,9 @@
 These are the components of the AutoML space's *data preprocessing*
 stage (Figures 4/5/11): ``SimpleImputer``, ``MinMaxScaler``,
 ``StandardScaler``, ``RobustScaler`` (with the tunable ``q_min``/``q_max``
-quantiles from Figure 3c), ``Normalizer``, class-weight computation for
-the ``balancing:strategy = weighting`` option and a random oversampler.
+quantiles from Figure 3c), ``Normalizer`` and a random oversampler.  The
+``balancing:strategy = weighting`` option is the models' own
+``class_weight="balanced"`` (:func:`repro.ml.base.balanced_weights`).
 """
 
 from __future__ import annotations
@@ -182,39 +183,6 @@ class NonNegativeShift(BaseEstimator):
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X, y).transform(X)
-
-
-class IdentityTransform(BaseEstimator):
-    """The 'none' choice of a pipeline stage."""
-
-    def __init__(self):
-        pass
-
-    def fit(self, X, y=None) -> "IdentityTransform":
-        self.fitted_ = True
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        return check_X(X)
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-def compute_class_weight(y) -> dict:
-    """'balanced' class weights: n / (k * count(class)) per class label."""
-    y = np.asarray(y)
-    classes, counts = np.unique(y, return_counts=True)
-    n, k = len(y), len(classes)
-    return {cls: n / (k * count) for cls, count in zip(classes.tolist(),
-                                                       counts.tolist())}
-
-
-def balanced_sample_weight(y) -> np.ndarray:
-    """Per-sample weights implementing ``balancing:strategy='weighting'``."""
-    weight_by_class = compute_class_weight(y)
-    y = np.asarray(y)
-    return np.asarray([weight_by_class[label] for label in y.tolist()])
 
 
 class RandomOverSampler(BaseEstimator):

@@ -14,7 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_X, check_X_y, encode_labels
+from .base import (
+    BaseEstimator,
+    balanced_weights,
+    check_X,
+    check_X_y,
+    encode_labels,
+)
 
 _LEAF = -1
 
@@ -423,13 +429,6 @@ class _TreeBuilder:
         return best[0], best[1], gain
 
 
-def _balanced_weights(y_encoded: np.ndarray, n_classes: int) -> np.ndarray:
-    """'balanced' class weights: n / (k * count(class))."""
-    counts = np.bincount(y_encoded, minlength=n_classes)
-    weights = len(y_encoded) / (n_classes * np.maximum(counts, 1))
-    return weights[y_encoded]
-
-
 class DecisionTreeClassifier(BaseEstimator):
     """CART classification tree.
 
@@ -466,7 +465,7 @@ class DecisionTreeClassifier(BaseEstimator):
         else:
             sample_weight = np.asarray(sample_weight, dtype=np.float64)
         if self.class_weight == "balanced":
-            sample_weight = sample_weight * _balanced_weights(
+            sample_weight = sample_weight * balanced_weights(
                 encoded, len(self.classes_))
         builder = _TreeBuilder(
             self.criterion, len(self.classes_), self.max_depth,

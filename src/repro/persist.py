@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import json
 import os
@@ -61,8 +62,9 @@ def atomic_write(path: Union[str, Path], data: Union[bytes, str]) -> None:
 
 def replace_directory(path: Path, files: Mapping[str, bytes]) -> None:
     """Publish a directory of ``files`` at ``path`` with one rename.  An
-    existing ``path`` is moved aside and moved back if the rename fails
-    (if even that fails, it is kept in the hidden work directory)."""
+    existing ``path`` is moved aside and moved back if the rename fails;
+    if even that fails, or the process dies between the two renames, it
+    is kept in the hidden work directory (:func:`moved_aside`)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(dir=path.parent, prefix=f".{path.name}."))
     staged, aside = work / "new", work / "old"
@@ -84,6 +86,12 @@ def replace_directory(path: Path, files: Mapping[str, bytes]) -> None:
     finally:
         if path.exists() or not aside.exists():
             shutil.rmtree(work, ignore_errors=True)
+
+
+def moved_aside(path: Path) -> list[Path]:
+    """Previous versions of ``path`` that :func:`replace_directory` moved
+    aside and never moved back."""
+    return sorted(path.parent.glob(f".{glob.escape(path.name)}.*/old"))
 
 
 def checked_pickle(kind: str, version: int, obj: object,

@@ -227,8 +227,20 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelBundle":
-        """Read a bundle directory, verifying integrity end to end."""
+        """Read a bundle directory, verifying integrity end to end.
+
+        If ``path`` is missing because an overwrite died between its two
+        renames, the previous bundle is read where the overwrite left it.
+        """
         path = Path(path)
+        if not path.exists():
+            aside = persist.moved_aside(path)
+            if len(aside) > 1:
+                raise BundleError(
+                    f"{path} is missing and {len(aside)} interrupted "
+                    f"overwrites left earlier bundles aside "
+                    f"({', '.join(map(str, aside))}); move one back")
+            path = aside[0] if aside else path
         manifest_path = path / MANIFEST_NAME
         if not manifest_path.exists():
             raise BundleError(f"{path} is not a model bundle "

@@ -161,9 +161,15 @@ class TestAutoML:
 
     def test_score_uses_configured_scorer(self, em_matrices):
         X_tr, y_tr, X_va, y_va = em_matrices
-        from repro.ml import accuracy_score
+        calls = []
+
+        def accuracy(y_true, y_pred):
+            calls.append(len(y_true))
+            return float(np.mean(np.asarray(y_true) == np.asarray(y_pred)))
+
         space = build_config_space(forest_size=8)
-        automl = AutoML(space, n_iterations=3, scorer=accuracy_score, seed=0)
+        automl = AutoML(space, n_iterations=3, scorer=accuracy, seed=0)
         automl.fit(X_tr, y_tr, X_va, y_va)
+        assert calls, "the search never called the custom scorer"
         assert automl.score(X_va, y_va) == pytest.approx(
-            accuracy_score(y_va, automl.predict(X_va)))
+            accuracy(y_va, automl.predict(X_va)))

@@ -3,7 +3,6 @@ misuse, lock-order witnessing, memo pickling."""
 
 import pickle
 import threading
-import time
 
 import pytest
 
@@ -58,15 +57,25 @@ class TestWitnessedLock:
 
     def test_waiter_proceeds_after_release(self):
         lock = WitnessedLock()
+        entered, done = threading.Event(), threading.Event()
+
+        def waiter():
+            # Hold the lock until checked: a thread that exits holding
+            # an RLock hands it to the next thread reusing its ident.
+            with lock:
+                entered.set()
+                done.wait(30)
+
         lock.acquire()
-        finished, _ = _in_thread(lambda: lock.acquire(), timeout=0.3)
-        assert not finished
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        assert not entered.wait(0.3)
         lock.release()
         # The waiting thread gets in once the holder releases.
-        deadline = time.monotonic() + 30
-        while not _held_elsewhere(lock) and time.monotonic() < deadline:
-            time.sleep(0.01)
+        assert entered.wait(30)
         assert _held_elsewhere(lock)
+        done.set()
+        thread.join(30)
 
     def test_reentrancy(self):
         lock = WitnessedLock()

@@ -1,4 +1,4 @@
-"""Tests for estimator plumbing, Pipeline and validation utilities."""
+"""Tests for estimator plumbing, input validation and Pipeline."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,10 @@ from repro.ml import (
     SelectPercentile,
     SimpleImputer,
     StandardScaler,
-    StratifiedKFold,
     clone,
-    cross_val_score,
     f1_score,
-    train_test_split,
 )
-from repro.ml.base import check_X_y, encode_labels
+from repro.ml.base import balanced_weights, check_X_y, encode_labels
 
 
 class TestBaseEstimator:
@@ -62,51 +59,15 @@ class TestValidationHelpers:
         assert classes.tolist() == ["a", "b"]
         assert encoded.tolist() == [1, 0, 1]
 
+    def test_balanced_weights_formula(self):
+        # n / (k * count): 4 / (2*3) and 4 / (2*1).
+        weights = balanced_weights(np.asarray([0, 0, 0, 1]), 2)
+        assert weights.tolist() == pytest.approx([2 / 3, 2 / 3, 2 / 3, 2.0])
 
-class TestTrainTestSplit:
-    def test_sizes(self, blob_data):
-        X_train, y_train, _, _ = blob_data
-        X_tr, X_te, y_tr, y_te = train_test_split(X_train, y_train,
-                                                  test_size=0.25, seed=0)
-        assert len(X_te) == pytest.approx(0.25 * len(X_train), abs=2)
-        assert len(X_tr) + len(X_te) == len(X_train)
-
-    def test_stratification(self):
-        y = np.asarray([0] * 80 + [1] * 20)
-        X = np.arange(100, dtype=float).reshape(-1, 1)
-        _, _, _, y_te = train_test_split(X, y, test_size=0.2, seed=0)
-        assert y_te.sum() == 4
-
-    def test_invalid_test_size(self, blob_data):
-        X_train, y_train, _, _ = blob_data
-        with pytest.raises(ValueError, match="test_size"):
-            train_test_split(X_train, y_train, test_size=1.5)
-
-
-class TestStratifiedKFold:
-    def test_folds_partition(self):
-        y = np.asarray([0] * 30 + [1] * 10)
-        seen = []
-        for train_idx, test_idx in StratifiedKFold(4, seed=0).split(y):
-            assert set(train_idx) & set(test_idx) == set()
-            seen.extend(test_idx.tolist())
-        assert sorted(seen) == list(range(40))
-
-    def test_each_fold_has_minority(self):
-        y = np.asarray([0] * 36 + [1] * 4)
-        for _, test_idx in StratifiedKFold(4, seed=0).split(y):
-            assert y[test_idx].sum() == 1
-
-    def test_invalid_splits(self):
-        with pytest.raises(ValueError, match="n_splits"):
-            StratifiedKFold(1)
-
-    def test_cross_val_score(self, blob_data):
-        X_train, y_train, _, _ = blob_data
-        scores = cross_val_score(DecisionTreeClassifier(max_depth=4),
-                                 X_train, y_train, n_splits=3)
-        assert scores.shape == (3,)
-        assert scores.min() > 0.8
+    def test_balanced_weights_sum_equal_per_class(self):
+        y = np.asarray([0] * 90 + [1] * 10)
+        weights = balanced_weights(y, 2)
+        assert weights[y == 0].sum() == pytest.approx(weights[y == 1].sum())
 
 
 class TestPipeline:

@@ -8,7 +8,6 @@ from repro.ml import (
     SelectPercentile,
     SelectRates,
     TreeFeatureSelector,
-    VarianceThreshold,
     chi2,
     f_classif,
 )
@@ -148,17 +147,6 @@ class TestSelectRates:
             SelectRates(alpha=0.0)
         with pytest.raises(ValueError, match="mode"):
             SelectRates(mode="bonferroni")
-
-
-class TestVarianceThreshold:
-    def test_drops_constant(self, rng):
-        X = np.column_stack([np.ones(30), rng.normal(size=30)])
-        out = VarianceThreshold().fit_transform(X)
-        assert out.shape[1] == 1
-
-    def test_all_constant_keeps_one(self):
-        X = np.ones((10, 3))
-        assert VarianceThreshold().fit_transform(X).shape[1] == 1
 
 
 class TestTreeSelector:

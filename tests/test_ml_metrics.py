@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ml import (
-    accuracy_score,
-    confusion_matrix,
     f1_score,
     precision_recall_f1,
     precision_score,
@@ -71,25 +69,3 @@ class TestF1:
         p, r, f = precision_recall_f1(y_true, y_pred)
         assert (p, r) == (1.0, 0.5)
         assert f == pytest.approx(2 / 3)
-
-
-class TestAccuracy:
-    def test_known(self):
-        assert accuracy_score([1, 0, 1, 0], [1, 0, 0, 0]) == 0.75
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            accuracy_score([], [])
-
-
-class TestConfusion:
-    def test_matrix_layout(self):
-        y_true = [0, 0, 1, 1, 1]
-        y_pred = [0, 1, 1, 1, 0]
-        matrix = confusion_matrix(y_true, y_pred)
-        assert matrix.tolist() == [[1, 1], [1, 2]]
-
-    def test_explicit_labels(self):
-        matrix = confusion_matrix([0], [0], labels=[0, 1])
-        assert matrix.shape == (2, 2)
-        assert matrix[0, 0] == 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ml import (
-    IdentityTransform,
     MinMaxScaler,
     NonNegativeShift,
     Normalizer,
@@ -12,8 +11,6 @@ from repro.ml import (
     RobustScaler,
     SimpleImputer,
     StandardScaler,
-    balanced_sample_weight,
-    compute_class_weight,
 )
 
 
@@ -106,11 +103,6 @@ class TestScalers:
         out = Normalizer().fit_transform(np.zeros((2, 3)))
         assert not np.isnan(out).any()
 
-    def test_identity(self, rng):
-        X = rng.normal(size=(5, 2))
-        np.testing.assert_array_equal(IdentityTransform().fit_transform(X),
-                                      X)
-
 
 class TestNonNegativeShift:
     def test_output_non_negative(self, rng):
@@ -124,17 +116,6 @@ class TestNonNegativeShift:
 
 
 class TestBalancing:
-    def test_compute_class_weight(self):
-        # n / (k * count): 4 / (2*3) and 4 / (2*1).
-        weights = compute_class_weight([0, 0, 0, 1])
-        assert weights[0] == pytest.approx(2 / 3)
-        assert weights[1] == pytest.approx(2.0)
-
-    def test_balanced_sample_weight_sums_equal_per_class(self):
-        y = np.asarray([0] * 90 + [1] * 10)
-        weights = balanced_sample_weight(y)
-        assert weights[y == 0].sum() == pytest.approx(weights[y == 1].sum())
-
     def test_oversampler_balances(self, rng):
         X = rng.normal(size=(100, 2))
         y = np.asarray([0] * 90 + [1] * 10)

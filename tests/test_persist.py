@@ -7,8 +7,10 @@ exception type, never a silently different object.
 """
 
 import ast
+import multiprocessing
 import os
 import pickle
+import shutil
 import threading
 from pathlib import Path
 
@@ -28,7 +30,12 @@ from repro.resolve import (
     MatchDecision,
     node_key,
 )
-from repro.serve import BundleIntegrityError, ModelBundle, ModelRegistry
+from repro.serve import (
+    BundleError,
+    BundleIntegrityError,
+    ModelBundle,
+    ModelRegistry,
+)
 
 SRC = Path(persist.__file__).parent
 
@@ -194,6 +201,47 @@ class TestFaultMatrix:
         assert failed
         assert kind.load(tmp_path) == kind.identity(1)
         assert hidden(tmp_path) == []
+
+    def test_kill_between_bundle_renames_loads_previous(self, tmp_path):
+        """A hard kill after the old bundle is moved aside and before the
+        new one is renamed in leaves nothing at the path; ``load`` reads
+        the old bundle where the overwrite left it."""
+        kind = BundleKind()
+        kind.save(tmp_path, 1)
+        target = tmp_path / "bundle"
+
+        def overwrite_and_die():
+            real_replace = os.replace
+
+            def replace(src, dst):
+                if Path(dst) == target:
+                    os._exit(9)  # no except/finally runs, like a SIGKILL
+                real_replace(src, dst)
+
+            persist.os.replace = replace  # in the forked child only
+            kind.save(tmp_path, 2)
+
+        child = multiprocessing.get_context("fork").Process(
+            target=overwrite_and_die)
+        child.start()
+        child.join(60)
+        assert child.exitcode == 9
+        assert not target.exists()
+        assert len(persist.moved_aside(target)) == 1
+        assert kind.load(tmp_path) == kind.identity(1)
+        kind.save(tmp_path, 2)
+        assert kind.load(tmp_path) == kind.identity(2)
+
+    def test_several_bundles_aside_is_an_error(self, tmp_path):
+        kind = BundleKind()
+        kind.save(tmp_path, 1)
+        target = tmp_path / "bundle"
+        for name in (".bundle.a", ".bundle.b"):
+            (tmp_path / name).mkdir()
+            shutil.copytree(target, tmp_path / name / "old")
+        shutil.rmtree(target)
+        with pytest.raises(BundleError, match="2 interrupted overwrites"):
+            kind.load(tmp_path)
 
     def test_truncated_payload(self, kind, tmp_path):
         """Truncation is caught, or (a manifest's trailing newline)

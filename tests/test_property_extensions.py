@@ -5,7 +5,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.thresholding import apply_threshold, tune_threshold
-from repro.ml.calibration import expected_calibration_error
 from repro.ml.metrics import f1_score
 
 probs_and_labels = st.integers(5, 80).flatmap(
@@ -38,15 +37,6 @@ class TestThresholdProperties:
         probabilities, y = np.asarray(data[0]), np.asarray(data[1])
         result = tune_threshold(probabilities, y)
         assert -0.01 <= result.threshold <= 1.01
-
-
-class TestECEProperties:
-    @settings(max_examples=60)
-    @given(probs_and_labels, st.integers(1, 20))
-    def test_ece_bounds(self, data, n_bins):
-        probabilities, y = np.asarray(data[0]), np.asarray(data[1])
-        ece = expected_calibration_error(y, probabilities, n_bins=n_bins)
-        assert 0.0 <= ece <= 1.0
 
 
 class TestLimeProperties:
