@@ -18,8 +18,17 @@ ways a serving path can keep entity ids current:
 Parity comes before speed: the incremental store's final partition —
 including the correlation-clustering refined view — must be
 bit-identical to the one-shot batch re-cluster, and both fingerprints
-must agree.  Results go to ``BENCH_resolve.json`` at the repo root,
-under the provenance header every ``BENCH_*.json`` carries
+must agree.
+
+A third section times snapshots: a standing store saves into a
+temporary directory after every ``SAVE_EVERY``-th batch and after the
+last one, and the last snapshot is loaded back.  It reports the median
+and last save seconds (a save should cost the decisions applied since
+the previous one, plus one pickle of the store, not a re-sort of the
+whole log), the snapshot's bytes and the load seconds.
+
+Results go to ``BENCH_resolve.json`` at the repo root, under the
+provenance header every ``BENCH_*.json`` carries
 (``benchmarks/common.provenance()``: git SHA, python/numpy versions,
 CPU count).
 
@@ -27,20 +36,24 @@ Usage::
 
     python benchmarks/bench_resolve.py [--decisions 50000]
     python benchmarks/bench_resolve.py --check   # exit 1 unless the
-                                                 # parity/quality gates hold
+                                                 # parity/quality/snapshot
+                                                 # gates hold
 
-``--check`` enforces incremental==batch parity, fingerprint equality
-and cluster pairwise F1 >= 0.99 against the workload's gold pairs at
-any scale, plus a 10x incremental-vs-recluster speedup at full scale
-(>= 20000 decisions; smaller runs only require parity, so the smoke
-test stays cheap — see ``tests/test_bench_resolve_smoke.py``).
+``--check`` enforces incremental==batch parity, fingerprint equality,
+load(save) fingerprint equality and cluster pairwise F1 >= 0.99
+against the workload's gold pairs at any scale, plus a 10x
+incremental-vs-recluster speedup at full scale (>= 20000 decisions;
+smaller runs only require parity, so the smoke test stays cheap — see
+``tests/test_bench_resolve_smoke.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -66,6 +79,9 @@ FULL_SCALE = 20000
 
 #: Decisions emitted per synthetic entity (see build_decisions).
 _PER_ENTITY = 4
+
+#: The snapshot section saves after every this many batches.
+SAVE_EVERY = 10
 
 
 def build_decisions(n_decisions: int, seed: int = 0
@@ -151,6 +167,36 @@ def _time_full_recluster(decisions: list[MatchDecision],
     }
 
 
+def _time_snapshots(decisions: list[MatchDecision],
+                    batch_size: int) -> dict:
+    """Save a standing store every ``SAVE_EVERY`` batches and after the
+    last; time the saves and loading the last snapshot back."""
+    store = _make_store()
+    batches = range(0, len(decisions), batch_size)
+    save_seconds = []
+    with tempfile.TemporaryDirectory(prefix="bench-resolve-") as directory:
+        for number, low in enumerate(batches, start=1):
+            store.apply(decisions[low:low + batch_size])
+            if number % SAVE_EVERY == 0 or number == len(batches):
+                start = time.perf_counter()
+                path = store.save(directory)
+                save_seconds.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        loaded = EntityStore.load(path)
+        load_seconds = time.perf_counter() - start
+        snapshot_bytes = path.stat().st_size
+    return {
+        "save_every_batches": SAVE_EVERY,
+        "n_saves": len(save_seconds),
+        "median_save_seconds": round(statistics.median(save_seconds), 6),
+        "last_save_seconds": round(save_seconds[-1], 6),
+        "snapshot_bytes": snapshot_bytes,
+        "load_seconds": round(load_seconds, 6),
+        "round_trip": loaded.fingerprint == store.fingerprint
+        and loaded.version == store.version,
+    }
+
+
 def run_bench(n_decisions: int = 50000, seed: int = 0,
               batch_size: int = 500) -> dict:
     decisions, gold = build_decisions(n_decisions, seed=seed)
@@ -188,6 +234,7 @@ def run_bench(n_decisions: int = 50000, seed: int = 0,
         "speedup_vs_recluster": round(
             recluster["extrapolated_seconds"]
             / max(incremental["total_seconds"], 1e-9), 2),
+        "snapshot": _time_snapshots(decisions, batch_size),
         "parity": parity,
         "raw_component_sanity": raw_matches,
         "quality": report.to_dict(),
@@ -200,6 +247,9 @@ def check_report(report: dict, out=sys.stderr) -> int:
     if not report["parity"]:
         failures.append("incremental partition diverges from the "
                         "one-shot batch re-cluster")
+    if not report["snapshot"]["round_trip"]:
+        failures.append("a loaded snapshot's fingerprint differs from "
+                        "the saved store's")
     f1 = report["quality"]["pairwise_f1"]
     if f1 < 0.99:
         failures.append(f"cluster pairwise F1 {f1} < 0.99")
@@ -223,7 +273,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help=f"report path (default {DEFAULT_OUTPUT.name})")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless the parity/quality gates hold")
+                        help="exit 1 unless the parity/quality/"
+                             "snapshot gates hold")
     args = parser.parse_args(argv)
 
     report = run_bench(n_decisions=args.decisions, seed=args.seed,

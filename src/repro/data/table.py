@@ -70,6 +70,14 @@ class Record:
         pairs = ", ".join(f"{c}={v!r}" for c, v in self.as_dict().items())
         return f"Record(id={self.record_id}, {pairs})"
 
+    def __reduce__(self) -> tuple[type["Record"],
+                                  tuple[int, Sequence[str],
+                                        tuple[Value, ...]]]:
+        # The constructor's arguments, not the default slot-state
+        # dict: smaller pickles, and the shared columns object is
+        # memoized once.  Old slot-state pickles still load.
+        return (type(self), (self.record_id, self._columns, self._values))
+
 
 class Table:
     """An immutable collection of :class:`Record` objects with one schema.

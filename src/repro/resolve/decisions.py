@@ -20,9 +20,10 @@ edge currency:
   ``predictions``) to a decision list.
 
 Decisions are value objects: two decisions over the same endpoints with
-the same score and verdict compare equal regardless of endpoint order,
-which is what makes the clustering layer's order-independence
-guarantees meaningful.
+the same score and verdict have the same :attr:`MatchDecision.key` and
+the same :func:`decision_entry` regardless of endpoint order (``==``
+compares the fields as given), which is what makes the clustering
+layer's order-independence guarantees meaningful.
 """
 
 from __future__ import annotations
@@ -111,13 +112,6 @@ class MatchDecision:
             return (self.left, self.right)
         return (self.right, self.left)
 
-    def normalized(self) -> "MatchDecision":
-        """The same decision with endpoints in canonical order."""
-        left, right = self.key
-        if (left, right) == (self.left, self.right):
-            return self
-        return MatchDecision(left, right, self.score, self.matched)
-
     def __repr__(self) -> str:
         sign = "+" if self.matched else "-"
         return (f"MatchDecision({self.left} {sign} {self.right}, "
@@ -145,24 +139,36 @@ def decisions_from_result(result: "MatchResult", *, left_side: str = "a",
     return decisions
 
 
+def decision_entry(decision: MatchDecision) -> bytes:
+    """The fingerprint entry of one decision.
+
+    ``repr((left, right, score, matched))`` with the endpoints in
+    canonical :func:`order_key` order and the score a ``float`` rounded
+    to 12 places; ``+ 0.0`` maps ``-0.0`` to ``0.0``.  Equal decisions
+    encode to equal bytes, numpy-scalar scores and verdicts included.
+    """
+    left, right = decision.left, decision.right
+    if order_key(right) < order_key(left):
+        left, right = right, left
+    return repr((left, right, round(float(decision.score), 12) + 0.0,
+                 bool(decision.matched))).encode()
+
+
+def entries_fingerprint(entries: list[bytes]) -> str:
+    """The sha256 of sorted :func:`decision_entry` bytes, joined."""
+    return hashlib.sha256(b"".join(entries)).hexdigest()
+
+
 def decisions_fingerprint(decisions: Iterable[MatchDecision]) -> str:
     """An order-independent content digest of a decision set.
 
-    Decisions are normalized and sorted before hashing, so two stores
-    that applied the same decisions in different orders (or batch
-    partitions) report the same fingerprint — the persistence-integrity
-    key of :class:`~repro.resolve.store.EntityStore` snapshots.
+    The sha256 over the decisions' :func:`decision_entry` bytes, sorted
+    by those bytes: two stores that applied the same decisions in
+    different orders (or batch partitions) report the same fingerprint
+    by construction — the persistence-integrity key of
+    :class:`~repro.resolve.store.EntityStore` snapshots.
     """
-    digest = hashlib.sha256()
-    normalized = sorted(
-        (decision.normalized() for decision in decisions),
-        key=lambda d: (order_key(d.left), order_key(d.right),
-                       d.score, d.matched))
-    for decision in normalized:
-        digest.update(repr((decision.left, decision.right,
-                            round(decision.score, 12),
-                            decision.matched)).encode("utf-8"))
-    return digest.hexdigest()
+    return entries_fingerprint(sorted(map(decision_entry, decisions)))
 
 
 def gold_decisions(pairs: Sequence[object], *, left_side: str = "a",

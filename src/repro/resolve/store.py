@@ -32,7 +32,13 @@ streaming decisions in.  The contract:
   checksummed ``snapshot-v%06d.pkl`` (:mod:`repro.persist`) carrying
   the order-independent decision fingerprint; :meth:`load` verifies
   checksum, format version and fingerprint before trusting a snapshot,
-  the same convention as the block index.
+  the same convention as the block index.  The store keeps its
+  decisions' fingerprint entries sorted and encodes only the decisions
+  applied since the last fingerprint, so a save costs the new
+  decisions plus one hash and one pickle, not a re-sort of the whole
+  log.  The snapshot holds the log as plain ``(left, right, score,
+  matched)`` rows; :meth:`load` rebuilds (and so re-validates) every
+  decision and recomputes the fingerprint from them in full.
 
 Telemetry (``resolve`` and ``snapshot`` records of an
 :class:`~repro.events.EventLog`) is emitted *outside* the lock: the
@@ -58,9 +64,10 @@ from .correlation import CorrelationClustering
 from .decisions import (
     MatchDecision,
     NodeKey,
-    decisions_fingerprint,
+    decision_entry,
     decisions_from_result,
     entity_id_for,
+    entries_fingerprint,
     node_key,
     order_key,
 )
@@ -71,7 +78,7 @@ if TYPE_CHECKING:
     from ..serve.matcher import MatchResult
 
 #: Bumped whenever the pickled snapshot layout changes incompatibly.
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 
 STORE_KIND = "entity-store snapshot"
 
@@ -153,9 +160,10 @@ class EntityStore:
         self.fusion = fusion if fusion is not None else RecordFusion()
         self.log = log
         # _lock guards every attribute below (_cc, _decisions,
-        # _records, _version, _last_delta and the refined view
-        # _entity_ids, _clusters, _observed, _new_nodes), so a reader
-        # sees whole versions only.
+        # _records, _version, _last_delta, the refined view
+        # _entity_ids, _clusters, _observed, _new_nodes and the
+        # fingerprint cache _entries, _encoded), so a reader sees whole
+        # versions only.
         self._cc = ConnectedComponents(threshold)
         self._decisions: list[MatchDecision] = []
         self._records: dict[NodeKey, Record] = {}
@@ -168,6 +176,10 @@ class EntityStore:
         self._clusters: dict[str, tuple[NodeKey, ...]] = {}
         self._observed = 0
         self._new_nodes: set[NodeKey] = set()
+        # The sorted decision_entry bytes of the first _encoded
+        # decisions.  Derived state, never pickled.
+        self._entries: list[bytes] = []
+        self._encoded = 0
         self._lock = WitnessedLock()
 
     # -- content -------------------------------------------------------
@@ -199,9 +211,24 @@ class EntityStore:
 
     @property
     def fingerprint(self) -> str:
-        """Order-independent digest of the applied decision set."""
+        """Order-independent digest of the applied decision set.
+
+        Equal to :func:`~repro.resolve.decisions.decisions_fingerprint`
+        of the log; each decision is encoded once per store, by the
+        first fingerprint (or save) after it was applied.
+        """
         with self._lock:
-            return decisions_fingerprint(self._decisions)
+            return self._fingerprint_locked()
+
+    def _fingerprint_locked(self) -> str:
+        """Fold the decisions applied since the last call into the
+        sorted entries and hash them; callers hold the lock."""
+        fresh = self._decisions[self._encoded:]
+        if fresh:
+            self._entries += sorted(map(decision_entry, fresh))
+            self._entries.sort()  # merges two sorted runs
+            self._encoded = len(self._decisions)
+        return entries_fingerprint(self._entries)
 
     def __len__(self) -> int:
         return self.n_entities
@@ -439,18 +466,26 @@ class EntityStore:
         # callers reattach a log if they want one.
         state["log"] = None
         for derived in ("_entity_ids", "_clusters", "_observed",
-                        "_new_nodes"):
+                        "_new_nodes", "_entries", "_encoded"):
             del state[derived]
+        state["_decisions"] = [
+            (d.left, d.right, float(d.score), bool(d.matched))
+            for d in self._decisions]
         return state
 
     def __setstate__(self, state: dict[str, object]) -> None:
         self.__dict__.update(state)
+        # Each row goes through the constructor, which validates it.
+        self._decisions = [MatchDecision(*row)
+                           for row in self.__dict__["_decisions"]]
         self._lock = WitnessedLock()
         # The first read rebuilds the view from the whole decision log.
         self._entity_ids = {}
         self._clusters = {}
         self._observed = 0
         self._new_nodes = set(self._cc)
+        self._entries = []
+        self._encoded = 0
 
     def save(self, directory: Union[str, Path]) -> Path:
         """Persist one atomic, versioned snapshot; returns its path.
@@ -464,7 +499,7 @@ class EntityStore:
         # structures, so the payload is one consistent version.
         with self._lock:
             version = self._version
-            fingerprint = decisions_fingerprint(self._decisions)
+            fingerprint = self._fingerprint_locked()
             data = persist.checked_pickle(
                 STORE_KIND, STORE_FORMAT_VERSION, self,
                 decisions_fingerprint=fingerprint)
@@ -491,8 +526,10 @@ class EntityStore:
             target = target / name
         store, meta = persist.load_checked(
             target, STORE_KIND, STORE_FORMAT_VERSION, cls, EntityStoreError)
-        if meta.get("decisions_fingerprint") != \
-                decisions_fingerprint(store._decisions):
+        # Nothing of the cache is read from the file: the fingerprint is
+        # recomputed from every unpickled decision, which also seeds the
+        # cache for the loaded store's next save.
+        if meta.get("decisions_fingerprint") != store.fingerprint:
             raise EntityStoreError(
                 f"{target} decision fingerprint does not match its "
                 f"payload (corrupt or hand-edited snapshot)")

@@ -1,11 +1,11 @@
 """Tier-1 smoke of ``benchmarks/bench_resolve.py --check``.
 
 Runs the bench end to end at small scale: workload generation, the
-incremental-vs-batch parity assertion, the cluster-quality gates and
-report writing all execute on every test run.  The 10x speedup gate
-only applies at full scale (see ``FULL_SCALE`` in the bench), so this
-stays fast and machine-independent; the strict check is the opt-in
-perf marker in ``benchmarks/test_bench_resolve.py``.
+incremental-vs-batch parity assertion, the cluster-quality gates, the
+snapshot round trip and report writing all execute on every test run.
+The 10x speedup gate only applies at full scale (see ``FULL_SCALE`` in
+the bench), so this stays fast and machine-independent; the strict
+check is the opt-in perf marker in ``benchmarks/test_bench_resolve.py``.
 """
 
 import json
@@ -29,6 +29,11 @@ def test_check_mode_passes_at_smoke_scale(tmp_path):
     assert report["incremental"]["n_batches"] == 8
     assert report["incremental"]["n_entities"] == \
         report["full_recluster"]["n_entities"]
+    # 8 batches, saved after the last one only (SAVE_EVERY is 10)
+    snapshot = report["snapshot"]
+    assert snapshot["round_trip"] is True
+    assert snapshot["n_saves"] == 1
+    assert snapshot["snapshot_bytes"] > 0
 
 
 def test_workload_is_deterministic():

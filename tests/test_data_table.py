@@ -1,5 +1,9 @@
 """Tests for the typed in-memory Table/Record substrate."""
 
+import copyreg
+import io
+import pickle
+
 import numpy as np
 import pytest
 
@@ -41,6 +45,33 @@ class TestRecord:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="values for"):
             Record(0, ["a", "b"], ["only-one"])
+
+    def test_pickle_round_trip_keeps_shared_columns(self, table):
+        first, second = pickle.loads(pickle.dumps([table[0], table[1]]))
+        assert (first, second) == (table[0], table[1])
+        assert first.columns == table.columns
+        assert first._columns is second._columns
+
+    def test_slot_state_pickles_still_load(self, table):
+        """Bytes in the default slot-state layout (what a pickle of a
+        ``Record`` without ``__reduce__`` holds) unpickle to an equal
+        record."""
+
+        class SlotStatePickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is not Record:
+                    return NotImplemented
+                slots = {"record_id": obj.record_id,
+                         "_columns": obj._columns, "_values": obj._values}
+                return (copyreg.__newobj__, (Record,), (None, slots))
+
+        buffer = io.BytesIO()
+        SlotStatePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(
+            table[2])
+        assert b"_values" in buffer.getvalue()
+        loaded = pickle.loads(buffer.getvalue())
+        assert loaded == table[2]
+        assert loaded["rating"] is None
 
 
 class TestTable:

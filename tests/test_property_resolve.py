@@ -25,6 +25,9 @@ from repro.resolve import (
 N_IDS = 13
 node_ids = st.integers(0, N_IDS - 1)
 sides = st.sampled_from(["a", "b"])
+#: Signed zeros compare equal but print differently, so draw both.
+scores = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(0.0, 1.0, allow_nan=False))
 
 
 @st.composite
@@ -39,7 +42,7 @@ def decision_streams(draw, max_size=40):
             continue
         decisions.append(MatchDecision(
             left, right,
-            draw(st.floats(0.0, 1.0, allow_nan=False)),
+            draw(scores),
             draw(st.booleans())))
     return decisions
 
@@ -94,8 +97,9 @@ class TestClusteringInvariance:
     def test_store_apply_matches_batch_recluster(self, decisions, rnd,
                                                  chunk):
         """EntityStore end to end: shuffled, chunked apply() with reads
-        in between equals the quadratic batch oracle over one-shot
-        connected components — including the refined view."""
+        and fingerprints in between equals the quadratic batch oracle
+        over one-shot connected components — including the refined
+        view — and the one-shot fingerprint."""
         shuffled = list(decisions)
         rnd.shuffle(shuffled)
         incremental = EntityStore(
@@ -104,6 +108,8 @@ class TestClusteringInvariance:
             incremental.apply(batch)
             if rnd.random() < 0.5:
                 incremental.entities()
+            if rnd.random() < 0.5:
+                incremental.fingerprint
         assert incremental.entities() == resolve_oracle.batch_entities(
             decisions, CorrelationClustering(seed=5))
         assert incremental.fingerprint == decisions_fingerprint(decisions)

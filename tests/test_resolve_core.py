@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 import resolve_oracle
 
@@ -16,6 +17,7 @@ from repro.resolve import (
     order_key,
     stable_hash,
 )
+from repro.resolve.decisions import decision_entry
 
 
 def D(left, right, score=0.9, matched=True):
@@ -69,8 +71,7 @@ class TestDecisions:
         forward = D(("a", 1), ("b", 2))
         backward = D(("b", 2), ("a", 1))
         assert forward.key == backward.key
-        assert forward.normalized() == backward.normalized()
-        assert forward.normalized() is forward  # already canonical
+        assert decision_entry(forward) == decision_entry(backward)
 
     def test_fingerprint_ignores_order_and_direction(self):
         batch = [D(("a", 1), ("b", 2)), D(("a", 3), ("b", 4), 0.2, False)]
@@ -80,6 +81,24 @@ class TestDecisions:
             decisions_fingerprint(flipped)
         assert decisions_fingerprint(batch) != \
             decisions_fingerprint(batch[:1])
+
+    def test_fingerprint_ignores_order_of_signed_zero_scores(self):
+        """``-0.0 == 0.0``, so a sort key on the score ties on them; the
+        entry maps both to ``0.0`` and sorts by its own bytes, so the
+        input order cannot show through."""
+        zero = D(("a", 1), ("b", 2), 0.0, False)
+        negative_zero = D(("a", 1), ("b", 2), -0.0, False)
+        assert decisions_fingerprint([zero, negative_zero]) == \
+            decisions_fingerprint([negative_zero, zero])
+        assert decisions_fingerprint([negative_zero]) == \
+            decisions_fingerprint([zero])
+
+    def test_fingerprint_reads_numpy_scalars_as_their_values(self):
+        plain = D(("a", 1), ("b", 2), 0.75, True)
+        numpy_typed = D(("a", 1), ("b", 2), np.float64(0.75), np.True_)
+        assert numpy_typed == plain
+        assert decisions_fingerprint([numpy_typed]) == \
+            decisions_fingerprint([plain])
 
     def test_gold_decisions_oracle(self, small_benchmark):
         _, _, test = small_benchmark.splits(seed=0)

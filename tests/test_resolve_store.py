@@ -1,5 +1,6 @@
 """Unit tests for the versioned EntityStore and its persistence."""
 
+import sys
 import threading
 
 import pytest
@@ -18,8 +19,10 @@ from repro.resolve import (
     EntityStoreError,
     MatchDecision,
     RecordFusion,
+    decisions_fingerprint,
     node_key,
 )
+from repro.resolve import store as store_module
 from repro.resolve.store import STORE_KIND
 
 
@@ -233,6 +236,8 @@ class TestPersistence:
     def test_round_trip_through_directory_latest(self, store, tmp_path):
         path = store.save(tmp_path)
         assert path.name == "snapshot-v000001.pkl"
+        assert STORE_FORMAT_VERSION == 3
+        assert b'"format": 3' in path.read_bytes().split(b"\n")[1]
         assert (tmp_path / LATEST_POINTER).read_text().strip() == \
             path.name
         loaded = EntityStore.load(tmp_path)
@@ -266,10 +271,15 @@ class TestPersistence:
         store = EntityStore(refiner=CorrelationClustering(seed=0))
         store.apply(OVER_MERGED)
         store.entities()
+        store.fingerprint
         state = store.__getstate__()
         assert set(state) == {"refiner", "fusion", "log", "_cc",
                               "_decisions", "_records", "_version",
                               "_last_delta"}
+        # the fingerprint cache is filled, yet left out
+        assert store._entries and store._encoded == len(OVER_MERGED)
+        assert state["_decisions"] == [
+            (d.left, d.right, d.score, d.matched) for d in OVER_MERGED]
         assert set(state["refiner"].__getstate__()) == {
             "seed", "negative_threshold", "min_component"}
         assert "_members" not in state["_cc"].__getstate__()
@@ -308,6 +318,30 @@ class TestPersistence:
         with pytest.raises(EntityStoreError, match="unsupported"):
             EntityStore.load(path)
 
+    def test_format_2_snapshot_is_refused(self, store, tmp_path):
+        path = tmp_path / "snap.pkl"
+        path.write_bytes(persist.checked_pickle(
+            STORE_KIND, 2, store, decisions_fingerprint=store.fingerprint))
+        with pytest.raises(EntityStoreError, match="format 2"):
+            EntityStore.load(path)
+
+    def test_invalid_decision_row_fails_load(self, store, tmp_path):
+        """Rows are rebuilt through the ``MatchDecision`` constructor,
+        so a hand-written score outside [0, 1] never loads."""
+        state = store.__getstate__()
+        state["_decisions"] = [(("a", 1), ("b", 1), 1.5, True)]
+
+        class Forged:
+            def __reduce__(self):
+                return (object.__new__, (EntityStore,), state)
+
+        path = tmp_path / "snap.pkl"
+        path.write_bytes(persist.checked_pickle(
+            STORE_KIND, STORE_FORMAT_VERSION, Forged(),
+            decisions_fingerprint=store.fingerprint))
+        with pytest.raises(EntityStoreError, match="score"):
+            EntityStore.load(path)
+
     def test_fingerprint_mismatch(self, store, tmp_path):
         path = tmp_path / "snap.pkl"
         path.write_bytes(persist.checked_pickle(
@@ -315,6 +349,82 @@ class TestPersistence:
             decisions_fingerprint="0" * 64))
         with pytest.raises(EntityStoreError, match="fingerprint"):
             EntityStore.load(path)
+
+
+class TestIncrementalFingerprint:
+    def test_every_decision_is_encoded_once(self, monkeypatch, tmp_path):
+        """Saving after every batch encodes each decision once: a save
+        costs the decisions applied since the last one, not the log."""
+        encoded = []
+
+        def spy(decision):
+            encoded.append(decision)
+            return decision_entry(decision)
+
+        decision_entry = store_module.decision_entry
+        monkeypatch.setattr(store_module, "decision_entry", spy)
+        store = EntityStore(refiner=CorrelationClustering(seed=0))
+        batches = [[D(("a", 10 * k + i), ("b", 10 * k + i + 1),
+                      0.1 * i, i % 2 == 0) for i in range(5)]
+                   for k in range(6)] + [OVER_MERGED]
+        for batch in batches:
+            store.apply(batch)
+            store.save(tmp_path)
+            assert store.fingerprint == \
+                decisions_fingerprint(store._decisions)
+        assert encoded == store._decisions
+        loaded = EntityStore.load(tmp_path)
+        assert len(encoded) == 2 * store.n_decisions  # load's full pass
+        assert loaded.fingerprint == store.fingerprint == \
+            decisions_fingerprint(loaded._decisions)
+        loaded.apply([D(("a", 99), ("b", 99), -0.0, False)])
+        loaded.save(tmp_path)
+        assert len(encoded) == 2 * store.n_decisions + 1
+        assert loaded.fingerprint == decisions_fingerprint(loaded._decisions)
+
+    def test_concurrent_saves_and_fingerprints_see_whole_versions(
+            self, tmp_path):
+        """Writers, fingerprint readers and a saver share the cache under
+        the store lock: every snapshot's header fingerprint equals the
+        full recomputation over the decisions it holds."""
+        store = EntityStore()
+        batches = [[D(("a", i), ("b", i), 0.01 * k, k % 2 == 0)
+                    for k in range(3)] for i in range(48)]
+        errors = []
+
+        def run(calls):
+            try:
+                for call in calls:
+                    call()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        writers = [[lambda batch=batch: store.apply(batch)
+                    for batch in batches[i::3]] for i in range(3)]
+        readers = [[lambda: store.fingerprint] * 12 for _ in range(2)]
+        saver = [lambda: store.save(tmp_path)] * 12
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with lock_witness_enabled() as witness:
+                threads = [threading.Thread(target=run, args=(calls,))
+                           for calls in writers + readers + [saver]]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert witness.edges() == {}
+        assert store.fingerprint == decisions_fingerprint(
+            decision for batch in batches for decision in batch)
+        snapshots = sorted(tmp_path.glob("snapshot-v*.pkl"))
+        assert snapshots
+        for path in snapshots:  # load checks the header fingerprint
+            loaded = EntityStore.load(path)
+            assert len(loaded._decisions) == 3 * loaded.version
 
 
 class TestResolveLog:
