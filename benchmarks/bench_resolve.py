@@ -24,8 +24,11 @@ A third section times snapshots: a standing store saves into a
 temporary directory after every ``SAVE_EVERY``-th batch and after the
 last one, and the last snapshot is loaded back.  It reports the median
 and last save seconds (a save should cost the decisions applied since
-the previous one, plus one pickle of the store, not a re-sort of the
-whole log), the snapshot's bytes and the load seconds.
+the previous one plus the fixed hashing and I/O, not a re-encoding of
+the whole store), the snapshot's bytes and the load seconds (a load
+replays the whole log).  The round trip holds when the loaded store
+reports the saved one's fingerprint, version, ``entities()`` and
+``stats()``.
 
 Results go to ``BENCH_resolve.json`` at the repo root, under the
 provenance header every ``BENCH_*.json`` carries
@@ -40,7 +43,7 @@ Usage::
                                                  # gates hold
 
 ``--check`` enforces incremental==batch parity, fingerprint equality,
-load(save) fingerprint equality and cluster pairwise F1 >= 0.99
+the load(save) round trip and cluster pairwise F1 >= 0.99
 against the workload's gold pairs at any scale, plus a 10x
 incremental-vs-recluster speedup at full scale (>= 20000 decisions;
 smaller runs only require parity, so the smoke test stays cheap — see
@@ -193,7 +196,9 @@ def _time_snapshots(decisions: list[MatchDecision],
         "snapshot_bytes": snapshot_bytes,
         "load_seconds": round(load_seconds, 6),
         "round_trip": loaded.fingerprint == store.fingerprint
-        and loaded.version == store.version,
+        and loaded.version == store.version
+        and loaded.entities() == store.entities()
+        and loaded.stats() == store.stats(),
     }
 
 
@@ -248,8 +253,8 @@ def check_report(report: dict, out=sys.stderr) -> int:
         failures.append("incremental partition diverges from the "
                         "one-shot batch re-cluster")
     if not report["snapshot"]["round_trip"]:
-        failures.append("a loaded snapshot's fingerprint differs from "
-                        "the saved store's")
+        failures.append("a loaded snapshot's fingerprint, version, "
+                        "entities or stats differ from the saved store's")
     f1 = report["quality"]["pairwise_f1"]
     if f1 < 0.99:
         failures.append(f"cluster pairwise F1 {f1} < 0.99")

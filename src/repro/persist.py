@@ -123,7 +123,8 @@ def load_checked(path: Union[str, Path], kind: str, version: int,
             raise ValueError("checksum mismatch (truncated or corrupted)")
         obj, meta = pickle.loads(data[end + 1:]), dict(header["meta"])
     except (ValueError, TypeError, KeyError, AttributeError, EOFError,
-            ImportError, pickle.UnpicklingError) as exc:
+            ImportError, OverflowError, MemoryError,
+            pickle.UnpicklingError) as exc:
         raise error(f"{path} is not a readable {kind}: {exc}") from exc
     if not isinstance(obj, cls):
         raise error(f"{path}: {kind} payload does not contain the expected "

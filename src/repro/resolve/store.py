@@ -32,13 +32,18 @@ streaming decisions in.  The contract:
   checksummed ``snapshot-v%06d.pkl`` (:mod:`repro.persist`) carrying
   the order-independent decision fingerprint; :meth:`load` verifies
   checksum, format version and fingerprint before trusting a snapshot,
-  the same convention as the block index.  The store keeps its
-  decisions' fingerprint entries sorted and encodes only the decisions
-  applied since the last fingerprint, so a save costs the new
-  decisions plus one hash and one pickle, not a re-sort of the whole
-  log.  The snapshot holds the log as plain ``(left, right, score,
-  matched)`` rows; :meth:`load` rebuilds (and so re-validates) every
-  decision and recomputes the fingerprint from them in full.
+  the same convention as the block index.  The snapshot is a small
+  head (version, last delta, threshold, refiner and fusion config,
+  churn counters) plus two byte streams: the records and the decision
+  log as plain ``(left, right, score, matched)`` rows, each a run of
+  pickled chunks.  A save pickles only the records added or replaced
+  and the decisions applied since the previous save and appends them
+  as one chunk each; every earlier chunk's bytes are reused, and the
+  fingerprint entries are folded in the same way.  The union–find
+  forest is not saved: :meth:`load` replays the records and then the
+  decision log, in log order, through the ``MatchDecision``
+  constructor (so every row is validated again), checks the replayed
+  churn counters against the head and recomputes the fingerprint.
 
 Telemetry (``resolve`` and ``snapshot`` records of an
 :class:`~repro.events.EventLog`) is emitted *outside* the lock: the
@@ -49,12 +54,14 @@ own.
 
 from __future__ import annotations
 
+import io
+import pickle
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from .. import persist
 from ..concurrency import WitnessedLock
@@ -78,7 +85,7 @@ if TYPE_CHECKING:
     from ..serve.matcher import MatchResult
 
 #: Bumped whenever the pickled snapshot layout changes incompatibly.
-STORE_FORMAT_VERSION = 3
+STORE_FORMAT_VERSION = 4
 
 STORE_KIND = "entity-store snapshot"
 
@@ -161,9 +168,10 @@ class EntityStore:
         self.log = log
         # _lock guards every attribute below (_cc, _decisions,
         # _records, _version, _last_delta, the refined view
-        # _entity_ids, _clusters, _observed, _new_nodes and the
-        # fingerprint cache _entries, _encoded), so a reader sees whole
-        # versions only.
+        # _entity_ids, _clusters, _observed, _new_nodes, the
+        # fingerprint cache _entries, _encoded and the snapshot chunks
+        # _record_chunks, _n_record_rows, _unsaved, _decision_chunks,
+        # _n_saved), so a reader sees whole versions only.
         self._cc = ConnectedComponents(threshold)
         self._decisions: list[MatchDecision] = []
         self._records: dict[NodeKey, Record] = {}
@@ -180,6 +188,16 @@ class EntityStore:
         # decisions.  Derived state, never pickled.
         self._entries: list[bytes] = []
         self._encoded = 0
+        # The snapshot's encoded streams: _record_chunks holds
+        # _n_record_rows (node, record) rows, stale replaced ones
+        # included, and every record but those in _unsaved (added or
+        # replaced since); _decision_chunks holds the rows of the first
+        # _n_saved decisions.
+        self._record_chunks = bytearray()
+        self._n_record_rows = 0
+        self._unsaved: dict[NodeKey, Record] = {}
+        self._decision_chunks = bytearray()
+        self._n_saved = 0
         self._lock = WitnessedLock()
 
     # -- content -------------------------------------------------------
@@ -255,7 +273,7 @@ class EntityStore:
         with self._lock:
             for record in records:
                 node = node_key(side, record.record_id)
-                self._records[node] = record
+                self._records[node] = self._unsaved[node] = record
                 if node not in self._cc:
                     self._cc.add_node(node)
                     self._new_nodes.add(node)
@@ -326,7 +344,8 @@ class EntityStore:
                 pair.right
         with self._lock:
             for node, record in touched.items():
-                self._records.setdefault(node, record)
+                if node not in self._records:
+                    self._records[node] = self._unsaved[node] = record
                 self._cc.add_node(node)
             delta = self._apply_locked(decisions)
             self._refresh_locked()
@@ -458,34 +477,68 @@ class EntityStore:
 
     # -- persistence ---------------------------------------------------
 
-    def __getstate__(self) -> dict[str, object]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        # The telemetry log is an open file handle + lock — runtime
-        # plumbing, not store content.  A loaded snapshot starts silent;
-        # callers reattach a log if they want one.
-        state["log"] = None
-        for derived in ("_entity_ids", "_clusters", "_observed",
-                        "_new_nodes", "_entries", "_encoded"):
-            del state[derived]
-        state["_decisions"] = [
-            (d.left, d.right, float(d.score), bool(d.matched))
-            for d in self._decisions]
-        return state
+    def __getstate__(self) -> dict[str, Any]:
+        # The telemetry log (an open file handle and its lock) is
+        # runtime plumbing, not store content: a loaded snapshot starts
+        # silent.  The view, the forest, the refiner's edges and the
+        # fingerprint cache are rebuilt from the two streams on load.
+        with self._lock:
+            self._encode_locked()
+            return {"version": self._version,
+                    "last_delta": self._last_delta,
+                    "threshold": self._cc.threshold,
+                    "refiner": self.refiner, "fusion": self.fusion,
+                    "counters": self._cc.stats(),
+                    "records": bytes(self._record_chunks),
+                    "decisions": bytes(self._decision_chunks)}
 
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
+    def _encode_locked(self) -> None:
+        """Append the records and decisions changed since the last
+        call to the streams, one chunk each; callers hold the lock."""
+        if self._unsaved:
+            rows = list(self._unsaved.items())
+            self._unsaved = {}
+            if self._n_record_rows + len(rows) > 2 * len(self._records):
+                # Replaced records left more stale rows in the stream
+                # than it has live ones: start it over.
+                self._record_chunks, self._n_record_rows = bytearray(), 0
+                rows = list(self._records.items())
+            self._record_chunks += _encode(rows)
+            self._n_record_rows += len(rows)
+        fresh = self._decisions[self._n_saved:]
+        if fresh:
+            self._decision_chunks += _encode(
+                [(d.left, d.right, float(d.score), bool(d.matched))
+                 for d in fresh])
+            self._n_saved = len(self._decisions)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__init__(  # type: ignore[misc]
+            state["threshold"], state["refiner"], state["fusion"])
+        records = _decode(state["records"])
+        rows = _decode(state["decisions"])
+        for node, record in records:
+            self._records[node] = record
+            self._cc.add_node(node)
         # Each row goes through the constructor, which validates it.
-        self._decisions = [MatchDecision(*row)
-                           for row in self.__dict__["_decisions"]]
-        self._lock = WitnessedLock()
-        # The first read rebuilds the view from the whole decision log.
-        self._entity_ids = {}
-        self._clusters = {}
-        self._observed = 0
+        self._decisions = [MatchDecision(*row) for row in rows]
+        self._cc.add_many(self._decisions)
+        if self._cc.stats() != state["counters"]:
+            raise ValueError(
+                f"the replayed log's counters {self._cc.stats()} differ "
+                f"from the saved {state['counters']}")
+        # Nothing of the fingerprint cache is read from the file: it is
+        # recomputed from every replayed decision, for load() to check.
+        self._fingerprint_locked()
+        self._version = state["version"]
+        self._last_delta = state["last_delta"]
+        # The loaded streams are this store's chunks.
+        self._record_chunks = bytearray(state["records"])
+        self._n_record_rows = len(records)
+        self._decision_chunks = bytearray(state["decisions"])
+        self._n_saved = len(rows)
+        # The first read builds the view from the whole decision log.
         self._new_nodes = set(self._cc)
-        self._entries = []
-        self._encoded = 0
 
     def save(self, directory: Union[str, Path]) -> Path:
         """Persist one atomic, versioned snapshot; returns its path.
@@ -495,8 +548,8 @@ class EntityStore:
         following ``LATEST`` always finds a complete snapshot, even
         mid-save.
         """
-        # The lock keeps apply() out while pickling walks the live
-        # structures, so the payload is one consistent version.
+        # The lock keeps apply() out while the fresh rows are encoded
+        # and the chunks pickled, so the payload is one version.
         with self._lock:
             version = self._version
             fingerprint = self._fingerprint_locked()
@@ -526,11 +579,21 @@ class EntityStore:
             target = target / name
         store, meta = persist.load_checked(
             target, STORE_KIND, STORE_FORMAT_VERSION, cls, EntityStoreError)
-        # Nothing of the cache is read from the file: the fingerprint is
-        # recomputed from every unpickled decision, which also seeds the
-        # cache for the loaded store's next save.
         if meta.get("decisions_fingerprint") != store.fingerprint:
             raise EntityStoreError(
                 f"{target} decision fingerprint does not match its "
                 f"payload (corrupt or hand-edited snapshot)")
         return store
+
+
+def _encode(rows: list[Any]) -> bytes:
+    """One chunk of a snapshot stream."""
+    return pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _decode(stream: bytes) -> list[Any]:
+    """Every row of a stream of :func:`_encode` chunks, in order."""
+    reader, rows = io.BytesIO(stream), []
+    while reader.tell() < len(stream):
+        rows += pickle.load(reader)
+    return rows

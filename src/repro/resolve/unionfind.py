@@ -3,7 +3,7 @@
 The first, cheap half of entity resolution: treat every positive
 decision as an edge and every connected component as one entity.  The
 implementation is a classic union–find (disjoint-set forest) with
-union by rank and path compression, plus the bookkeeping that makes it
+union by size and path compression, plus the bookkeeping that makes it
 *serve-grade*:
 
 * **Incremental** — decisions stream in; :meth:`add` is amortized
@@ -18,10 +18,11 @@ union by rank and path compression, plus the bookkeeping that makes it
   hypothesis: any permutation and any batch partitioning of a decision
   stream yields bit-identical :meth:`components` output.
 * **Member lists** — every root keeps the list of its component's
-  nodes, merged small-into-large on :meth:`union`, so :meth:`members`
+  nodes.  :meth:`union` hangs the smaller component's root under the
+  larger one's and appends the smaller list to the larger, so the list
+  lengths are the sizes that union by size reads, and :meth:`members`
   costs O(k log k) for a k-node component instead of a scan over every
-  node.  The lists are derived from the forest: they stay out of the
-  pickle and are rebuilt on load.
+  node.
 * **Score-thresholded edges** — a decision merges only when the model
   said *match* and (optionally) its score clears ``threshold``;
   everything else still registers its endpoints, so singleton entities
@@ -62,8 +63,6 @@ class ConnectedComponents:
                 f"threshold must be in [0, 1], got {threshold}")
         self.threshold = threshold
         self._parent: dict[NodeKey, NodeKey] = {}
-        self._rank: dict[NodeKey, int] = {}
-        self._size: dict[NodeKey, int] = {}
         self._min: dict[NodeKey, NodeKey] = {}
         self._members: dict[NodeKey, list[NodeKey]] = {}
         self._n_components = 0
@@ -95,8 +94,6 @@ class ConnectedComponents:
         """Register ``node`` as a (possibly singleton) entity."""
         if node not in self._parent:
             self._parent[node] = node
-            self._rank[node] = 0
-            self._size[node] = 1
             self._min[node] = node
             self._members[node] = [node]
             self._n_components += 1
@@ -121,7 +118,7 @@ class ConnectedComponents:
         return self._min[self.find(node)]
 
     def component_size(self, node: NodeKey) -> int:
-        return self._size[self.find(node)]
+        return len(self._members[self.find(node)])
 
     # -- mutation ------------------------------------------------------
 
@@ -132,25 +129,20 @@ class ConnectedComponents:
         root_a, root_b = self.find(left), self.find(right)
         if root_a == root_b:
             return False
-        if self._rank[root_a] < self._rank[root_b]:
-            root_a, root_b = root_b, root_a
-        # root_b joins root_a.
-        if self._size[root_a] > 1 and self._size[root_b] > 1:
+        kept, moved = self._members[root_a], self._members[root_b]
+        if len(kept) < len(moved):
+            root_a, root_b, kept, moved = root_b, root_a, moved, kept
+        # The smaller component, root_b's, joins root_a's.
+        if len(moved) > 1:
             self.n_entity_merges += 1
         else:
             self.n_attachments += 1
         self._parent[root_b] = root_a
-        if self._rank[root_a] == self._rank[root_b]:
-            self._rank[root_a] += 1
-        self._size[root_a] += self._size.pop(root_b)
+        kept.extend(moved)
+        del self._members[root_b]
         old_min = self._min.pop(root_b)
         if order_key(old_min) < order_key(self._min[root_a]):
             self._min[root_a] = old_min
-        kept, moved = self._members[root_a], self._members.pop(root_b)
-        if len(kept) < len(moved):
-            kept, moved = moved, kept
-        kept.extend(moved)
-        self._members[root_a] = kept
         self._n_components -= 1
         self.n_unions += 1
         return True
@@ -167,11 +159,11 @@ class ConnectedComponents:
         proves the records exist); only a positive, threshold-clearing
         decision unions.
         """
+        if self._is_edge(decision):
+            return self.union(decision.left, decision.right)
         self.add_node(decision.left)
         self.add_node(decision.right)
-        if not self._is_edge(decision):
-            return False
-        return self.union(decision.left, decision.right)
+        return False
 
     def add_many(self, decisions: Iterable[MatchDecision]) -> int:
         """Fold a batch of decisions in; returns how many merged."""
@@ -197,8 +189,7 @@ class ConnectedComponents:
 
     def sizes(self) -> list[int]:
         """All component sizes (input to the size histogram)."""
-        return [self._size[node] for node in self._parent
-                if self._parent[node] == node]
+        return [len(members) for members in self._members.values()]
 
     def stats(self) -> dict[str, int | float]:
         """Churn counters for telemetry and the monitoring trigger."""
@@ -211,19 +202,6 @@ class ConnectedComponents:
             "entity_merge_rate": (self.n_entity_merges / self.n_unions
                                   if self.n_unions else 0.0),
         }
-
-    # -- persistence ---------------------------------------------------
-
-    def __getstate__(self) -> dict[str, object]:
-        state = self.__dict__.copy()
-        del state["_members"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._members = {}
-        for node in self._parent:
-            self._members.setdefault(self.find(node), []).append(node)
 
     def __repr__(self) -> str:
         return (f"ConnectedComponents({self.n_nodes} nodes, "

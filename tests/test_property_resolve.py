@@ -10,6 +10,7 @@ import numpy as np
 import resolve_oracle
 from hypothesis import given, settings, strategies as st
 
+from repro.data.pairs import RecordPair
 from repro.data.table import Record
 from repro.resolve import (
     ConnectedComponents,
@@ -160,6 +161,86 @@ class TestOneRefinedPartition:
             assert_one_partition(store)
         assert store.entities() == resolve_oracle.batch_entities(
             decisions, CorrelationClustering(seed=5), registered)
+
+
+class ScoredBatch:
+    """The slice of a serving ``MatchResult`` that ``apply_result``
+    reads: pairs, probabilities and thresholded predictions."""
+
+    def __init__(self, scored):
+        self.pairs = [RecordPair(Record(left, ["x"], [payload]),
+                                 Record(right, ["x"], [payload]))
+                      for left, right, _, payload in scored]
+        self.probabilities = [score for _, _, score, _ in scored]
+        self.predictions = [score >= 0.5 for _, _, score, _ in scored]
+
+
+payloads = st.sampled_from(["x", "y", "z"])
+
+
+@st.composite
+def store_scripts(draw, max_steps=14):
+    """Store method calls: writes (``add_records`` re-adding ids,
+    ``apply``, ``apply_result``) with saves and save-then-load steps
+    between."""
+    steps = []
+    for _ in range(draw(st.integers(1, max_steps))):
+        kind = draw(st.sampled_from(
+            ["add_records", "apply", "apply_result", "save", "reload"]))
+        if kind == "add_records":
+            steps.append((kind, draw(sides), [
+                Record(record_id, ["x"], [draw(payloads)])
+                for record_id in draw(st.lists(node_ids, max_size=4))]))
+        elif kind == "apply":
+            steps.append((kind, draw(decision_streams(max_size=6))))
+        elif kind == "apply_result":
+            steps.append((kind, ScoredBatch(draw(st.lists(
+                st.tuples(node_ids, node_ids, scores, payloads),
+                max_size=4)))))
+        else:
+            steps.append((kind,))
+    return steps
+
+
+def assert_same_store(store, reference):
+    assert store.entities() == reference.entities()
+    for side in ("a", "b"):
+        for record_id in range(N_IDS):
+            assert store.entity_of(record_id, side=side) == \
+                reference.entity_of(record_id, side=side)
+    assert store.golden_records() == reference.golden_records()
+    assert store.stats() == reference.stats()
+    assert store.version == reference.version
+    assert store.fingerprint == reference.fingerprint
+
+
+class TestSnapshotRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(store_scripts(), st.sampled_from([None, 0.5]))
+    def test_saved_and_reloaded_store_matches_one_that_never_saved(
+            self, tmp_path_factory, script, threshold):
+        """Saves reuse the chunks of earlier saves and a load replays
+        the forest from the log; neither may change what the store
+        answers, including after a reload that keeps writing and
+        saving."""
+        def make():
+            return EntityStore(threshold=threshold,
+                               refiner=CorrelationClustering(seed=5),
+                               fusion=RecordFusion(default="newest"))
+
+        directory = tmp_path_factory.mktemp("store")
+        reference, store = make(), make()
+        for kind, *arguments in script:
+            if kind == "save":
+                store.save(directory)
+            elif kind == "reload":
+                store = EntityStore.load(store.save(directory))
+            else:
+                getattr(reference, kind)(*arguments)
+                getattr(store, kind)(*arguments)
+        loaded = EntityStore.load(store.save(directory))
+        assert_same_store(loaded, reference)
+        assert_same_store(store, reference)
 
 
 values = st.one_of(st.text(max_size=6),

@@ -9,6 +9,7 @@ import resolve_oracle
 from repro.resolve import (
     ConnectedComponents,
     CorrelationClustering,
+    EntityStore,
     MatchDecision,
     decisions_fingerprint,
     entity_id_for,
@@ -168,14 +169,21 @@ class TestConnectedComponents:
         assert sorted(cc.sizes()) == [1, 1, 2]
 
     def test_member_lists_survive_pickle_and_keep_merging(self):
-        cc = ConnectedComponents()
-        cc.add_many([D(("a", i), ("b", i)) for i in range(4)]
+        """A pickled store leaves its forest out (no ``_parent``,
+        ``_rank``, ``_size`` or ``_min``); unpickling replays the log,
+        so the member lists come back and keep merging."""
+        store = EntityStore()
+        store.apply([D(("a", i), ("b", i)) for i in range(4)]
                     + [D(("b", i), ("a", i + 1)) for i in range(2)])
-        before = cc.components()
-        assert "_members" not in cc.__getstate__()
-        loaded = pickle.loads(pickle.dumps(cc))
+        before = store._cc.components()
+        payload = pickle.dumps(store)
+        for name in (b"_parent", b"_rank", b"_size", b"_min",
+                     b"ConnectedComponents"):
+            assert name not in payload
+        loaded = pickle.loads(payload)._cc
         assert loaded.components() == before
         assert loaded.members(("b", 1)) == before[("a", 0)]
+        assert loaded.stats() == store._cc.stats()
         loaded.add(D(("b", 2), ("a", 3)))
         assert loaded.members(("a", 3)) == tuple(
             sorted(before[("a", 0)] + before[("a", 3)], key=order_key))

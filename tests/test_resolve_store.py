@@ -1,5 +1,7 @@
 """Unit tests for the versioned EntityStore and its persistence."""
 
+import hashlib
+import json
 import sys
 import threading
 
@@ -232,12 +234,43 @@ class TestEntityStore:
         assert shared.n_entities == 40
 
 
+def forged_state(store, decisions=None):
+    """``store``'s snapshot state, with its decision rows replaced."""
+    state = dict(store.__getstate__())
+    if decisions is not None:
+        state["decisions"] = store_module._encode(decisions)
+    return state
+
+
+def write_forged(tmp_path, state, store):
+    """A checked snapshot file whose payload unpickles from ``state``
+    and whose header carries ``store``'s fingerprint."""
+
+    class Forged:
+        def __reduce__(self):
+            return (object.__new__, (EntityStore,), state)
+
+    path = tmp_path / "snap.pkl"
+    path.write_bytes(persist.checked_pickle(
+        STORE_KIND, STORE_FORMAT_VERSION, Forged(),
+        decisions_fingerprint=store.fingerprint))
+    return path
+
+
+def resign(data):
+    """``data`` with its header checksum recomputed over the payload."""
+    magic, header, payload = data.split(b"\n", 2)
+    fields = json.loads(header)
+    fields["sha256"] = hashlib.sha256(payload).hexdigest()
+    return b"\n".join([magic, json.dumps(fields).encode(), payload])
+
+
 class TestPersistence:
     def test_round_trip_through_directory_latest(self, store, tmp_path):
         path = store.save(tmp_path)
         assert path.name == "snapshot-v000001.pkl"
-        assert STORE_FORMAT_VERSION == 3
-        assert b'"format": 3' in path.read_bytes().split(b"\n")[1]
+        assert STORE_FORMAT_VERSION == 4
+        assert b'"format": 4' in path.read_bytes().split(b"\n")[1]
         assert (tmp_path / LATEST_POINTER).read_text().strip() == \
             path.name
         loaded = EntityStore.load(tmp_path)
@@ -264,25 +297,32 @@ class TestPersistence:
         assert loaded.members("a:7") == (("a", 7), ("a", 8), ("b", 5),
                                          ("b", 7))
 
-    def test_snapshot_holds_no_derived_state(self):
-        """The view, the refiner's signed edges and the union-find
-        member lists are rebuilt on load, never pickled, so the
-        snapshot holds only the decision log and its inputs."""
+    def test_snapshot_holds_no_derived_state(self, tmp_path):
+        """The view, the refiner's signed edges, the fingerprint cache
+        and the whole union-find forest are rebuilt on load, never
+        saved: the snapshot is a small head and the two row streams."""
         store = EntityStore(refiner=CorrelationClustering(seed=0))
+        store.add_records("a", [record(1, v=1)])
         store.apply(OVER_MERGED)
         store.entities()
         store.fingerprint
         state = store.__getstate__()
-        assert set(state) == {"refiner", "fusion", "log", "_cc",
-                              "_decisions", "_records", "_version",
-                              "_last_delta"}
+        assert set(state) == {"version", "last_delta", "threshold",
+                              "refiner", "fusion", "counters", "records",
+                              "decisions"}
         # the fingerprint cache is filled, yet left out
         assert store._entries and store._encoded == len(OVER_MERGED)
-        assert state["_decisions"] == [
+        assert store_module._decode(state["decisions"]) == [
             (d.left, d.right, d.score, d.matched) for d in OVER_MERGED]
+        assert store_module._decode(state["records"]) == [
+            (("a", 1), record(1, v=1))]
+        assert state["counters"] == store._cc.stats()
         assert set(state["refiner"].__getstate__()) == {
             "seed", "negative_threshold", "min_component"}
-        assert "_members" not in state["_cc"].__getstate__()
+        payload = store.save(tmp_path).read_bytes()
+        for name in (b"_parent", b"_rank", b"_size", b"_min",
+                     b"_members", b"ConnectedComponents"):
+            assert name not in payload
 
     def test_save_drops_log_but_logs_the_snapshot(self, store, tmp_path):
         store.log = EventLog(tmp_path / "resolve.jsonl")
@@ -325,22 +365,117 @@ class TestPersistence:
         with pytest.raises(EntityStoreError, match="format 2"):
             EntityStore.load(path)
 
-    def test_invalid_decision_row_fails_load(self, store, tmp_path):
-        """Rows are rebuilt through the ``MatchDecision`` constructor,
-        so a hand-written score outside [0, 1] never loads."""
-        state = store.__getstate__()
-        state["_decisions"] = [(("a", 1), ("b", 1), 1.5, True)]
-
-        class Forged:
-            def __reduce__(self):
-                return (object.__new__, (EntityStore,), state)
-
+    def test_format_3_snapshot_is_refused(self, store, tmp_path):
+        """Format 3 pickled the forest and the whole store; there is no
+        reader for it."""
         path = tmp_path / "snap.pkl"
         path.write_bytes(persist.checked_pickle(
-            STORE_KIND, STORE_FORMAT_VERSION, Forged(),
-            decisions_fingerprint=store.fingerprint))
-        with pytest.raises(EntityStoreError, match="score"):
+            STORE_KIND, 3, store, decisions_fingerprint=store.fingerprint))
+        with pytest.raises(EntityStoreError, match="format 3"):
             EntityStore.load(path)
+
+    def test_invalid_decision_row_fails_load(self, store, tmp_path):
+        """Rows are rebuilt through the ``MatchDecision`` constructor,
+        so a hand-written score outside [0, 1] never loads, and fails
+        with the typed error rather than a bare ``ValueError``."""
+        state = forged_state(store, decisions=[
+            (("a", 1), ("b", 1), 1.5, True)])
+        with pytest.raises(EntityStoreError, match="score") as raised:
+            EntityStore.load(write_forged(tmp_path, state, store))
+        assert isinstance(raised.value, EntityStoreError)
+
+    def test_counters_that_the_log_does_not_replay_fail_load(
+            self, store, tmp_path):
+        state = forged_state(store)
+        state["counters"] = {**state["counters"], "n_entity_merges": 7}
+        with pytest.raises(EntityStoreError, match="counters"):
+            EntityStore.load(write_forged(tmp_path, state, store))
+
+    def test_flipped_byte_in_a_decision_chunk(self, store, tmp_path):
+        """A flip inside a decision chunk fails the checksum.  Re-signed
+        so that it gets past the checksum, every single-byte flip still
+        raises the typed error or loads the very same store."""
+        store.apply([D(("a", 5), ("b", 6), 0.25, False)])
+        data = store.save(tmp_path).read_bytes()
+        chunks = bytes(store._decision_chunks)
+        start = data.index(chunks)
+        flipped = bytearray(data)
+        flipped[start + len(chunks) // 2] ^= 0xFF
+        (tmp_path / "flipped.pkl").write_bytes(flipped)
+        with pytest.raises(EntityStoreError, match="checksum"):
+            EntityStore.load(tmp_path / "flipped.pkl")
+        for offset in range(start, start + len(chunks)):
+            flipped = bytearray(data)
+            flipped[offset] ^= 0xFF
+            (tmp_path / "resigned.pkl").write_bytes(resign(flipped))
+            try:
+                loaded = EntityStore.load(tmp_path / "resigned.pkl")
+            except EntityStoreError:
+                continue
+            assert loaded.fingerprint == store.fingerprint
+            assert loaded.entities() == store.entities()
+            assert loaded.stats() == store.stats()
+
+    def test_record_replaced_after_a_save_loads_newest(self, store,
+                                                       tmp_path):
+        store.save(tmp_path)
+        store.add_records("a", [record(1, name="Acme Updated",
+                                       city="Boston")])
+        store.apply([D(("a", 3), ("b", 3))])
+        loaded = EntityStore.load(store.save(tmp_path))
+        assert loaded.record_of(("a", 1)) == record(
+            1, name="Acme Updated", city="Boston")
+        assert loaded.golden_records() == store.golden_records()
+        assert loaded.n_records == store.n_records == 3
+
+    def test_a_save_encodes_only_what_changed(self, monkeypatch,
+                                              tmp_path):
+        """Writes encode nothing; a save encodes the records added or
+        replaced and the decisions applied since the last save, and
+        reuses every earlier chunk's bytes."""
+        encoded = []
+
+        def spy(rows):
+            encoded.append(list(rows))
+            return encode(rows)
+
+        encode = store_module._encode
+        monkeypatch.setattr(store_module, "_encode", spy)
+        store = EntityStore(refiner=CorrelationClustering(seed=0))
+        store.add_records("a", [record(1, v=1), record(2, v=2)])
+        store.apply(OVER_MERGED)
+        store.apply_result(Result((3, 3, 0.9)))
+        assert encoded == []
+        store.save(tmp_path)
+        assert [len(rows) for rows in encoded] == [4, 4]
+        before = bytes(store._record_chunks), bytes(store._decision_chunks)
+        encoded.clear()
+        store.save(tmp_path)
+        assert encoded == []
+        store.add_records("a", [record(2, v="two")])
+        store.apply([D(("a", 4), ("b", 4))])
+        store.save(tmp_path)
+        assert encoded == [[(("a", 2), record(2, v="two"))],
+                           [(("a", 4), ("b", 4), 0.9, True)]]
+        assert bytes(store._record_chunks).startswith(before[0])
+        assert bytes(store._decision_chunks).startswith(before[1])
+        loaded = EntityStore.load(tmp_path)
+        assert loaded.record_of(("a", 2)) == record(2, v="two")
+        assert loaded.entities() == store.entities()
+
+    def test_replaced_records_keep_the_stream_bounded(self, tmp_path):
+        """Stale rows of replaced records are dropped once they
+        outnumber the live ones, so re-registering a table every save
+        does not grow the snapshot without bound."""
+        store = EntityStore(fusion=RecordFusion(default="newest"))
+        for round_ in range(12):
+            store.add_records("a", [record(i, v=round_) for i in range(3)])
+            store.save(tmp_path)
+            assert store._n_record_rows <= 2 * store.n_records
+        loaded = EntityStore.load(tmp_path)
+        assert [loaded.record_of(("a", i)) for i in range(3)] == [
+            record(i, v=11) for i in range(3)]
+        assert loaded.golden_records() == store.golden_records()
 
     def test_fingerprint_mismatch(self, store, tmp_path):
         path = tmp_path / "snap.pkl"
