@@ -11,9 +11,9 @@ The subcommands cover the common workflows without writing Python:
 * ``predict`` — score a pairs CSV with a saved bundle;
 * ``serve-batch`` — run the full blocking → featurize → predict path
   over two tables with a saved bundle;
-* ``serve-stream`` — serve probe-side record batches concurrently
-  through a :class:`~repro.serve.MatchService` worker pool over a
-  standing block index;
+* ``serve-stream`` — serve probe-side record batches through a
+  :class:`~repro.serve.MatchService` (a bounded queue drained in
+  submission order) over a standing block index;
 * ``block`` — run one blocker over two tables, report pair
   completeness / reduction ratio, and optionally persist the standing
   block index for reuse (see :mod:`repro.blocking`);
@@ -305,8 +305,7 @@ def _cmd_serve_stream(args) -> int:
                                 max_batch_rows=args.batch_size,
                                 n_jobs=args.n_jobs, request_log=log,
                                 resolver=store)
-        with MatchService(matcher, workers=args.workers,
-                          max_queue=args.max_queue,
+        with MatchService(matcher, max_queue=args.max_queue,
                           overflow=args.overflow) as service:
             futures = []
             for batch in batches:
@@ -323,7 +322,7 @@ def _cmd_serve_stream(args) -> int:
             print(f"wrote {n_rows} scored candidates to {args.output}")
         n_pairs = sum(len(result) for result in results)
         n_matches = sum(result.n_matches for result in results)
-        print(f"{len(batches)} record batches x {args.workers} workers -> "
+        print(f"{len(batches)} record batches -> "
               f"{n_pairs} candidates -> {n_matches} matches "
               f"(max queue depth {snapshot['max_queue_depth']}, "
               f"{snapshot['rejected']} rejected, "
@@ -921,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_stream = commands.add_parser(
         "serve-stream",
-        help="serve probe-side record batches concurrently through a "
-             "MatchService worker pool over a standing block index")
+        help="serve probe-side record batches through a MatchService "
+             "queue over a standing block index")
     _add_serve_args(serve_stream)
     _add_input_args(serve_stream)
     serve_stream.add_argument("--block-on", default="name",
@@ -930,8 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_stream.add_argument("--min-overlap", type=int, default=2)
     serve_stream.add_argument("--q", type=int, default=3,
                               help="q-gram size")
-    serve_stream.add_argument("--workers", type=int, default=4,
-                              help="service worker threads")
     serve_stream.add_argument("--max-queue", type=int, default=64,
                               help="bounded request-queue size")
     serve_stream.add_argument("--overflow", default="block",

@@ -6,9 +6,9 @@ several threads" (:mod:`repro.serve.telemetry`), which makes every
 mutable structure on the serving path a concurrency boundary: the
 standing :class:`~repro.blocking.index.BlockIndex` grows while probes
 are in flight, the entity store and the drift monitor take writes from
-every worker, and the token and similarity memos fill from every
-scoring thread.  This module holds the two primitives those call sites
-share:
+every thread that drives a matcher, and the token and similarity memos
+fill from every scoring thread.  This module holds the two primitives
+those call sites share:
 
 * :class:`WitnessedLock` — the one lock class.  Every guarded object
   holds exactly one; it is reentrant per thread (a locked method may
@@ -225,7 +225,7 @@ class BoundedMemo(dict):
     the memo first — refilling is cheap enough that an occasional cold
     restart beats per-entry LRU bookkeeping.  The memos are shared by
     every thread of the process (a
-    :class:`~repro.serve.service.MatchService` scores on several), so
+    :class:`~repro.serve.matcher.StreamMatcher` may score on several), so
     the check-clear-insert of :meth:`__setitem__` and :meth:`update`
     holds a lock.  Reads are plain, lock-free dict reads: a racing
     eviction can at worst turn a hit into a recomputation, never

@@ -144,19 +144,13 @@ class CorrelationClustering:
             clusters.append(tuple(sorted(cluster, key=order_key)))
         return clusters
 
-    # -- persistence ---------------------------------------------------
-
-    def __getstate__(self) -> dict[str, object]:
-        # The neighbour sets are derived from the owning store's
-        # decision log, which replays them after a load.
-        state = self.__dict__.copy()
-        del state["_positive"], state["_negative"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._positive = defaultdict(set)
-        self._negative = defaultdict(set)
+    def config(self) -> dict[str, object]:
+        """The constructor arguments that rebuild this refiner, without
+        its neighbour sets: they are derived from the owning store's
+        decision log, which replays them after a load."""
+        return {"seed": self.seed,
+                "negative_threshold": self.negative_threshold,
+                "min_component": self.min_component}
 
     def __repr__(self) -> str:
         return (f"CorrelationClustering(seed={self.seed}, "

@@ -232,6 +232,13 @@ class RecordFusion:
                 values, rng)
         return golden
 
+    def config(self) -> dict[str, object]:
+        """The constructor arguments that rebuild this policy."""
+        return {"default": self.default.name,
+                "per_attribute": {attribute: resolver.name for attribute,
+                                  resolver in self.per_attribute.items()},
+                "seed": self.seed}
+
     def describe(self) -> dict[str, str]:
         """Attribute → resolver-name mapping (default under ``"*"``)."""
         description = {"*": self.default.name}

@@ -33,17 +33,25 @@ streaming decisions in.  The contract:
   the order-independent decision fingerprint; :meth:`load` verifies
   checksum, format version and fingerprint before trusting a snapshot,
   the same convention as the block index.  The snapshot is a small
-  head (version, last delta, threshold, refiner and fusion config,
-  churn counters) plus two byte streams: the records and the decision
-  log as plain ``(left, right, score, matched)`` rows, each a run of
-  pickled chunks.  A save pickles only the records added or replaced
+  head of plain data (version, last delta, threshold, the refiner's
+  and the fusion policy's constructor arguments, churn counters) plus
+  two byte streams: the records and the decision log as plain
+  ``(left, right, score, matched)`` rows, each a run of pickled
+  chunks.  A save pickles only the records added or replaced
   and the decisions applied since the previous save and appends them
   as one chunk each; every earlier chunk's bytes are reused, and the
   fingerprint entries are folded in the same way.  The union–find
   forest is not saved: :meth:`load` replays the records and then the
   decision log, in log order, through the ``MatchDecision``
   constructor (so every row is validated again), checks the replayed
-  churn counters against the head and recomputes the fingerprint.
+  churn counters against the head and recomputes the fingerprint.  It
+  also checks the head's fields and each record row's ``(side, id)``
+  key and ``Record`` type, and rebuilds the refiner and the fusion
+  policy through their constructors, so a malformed head fails the
+  load with :class:`EntityStoreError`.  The values inside a record are
+  covered by the checksum only: with no digest over the records, a
+  flipped value that still has a valid type loads as it reads, and so
+  does a head value that passes its check (a fusion seed, say).
 
 Telemetry (``resolve`` and ``snapshot`` records of an
 :class:`~repro.events.EventLog`) is emitted *outside* the lock: the
@@ -54,6 +62,7 @@ own.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pickle
 import re
@@ -85,7 +94,7 @@ if TYPE_CHECKING:
     from ..serve.matcher import MatchResult
 
 #: Bumped whenever the pickled snapshot layout changes incompatibly.
-STORE_FORMAT_VERSION = 4
+STORE_FORMAT_VERSION = 5
 
 STORE_KIND = "entity-store snapshot"
 
@@ -482,12 +491,18 @@ class EntityStore:
         # runtime plumbing, not store content: a loaded snapshot starts
         # silent.  The view, the forest, the refiner's edges and the
         # fingerprint cache are rebuilt from the two streams on load.
+        # The head holds plain data only, so every field of it can be
+        # checked on load.
         with self._lock:
             self._encode_locked()
+            delta = self._last_delta
             return {"version": self._version,
-                    "last_delta": self._last_delta,
+                    "last_delta": (None if delta is None
+                                   else dataclasses.astuple(delta)),
                     "threshold": self._cc.threshold,
-                    "refiner": self.refiner, "fusion": self.fusion,
+                    "refiner": (None if self.refiner is None
+                                else self.refiner.config()),
+                    "fusion": self.fusion.config(),
                     "counters": self._cc.stats(),
                     "records": bytes(self._record_chunks),
                     "decisions": bytes(self._decision_chunks)}
@@ -513,9 +528,23 @@ class EntityStore:
             self._n_saved = len(self._decisions)
 
     def __setstate__(self, state: dict[str, Any]) -> None:
+        # Anything malformed raises ValueError or TypeError, which
+        # load() reports as EntityStoreError.
+        if not isinstance(state, dict) or set(state) != _STATE_KEYS \
+                or type(state["records"]) is not bytes \
+                or type(state["decisions"]) is not bytes:
+            raise ValueError("the snapshot head has the wrong fields")
+        version = state["version"]
+        if type(version) is not int or version < 0:
+            raise ValueError(f"invalid store version {version!r}")
+        refiner = state["refiner"]
         self.__init__(  # type: ignore[misc]
-            state["threshold"], state["refiner"], state["fusion"])
-        records = _decode(state["records"])
+            state["threshold"],
+            None if refiner is None
+            else CorrelationClustering(**_config(refiner)),
+            RecordFusion(**_config(state["fusion"])))
+        last_delta = _delta(state["last_delta"], version)
+        records = [_record_row(row) for row in _decode(state["records"])]
         rows = _decode(state["decisions"])
         for node, record in records:
             self._records[node] = record
@@ -530,8 +559,8 @@ class EntityStore:
         # Nothing of the fingerprint cache is read from the file: it is
         # recomputed from every replayed decision, for load() to check.
         self._fingerprint_locked()
-        self._version = state["version"]
-        self._last_delta = state["last_delta"]
+        self._version = version
+        self._last_delta = last_delta
         # The loaded streams are this store's chunks.
         self._record_chunks = bytearray(state["records"])
         self._n_record_rows = len(records)
@@ -584,6 +613,50 @@ class EntityStore:
                 f"{target} decision fingerprint does not match its "
                 f"payload (corrupt or hand-edited snapshot)")
         return store
+
+
+_STATE_KEYS = {"version", "last_delta", "threshold", "refiner", "fusion",
+               "counters", "records", "decisions"}
+
+
+def _config(config: object) -> dict[str, Any]:
+    """A saved ``config()`` dict, checked to be keyword arguments."""
+    if not isinstance(config, dict) \
+            or not all(isinstance(key, str) for key in config):
+        raise TypeError(f"invalid constructor arguments {config!r}")
+    return config
+
+
+def _delta(row: object, version: int) -> ResolveDelta | None:
+    """The saved last delta: none before the first batch, else the
+    current version's, every count a non-negative int."""
+    if row is None and version == 0:
+        return None
+    if not isinstance(row, tuple) \
+            or len(row) != len(dataclasses.fields(ResolveDelta)) \
+            or not all(type(count) is int and count >= 0 for count in row) \
+            or row[0] != version:
+        raise ValueError(f"invalid last delta {row!r} for version "
+                         f"{version}")
+    return ResolveDelta(*row)
+
+
+def _record_row(row: Any) -> tuple[NodeKey, Record]:
+    """One ``(node, record)`` row of the record stream, checked: a
+    ``Record`` under its own ``(side, id)`` key, with string columns
+    and plain values."""
+    node, record = row
+    if not isinstance(record, Record) \
+            or not isinstance(node, tuple) or len(node) != 2 \
+            or not isinstance(node[0], str) or not node[0] \
+            or type(node[1]) not in (int, str) \
+            or type(record.record_id) is not type(node[1]) \
+            or record.record_id != node[1] \
+            or not all(isinstance(column, str) for column in record.columns) \
+            or not all(value is None or isinstance(value, (str, int, float))
+                       for value in record.values):
+        raise ValueError(f"invalid record row for node {node!r}")
+    return node, record
 
 
 def _encode(rows: list[Any]) -> bytes:

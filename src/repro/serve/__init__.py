@@ -12,9 +12,9 @@ artifact and back into predictions:
   micro-batched featurization → predict serving path, with
   :class:`ServeMetrics` counters and ``request`` records in a JSONL
   :class:`~repro.events.EventLog`;
-* :class:`MatchService` — a thread-pool front-end over one
-  :class:`StreamMatcher` with a bounded request queue and configurable
-  backpressure (:class:`ServiceOverloaded` on overflow in reject mode).
+* :class:`MatchService` — a one-thread front-end over one
+  :class:`StreamMatcher` that serves a bounded request queue in
+  submission order, with configurable backpressure (:class:`ServiceOverloaded` on overflow in reject mode).
 
 The matchers expose ``monitor=`` / ``shadow=`` / ``resolver=`` taps
 (the :class:`MonitorTap` / :class:`ShadowTap` / :class:`ResolverTap`

@@ -1,18 +1,20 @@
-"""MatchService: a thread-pool front-end over one StreamMatcher.
+"""MatchService: a one-thread serving front-end over one StreamMatcher.
 
 A :class:`~repro.serve.matcher.StreamMatcher` scores requests inline on
 the calling thread.  :class:`MatchService` turns that into a concurrent
 front-end: callers from any number of threads enqueue requests onto a
-bounded queue and receive :class:`concurrent.futures.Future` objects; a
-pool of worker threads drains the queue and drives the wrapped matcher.
-Correctness under this concurrency rests on the locking down the
-stack — the locked eviction of every
-:class:`~repro.concurrency.BoundedMemo`, the one lock of
-:class:`~repro.blocking.index.BlockIndex` (probes and
-:meth:`MatchService.extend_index` each hold it for a whole index state)
-and the serialized :class:`~repro.events.EventLog` writes, so a
-matcher, its shadow evaluator and its entity store can share one log
-(see DESIGN.md §12 for the full inventory).
+bounded queue and receive :class:`concurrent.futures.Future` objects;
+one serving thread drains the queue in submission order and drives the
+wrapped matcher.  A request is GIL-bound Python plus hundreds of small
+numpy calls, each of which releases the GIL; two serving threads only
+hand the interpreter back and forth at every release (DESIGN.md §12
+has the measurements).  With one consumer every answer — probabilities,
+decisions and entity ids — equals an inline ``StreamMatcher`` call in
+queue order, and no lock beyond those down the stack is needed: the
+locked eviction of every :class:`~repro.concurrency.BoundedMemo`, the
+one lock of :class:`~repro.blocking.index.BlockIndex` and the
+serialized :class:`~repro.events.EventLog` writes still guard callers
+that use the matcher, its index or its log from other threads.
 
 Backpressure is explicit and configurable.  The queue is bounded by
 ``max_queue``; when it is full:
@@ -21,13 +23,13 @@ Backpressure is explicit and configurable.  The queue is bounded by
   slot, so producers are throttled to the service's drain rate;
 * ``overflow="reject"`` — submission raises :class:`ServiceOverloaded`
   immediately and the shed request is counted in
-  ``ServeMetrics.rejected`` (it never reaches a worker, so it is not a
-  served request and not an error).
+  ``ServeMetrics.rejected`` (it never reaches the serving thread, so it
+  is not a served request and not an error).
 
 The queue-depth gauge (``queue_depth`` / ``max_queue_depth`` in
 :meth:`ServeMetrics.snapshot`) tracks the bounded queue's occupancy.
 
->>> with MatchService(matcher, workers=8, max_queue=64) as service:
+>>> with MatchService(matcher, max_queue=64) as service:
 ...     futures = [service.submit(batch) for batch in batches]
 ...     results = [f.result() for f in futures]
 """
@@ -48,16 +50,16 @@ from .matcher import MatchResult, StreamMatcher
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids serve↔monitor cycle)
     from ..monitor.triggers import RetrainPlan, TriggerPolicy
 
-#: Queue sentinel: one per worker, enqueued by close() to stop the pool.
+#: Queue sentinel, enqueued by close() to stop the serving thread.
 _SHUTDOWN = object()
 
 
 class ServiceOverloaded(RuntimeError):
     """The service's bounded request queue is full (overflow="reject").
 
-    Raised at submission time: the request was shed before reaching a
-    worker and is counted in ``ServeMetrics.rejected``.  Callers may
-    retry later or fall back to ``overflow="block"`` semantics by
+    Raised at submission time: the request was shed before reaching the
+    serving thread and is counted in ``ServeMetrics.rejected``.  Callers
+    may retry later or fall back to ``overflow="block"`` semantics by
     waiting themselves.
     """
 
@@ -69,13 +71,14 @@ class MatchService:
     ----------
     matcher:
         The wrapped :class:`StreamMatcher`.  The service drives it from
-        ``workers`` threads; its metrics object doubles as the
-        service's (``service.metrics is matcher.metrics``), so one
-        snapshot covers served requests, errors, rejections and queue
-        depth.
+        one serving thread; its metrics object doubles as the service's
+        (``service.metrics is matcher.metrics``), so one snapshot covers
+        served requests, errors, rejections and queue depth.
     workers:
-        Worker-thread count.  ``workers=1`` serializes all requests —
-        results are bit-identical to calling the bare matcher inline.
+        Accepted for callers written against the former thread pool and
+        checked to be ``>= 1``; it sizes nothing.  Every value serves in
+        submission order on one thread, bit-identical to calling the
+        bare matcher inline in that order.
     max_queue:
         Bound on queued (accepted but not yet running) requests.
     overflow:
@@ -97,21 +100,13 @@ class MatchService:
         self.overflow = overflow
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._closed = threading.Event()
-        self._workers = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"match-service-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for thread in self._workers:
-            thread.start()
-
-    @property
-    def workers(self) -> int:
-        return len(self._workers)
+        self._thread = threading.Thread(target=self._serve_loop,
+                                        name="match-service", daemon=True)
+        self._thread.start()
 
     @property
     def queue_depth(self) -> int:
-        """Requests accepted but not yet picked up by a worker."""
+        """Requests accepted but not yet taken by the serving thread."""
         return self._queue.qsize()
 
     # -- submission ----------------------------------------------------
@@ -145,7 +140,7 @@ class MatchService:
                        ) -> "Future[MatchResult]":
         """Enqueue one raw record batch to block against the standing
         index and score (requires the matcher's ``index=``)."""
-        # Iterables are snapshotted now, not when a worker runs: the
+        # Iterables are snapshotted now, not when the request runs: the
         # caller may mutate or exhaust the source after submitting.
         if not isinstance(records, Table):
             records = list(records)
@@ -175,8 +170,8 @@ class MatchService:
         :func:`~repro.monitor.triggers.default_policies`).  Returns the
         first firing policy's :class:`~repro.monitor.triggers.
         RetrainPlan` (with ``resume_from`` stamped on) or ``None``.
-        Safe to call while workers are serving: drift reports take the
-        monitor's read lock only.
+        Safe to call while requests are being served: drift reports
+        take the monitor's lock only.
         """
         from ..monitor.triggers import (
             MonitorStatus,
@@ -207,9 +202,9 @@ class MatchService:
         return evaluate_policies(list(policies), status,
                                  resume_from=resume_from)
 
-    # -- worker pool ---------------------------------------------------
+    # -- serving thread ------------------------------------------------
 
-    def _worker_loop(self) -> None:
+    def _serve_loop(self) -> None:
         while True:
             item = self._queue.get()
             try:
@@ -233,7 +228,7 @@ class MatchService:
         self._queue.join()
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting requests and shut the pool down.
+        """Stop accepting requests and stop the serving thread.
 
         With ``wait=True`` (default) all accepted requests drain first,
         then the wrapped matcher's :meth:`~_MatcherBase.close` writes
@@ -241,17 +236,14 @@ class MatchService:
         """
         if self._closed.is_set():
             if wait:
-                for thread in self._workers:
-                    thread.join()
+                self._thread.join()
             return
         self._closed.set()
-        for _ in self._workers:
-            self._queue.put(_SHUTDOWN)
+        self._queue.put(_SHUTDOWN)
         if wait:
-            for thread in self._workers:
-                thread.join()
+            self._thread.join()
             # A producer blocked in put() during close can slip an item
-            # in behind the sentinels; fail its future rather than
+            # in behind the sentinel; fail its future rather than
             # leaving it forever pending.
             while True:
                 try:
@@ -276,7 +268,7 @@ class MatchService:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"MatchService({len(self._workers)} workers, "
-                f"queue {self._queue.qsize()}/{self._queue.maxsize}, "
+        return ("MatchService(queue "
+                f"{self._queue.qsize()}/{self._queue.maxsize}, "
                 f"overflow={self.overflow!r}, "
                 f"{'closed' if self._closed.is_set() else 'open'})")

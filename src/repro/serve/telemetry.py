@@ -24,10 +24,10 @@ LATENCY_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 class ServeMetrics:
     """Thread-safe counters for one matcher's request stream.
 
-    Accounting contract: ``requests`` counts every request a worker
+    Accounting contract: ``requests`` counts every request the matcher
     actually *processed* — successes and failures alike, so ``requests
     = served + errors``.  ``rejected`` counts requests shed at the door
-    by service backpressure *before* reaching a worker; a rejection is
+    by service backpressure *before* reaching the matcher; a rejection is
     neither a request nor an error and appears only in the ``rejected``
     counter.  Latency statistics (mean/max and the fixed-bucket
     histogram behind ``p50/p95/p99``) cover successfully served
@@ -77,7 +77,7 @@ class ServeMetrics:
     def observe_rejected(self) -> None:
         """Record one request turned away by service backpressure.
 
-        Rejections never reach a worker, so they count neither as
+        Rejections never reach the matcher, so they count neither as
         ``requests`` nor as ``errors`` — they are load shed at the door.
         """
         with self._lock:

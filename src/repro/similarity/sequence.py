@@ -184,7 +184,10 @@ def _dp_kernel(pairs: Sequence[StringPair],
     global rows start from ``h[i] = -gap * i``, local rows from 0.  Each
     row step is a substitution, a gap in ``s1`` and a prefix maximum for
     the gaps in ``s2``; local rows then take the zero floor and fold
-    into a per-pair running best of each column.  The row block has
+    into a per-pair running best of each column.  A pair's cells stop
+    changing once it leaves the active prefix, so the global layers
+    gather each pair's final cell as it finishes and both kinds of layer
+    are scored once, after the last row.  The row block has
     :func:`_row_dtype`'s dtype; the scores are ``float64`` either way.
     """
     batch = _Batch(pairs)
@@ -205,12 +208,12 @@ def _dp_kernel(pairs: Sequence[StringPair],
     # A global pair's score is its cell minus the shift; a local pair's
     # is the maximum over its own columns of the unshifted running best.
     offset = -gap_index[:n_global, 0]
-    own_columns = index <= batch.len1[:, None]
     scores = np.empty((len(stack), len(pairs)))
 
     row = np.zeros((len(stack), len(pairs), len(index)), dtype=dtype)
     row[local] = gap_index[local]
     best = np.zeros_like(row[local])
+    final_cells = np.empty((n_global, len(pairs)), dtype=dtype)
     for j in range(batch.rows + 1):
         k = batch.active[j]
         if j:
@@ -232,16 +235,15 @@ def _dp_kernel(pairs: Sequence[StringPair],
         if has_local:
             np.maximum(best[:, :k], row[local], out=best[:, :k])
         done = batch.finished(j)
-        if done.start < done.stop:
-            ends = batch.len1[done]
-            if has_global:
-                scores[:n_global, done] = (
-                    row[:n_global, np.arange(done.start, done.stop), ends]
-                    + offset[:, ends])
-            if has_local:
-                scores[local, done] = np.where(
-                    own_columns[done], best[:, done] - gap_index[local],
-                    0).max(axis=-1)
+        if has_global and done.start < done.stop:
+            final_cells[:, done] = row[
+                :n_global, np.arange(done.start, done.stop), batch.len1[done]]
+    if has_global:
+        scores[:n_global] = final_cells + offset[:, batch.len1]
+    if has_local:
+        own_columns = index <= batch.len1[:, None]
+        scores[local] = np.where(own_columns, best - gap_index[local],
+                                 0).max(axis=-1)
     out = np.empty_like(scores)
     out[np.array(order)[:, None], batch.order] = scores
     return out

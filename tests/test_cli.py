@@ -152,9 +152,9 @@ class TestServeParsers:
     def test_serve_stream_args(self):
         args = build_parser().parse_args(
             ["serve-stream", "/tmp/models", "--name", "prod",
-             "--workers", "8", "--max-queue", "16",
+             "--max-queue", "16",
              "--overflow", "reject", "--batch-rows", "32"])
-        assert args.workers == 8
+        assert not hasattr(args, "workers")
         assert args.max_queue == 16
         assert args.overflow == "reject"
         assert args.batch_rows == 32
@@ -222,12 +222,12 @@ class TestServeCommands:
 
         code = main(["serve-stream", str(tmp_path / "models"),
                      "--name", "fz", "--data-dir", str(tmp_path / "d"),
-                     "--workers", "4", "--batch-rows", "16",
+                     "--batch-rows", "16",
                      "--log", str(tmp_path / "stream.jsonl"),
                      "--output", str(tmp_path / "streamed.csv")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "workers" in out
+        assert "record batches" in out
         assert "rejected" in out
         header = (tmp_path / "streamed.csv").read_text().splitlines()[0]
         assert header == "ltable_id,rtable_id,probability,prediction"
@@ -241,7 +241,7 @@ class TestServeCommands:
         # --log handle: every line parses, one resolve per request.
         code = main(["serve-stream", str(tmp_path / "models"),
                      "--name", "fz", "--data-dir", str(tmp_path / "d"),
-                     "--workers", "4", "--batch-rows", "16", "--resolve",
+                     "--batch-rows", "16", "--resolve",
                      "--log", str(tmp_path / "resolved.jsonl")])
         assert code == 0
         assert "entities" in capsys.readouterr().out

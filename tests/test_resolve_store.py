@@ -269,8 +269,8 @@ class TestPersistence:
     def test_round_trip_through_directory_latest(self, store, tmp_path):
         path = store.save(tmp_path)
         assert path.name == "snapshot-v000001.pkl"
-        assert STORE_FORMAT_VERSION == 4
-        assert b'"format": 4' in path.read_bytes().split(b"\n")[1]
+        assert STORE_FORMAT_VERSION == 5
+        assert b'"format": 5' in path.read_bytes().split(b"\n")[1]
         assert (tmp_path / LATEST_POINTER).read_text().strip() == \
             path.name
         loaded = EntityStore.load(tmp_path)
@@ -317,8 +317,12 @@ class TestPersistence:
         assert store_module._decode(state["records"]) == [
             (("a", 1), record(1, v=1))]
         assert state["counters"] == store._cc.stats()
-        assert set(state["refiner"].__getstate__()) == {
-            "seed", "negative_threshold", "min_component"}
+        # the refiner and the fusion policy are constructor arguments
+        assert state["refiner"] == {"seed": 0, "negative_threshold": None,
+                                    "min_component": 3}
+        assert state["fusion"] == {"default": "most_frequent",
+                                   "per_attribute": {}, "seed": 0}
+        assert state["last_delta"] == (1, 3, 2, 2, 2, 0, 1)
         payload = store.save(tmp_path).read_bytes()
         for name in (b"_parent", b"_rank", b"_size", b"_min",
                      b"_members", b"ConnectedComponents"):
@@ -373,6 +377,79 @@ class TestPersistence:
             STORE_KIND, 3, store, decisions_fingerprint=store.fingerprint))
         with pytest.raises(EntityStoreError, match="format 3"):
             EntityStore.load(path)
+
+    def test_format_4_snapshot_is_refused(self, store, tmp_path):
+        """Format 4 pickled the refiner and fusion objects and the last
+        delta as they were; there is no reader for it."""
+        path = tmp_path / "snap.pkl"
+        path.write_bytes(persist.checked_pickle(
+            STORE_KIND, 4, store, decisions_fingerprint=store.fingerprint))
+        with pytest.raises(EntityStoreError, match="format 4"):
+            EntityStore.load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("version", "1"), ("version", -1), ("last_delta", None),
+        ("last_delta", (2, 2, 3, 2, 2, 0, 1)),
+        ("last_delta", (1, 2, 3, 2, 2, 0)), ("threshold", 2.0),
+        ("threshold", "0.5"), ("refiner", {"seed": 0, "colour": 1}),
+        ("refiner", ["seed"]), ("fusion", {"default": "loudest"}),
+        ("fusion", {"per_attribute": 3}), ("records", bytearray()),
+    ])
+    def test_malformed_head_field_fails_load(self, store, tmp_path, field,
+                                             value):
+        state = forged_state(store)
+        state[field] = value
+        with pytest.raises(EntityStoreError, match="not a readable"):
+            EntityStore.load(write_forged(tmp_path, state, store))
+
+    @pytest.mark.parametrize("row", [
+        (("a", 1), {"name": "Acme"}),
+        (("a", 2), record(1, name="Acme")),
+        (("a", "1"), record(1, name="Acme")),
+        (("", 1), record(1, name="Acme")),
+        ("a:1", record(1, name="Acme")),
+        (("a", 1), Record(1, [("name",)], ["Acme"])),
+        (("a", 1), record(1, name=["Acme"])),
+        (("a", 1),),
+    ])
+    def test_malformed_record_row_fails_load(self, store, tmp_path, row):
+        state = forged_state(store)
+        state["records"] = store_module._encode([row])
+        with pytest.raises(EntityStoreError, match="not a readable"):
+            EntityStore.load(write_forged(tmp_path, state, store))
+
+    def test_every_flipped_byte_fails_load_or_loads_a_working_store(
+            self, tmp_path):
+        """Re-signed past the checksum, a flip anywhere in the payload
+        (head, record stream or decision stream) raises the typed error
+        or loads a store whose reads all run.  Flipped record values
+        that keep a valid type stay undetectable: no digest covers the
+        records."""
+        store = EntityStore(refiner=CorrelationClustering(seed=0),
+                            fusion=RecordFusion(
+                                per_attribute={"price": "numeric_median"}))
+        store.add_records("a", [record(1, name="Acme", price=1.5),
+                                record(2, name="Acme Inc", price=None)])
+        store.add_records("b", [record(1, name="acme", price=2.0)])
+        store.apply(OVER_MERGED)
+        data = store.save(tmp_path).read_bytes()
+        start = data.index(b"\n", data.index(b"\n") + 1) + 1
+        outcomes = {"error": 0, "loaded": 0}
+        for mask in (0xFF, 0x01):
+            for offset in range(start, len(data)):
+                flipped = bytearray(data)
+                flipped[offset] ^= mask
+                (tmp_path / "resigned.pkl").write_bytes(resign(flipped))
+                try:
+                    loaded = EntityStore.load(tmp_path / "resigned.pkl")
+                except EntityStoreError:
+                    outcomes["error"] += 1
+                    continue
+                outcomes["loaded"] += 1
+                loaded.entities()
+                loaded.stats()
+                loaded.golden_records()
+        assert outcomes["error"] > 0 and outcomes["loaded"] > 0
 
     def test_invalid_decision_row_fails_load(self, store, tmp_path):
         """Rows are rebuilt through the ``MatchDecision`` constructor,

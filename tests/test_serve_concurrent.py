@@ -1,7 +1,8 @@
 """Concurrency stress tests: MatchService and the locks down the stack.
 
-The tentpole guarantee under test: N barrier-started threads driving one
-:class:`MatchService` with hundreds of mixed ``submit`` /
+The guarantee under test: N barrier-started threads driving one
+:class:`MatchService` — or one bare :class:`StreamMatcher`, whose calls
+then really run on those threads — with hundreds of mixed ``submit`` /
 ``submit_records`` / ``extend_index`` requests produce *bit-exact* the
 probabilities a sequential replay of each request produces, a valid
 non-interleaved JSONL request log, and ``ServeMetrics`` totals that sum
@@ -12,6 +13,7 @@ deadlock dumps all thread stacks and fails fast instead of hanging CI.
 import faulthandler
 import json
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -83,12 +85,57 @@ def _run_threads(n_threads, target):
         raise errors[0]
 
 
+class _InlineService:
+    """A bare matcher behind :class:`MatchService`'s request API: each
+    call runs on the calling thread and returns a resolved future, so N
+    producers drive the matcher from N threads at once."""
+
+    queue_depth = 0
+
+    def __init__(self, matcher):
+        self.matcher = matcher
+
+    def _run(self, call):
+        future = Future()
+        try:
+            future.set_result(call())
+        except BaseException as exc:  # noqa: BLE001 - kept on the future
+            future.set_exception(exc)
+        return future
+
+    def submit(self, pairs):
+        return self._run(lambda: self.matcher.submit(pairs))
+
+    def submit_records(self, records):
+        return self._run(lambda: self.matcher.submit_records(records))
+
+    def extend_index(self, records):
+        return self._run(lambda: self.matcher.extend_index(records))
+
+    def close(self):
+        self.matcher.close()
+
+
 class TestMatchServiceStress:
     N_THREADS = 8
     REQUESTS_PER_THREAD = 26  # 8 x 26 = 208 >= 200 mixed requests
 
     def test_stress_bit_exact_parity_log_and_metrics(
             self, small_benchmark, trained_em, bundle, tmp_path):
+        self._stress(small_benchmark, trained_em, bundle, tmp_path,
+                     lambda matcher: MatchService(
+                         matcher, workers=self.N_THREADS, max_queue=32,
+                         overflow="block"))
+
+    def test_stress_bare_matcher_from_every_producer_thread(
+            self, small_benchmark, trained_em, bundle, tmp_path):
+        """The service serves on one thread; this keeps the matcher,
+        the index lock and the shared memos covered under threads."""
+        self._stress(small_benchmark, trained_em, bundle, tmp_path,
+                     _InlineService)
+
+    def _stress(self, small_benchmark, trained_em, bundle, tmp_path,
+                make_service):
         _, _, _, test = trained_em
         table_a, table_b = small_benchmark.table_a, small_benchmark.table_b
         blocker = QGramBlocker("name", q=3, min_overlap=2)
@@ -114,8 +161,7 @@ class TestMatchServiceStress:
 
         log_path = tmp_path / "stress.jsonl"
         matcher = StreamMatcher(bundle, index=index, request_log=log_path)
-        service = MatchService(matcher, workers=self.N_THREADS,
-                               max_queue=32, overflow="block")
+        service = make_service(matcher)
 
         submit_futures = []       # (slice_index, future)
         records_futures = []      # (slice_index, future)
@@ -216,7 +262,7 @@ class TestMatchServiceStress:
     def test_one_log_shared_by_matcher_store_and_shadow(
             self, small_benchmark, bundle, tmp_path):
         """The matcher, the entity store and a shadow evaluator write
-        one EventLog from four workers: every line is whole, one
+        one EventLog from the serving thread: every line is whole, one
         request and one resolve record per served request, and one
         matcher summary."""
         table_a, table_b = small_benchmark.table_a, small_benchmark.table_b
@@ -248,26 +294,35 @@ class TestMatchServiceStress:
         assert len(by_type["shadow"]) >= 1
         assert parsed[-1]["type"] == "after_close"
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_single_worker_is_bit_identical_to_bare_matcher(
-            self, trained_em, bundle):
+            self, trained_em, bundle, workers):
+        """One serving thread whatever ``workers`` says: probabilities,
+        decisions and per-request entity ids equal inline calls of a
+        bare matcher in submission order."""
         _, _, _, test = trained_em
         slices = [test[start:start + 7] for start in range(0, len(test), 7)]
 
-        bare = StreamMatcher(bundle)
+        bare = StreamMatcher(bundle, resolver=EntityStore())
         expected = [bare.submit(s) for s in slices]
 
-        matcher = StreamMatcher(trained_em[0].export_bundle())
-        with MatchService(matcher, workers=1) as service:
+        matcher = StreamMatcher(trained_em[0].export_bundle(),
+                                resolver=EntityStore())
+        with MatchService(matcher, workers=workers) as service:
             futures = [service.submit(s) for s in slices]
             results = [f.result() for f in futures]
 
+        assert len(results) == len(expected)
         for result, reference in zip(results, expected):
             assert np.array_equal(result.probabilities,
                                   reference.probabilities)
             assert np.array_equal(result.predictions,
                                   reference.predictions)
+            assert result.entities == reference.entities
+        assert any(result.entities for result in results)
         assert matcher.metrics.snapshot()["requests"] == \
             bare.metrics.snapshot()["requests"]
+        assert matcher.resolver.entities() == bare.resolver.entities()
 
 
 class _StallingMatcher:
