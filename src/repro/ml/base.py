@@ -95,6 +95,18 @@ def encode_labels(y) -> tuple[np.ndarray, np.ndarray]:
     return classes, encoded.astype(np.int64)
 
 
+def check_at_most_two_classes(estimator: BaseEstimator,
+                              classes: np.ndarray) -> None:
+    """Reject multiclass labels: entity matching is match / non-match.
+
+    One class passes, because a bagged tree's bootstrap sample can hold
+    a single class.
+    """
+    if len(classes) > 2:
+        raise ValueError(f"{type(estimator).__name__} is binary-only; got "
+                         f"{len(classes)} classes")
+
+
 def balanced_weights(y_encoded: np.ndarray, n_classes: int) -> np.ndarray:
     """Per-sample 'balanced' class weights: n / (k * count(class))."""
     counts = np.bincount(y_encoded, minlength=n_classes)

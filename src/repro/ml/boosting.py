@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_X, check_X_y, encode_labels
+from .base import (
+    BaseEstimator,
+    check_at_most_two_classes,
+    check_X,
+    check_X_y,
+    encode_labels,
+)
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 
 class AdaBoostClassifier(BaseEstimator):
-    """SAMME AdaBoost over depth-limited decision trees."""
+    """Two-class SAMME AdaBoost over depth-limited decision trees."""
 
     def __init__(self, n_estimators: int = 50, learning_rate: float = 1.0,
                  max_depth: int = 1, random_state: int = 0):
@@ -32,7 +38,7 @@ class AdaBoostClassifier(BaseEstimator):
     def fit(self, X, y) -> "AdaBoostClassifier":
         X, y = check_X_y(X, y)
         self.classes_, encoded = encode_labels(y)
-        n_classes = len(self.classes_)
+        check_at_most_two_classes(self, self.classes_)
         n = X.shape[0]
         weights = np.full(n, 1.0 / n)
         rng = np.random.default_rng(self.random_state)
@@ -51,10 +57,9 @@ class AdaBoostClassifier(BaseEstimator):
                 self.estimators_.append(stump)
                 self.estimator_weights_.append(10.0)
                 break
-            if error >= 1.0 - 1.0 / n_classes:
+            if error >= 0.5:
                 break  # no better than chance; further rounds won't help
-            alpha = self.learning_rate * (
-                np.log((1.0 - error) / error) + np.log(n_classes - 1.0))
+            alpha = self.learning_rate * np.log((1.0 - error) / error)
             weights = weights * np.exp(alpha * mistakes)
             weights /= weights.sum()
             self.estimators_.append(stump)

@@ -1,4 +1,5 @@
-"""Bagged tree ensembles: random forest and extra-trees.
+"""Bagged tree ensembles: two-class random forest and extra-trees, and
+the random-forest regressor behind SMAC.
 
 Random forest is the model AutoML-EM commits to (Section III-C): each
 tree sees a bootstrap sample and a random feature subset per split, and
@@ -15,6 +16,7 @@ import numpy as np
 from .base import (
     BaseEstimator,
     balanced_weights,
+    check_at_most_two_classes,
     check_X,
     check_X_y,
     encode_labels,
@@ -31,7 +33,6 @@ class _BaseForest(BaseEstimator):
     def __init__(self, n_estimators: int = 100, criterion: str = "gini",
                  max_depth=None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features="sqrt",
-                 max_leaf_nodes=None, min_impurity_decrease: float = 0.0,
                  bootstrap: bool | None = None, class_weight=None,
                  random_state: int = 0):
         if n_estimators < 1:
@@ -42,8 +43,6 @@ class _BaseForest(BaseEstimator):
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.max_leaf_nodes = max_leaf_nodes
-        self.min_impurity_decrease = min_impurity_decrease
         self.bootstrap = (self._default_bootstrap if bootstrap is None
                           else bootstrap)
         self.class_weight = class_weight
@@ -52,6 +51,7 @@ class _BaseForest(BaseEstimator):
     def fit(self, X, y, sample_weight=None) -> "_BaseForest":
         X, y = check_X_y(X, y)
         self.classes_, encoded = encode_labels(y)
+        check_at_most_two_classes(self, self.classes_)
         if sample_weight is None:
             sample_weight = np.ones(len(y))
         else:
@@ -68,8 +68,6 @@ class _BaseForest(BaseEstimator):
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-                max_leaf_nodes=self.max_leaf_nodes,
-                min_impurity_decrease=self.min_impurity_decrease,
                 splitter=self._splitter,
                 random_state=int(rng.integers(2 ** 31)))
             if self.bootstrap:

@@ -1,10 +1,13 @@
-"""CART decision trees (classifier and regressor) on numpy.
+"""CART decision trees on numpy: a two-class classifier and an MSE regressor.
 
-The split search is vectorized per node: sort the node's values for each
-candidate feature once, build prefix sums of (weighted) class counts or
-targets, and evaluate every threshold in one shot.  Trees are stored as
-flat arrays so prediction is a vectorized level-by-level descent rather
-than per-sample Python recursion.
+Entity matching is a two-class problem (match / non-match), so the
+classifier accepts at most two classes (one still fits: a forest's
+bootstrap sample can hold a single class).  The split search is
+vectorized per node and across candidate features: sort the node's
+values for each feature once, build prefix sums of the (weighted)
+class-1 weight or of the targets, and evaluate every threshold in one
+shot.  Trees are stored as flat arrays so prediction is a vectorized
+level-by-level descent rather than per-sample Python recursion.
 
 These trees power the random forest (the paper's chosen model), extra
 trees, AdaBoost and gradient boosting.
@@ -17,6 +20,7 @@ import numpy as np
 from .base import (
     BaseEstimator,
     balanced_weights,
+    check_at_most_two_classes,
     check_X,
     check_X_y,
     encode_labels,
@@ -35,6 +39,19 @@ def _binary_entropy_sum(count1, total):
         return np.where(p > 0, p * np.log2(np.maximum(p, eps)), 0.0)
 
     return -total * (xlogx(p0) + xlogx(p1))
+
+
+def _child_scores(mode, l1, lw, r1, rw):
+    """Weighted gini/entropy summed over both children of each candidate.
+
+    ``l1``/``r1`` are the class-1 weights and ``lw``/``rw`` the total
+    weights of the left and right child.
+    """
+    if mode == "entropy":
+        return _binary_entropy_sum(l1, lw) + _binary_entropy_sum(r1, rw)
+    eps = 1e-12
+    return (2.0 * l1 * (lw - l1) / np.maximum(lw, eps)
+            + 2.0 * r1 * (rw - r1) / np.maximum(rw, eps))
 
 
 def resolve_max_features(max_features, n_features: int) -> int:
@@ -117,22 +134,20 @@ class _Tree:
 class _TreeBuilder:
     """Depth-first CART growth with vectorized split search.
 
-    ``mode`` is "gini", "entropy" (classification; value = weighted class
-    distribution) or "mse" (regression; value = weighted mean).
+    ``mode`` is "gini", "entropy" (two-class classification; value =
+    weighted class distribution) or "mse" (regression; value = weighted
+    mean).
     """
 
     def __init__(self, mode: str, n_classes: int, max_depth, min_samples_split,
-                 min_samples_leaf, max_features, max_leaf_nodes,
-                 min_impurity_decrease, splitter: str, rng: np.random.Generator):
+                 min_samples_leaf, max_features, splitter: str,
+                 rng: np.random.Generator):
         self.mode = mode
         self.n_classes = n_classes
         self.max_depth = np.inf if max_depth is None else max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.max_leaf_nodes = (np.inf if max_leaf_nodes is None
-                               else max_leaf_nodes)
-        self.min_impurity_decrease = min_impurity_decrease
         self.splitter = splitter  # "best" | "random" (extra-trees style)
         self.rng = rng
 
@@ -147,9 +162,7 @@ class _TreeBuilder:
         stack = [(root, root_idx, 0)]
         while stack:
             node, idx, depth = stack.pop()
-            if (depth >= self.max_depth
-                    or len(idx) < self.min_samples_split
-                    or tree.n_leaves + len(stack) >= self.max_leaf_nodes):
+            if depth >= self.max_depth or len(idx) < self.min_samples_split:
                 continue
             impurity = self._impurity(y, sample_weight, idx)
             if impurity <= 1e-12:
@@ -159,7 +172,7 @@ class _TreeBuilder:
             if split is None:
                 continue
             feature, threshold, gain = split
-            if gain < self.min_impurity_decrease:
+            if gain < 0.0:
                 continue
             mask = X[idx, feature] <= threshold
             left_idx, right_idx = idx[mask], idx[~mask]
@@ -214,14 +227,11 @@ class _TreeBuilder:
                                       parent_impurity)
         order = self.rng.permutation(n_features)
         subset, rest = order[:k_features], order[k_features:]
-        fast = self.mode == "mse" or self.n_classes == 2
-        best = (self._vector_split(X, y, w, idx, subset) if fast
-                else self._loop_split(X, y, w, idx, subset))
+        best = self._vector_split(X, y, w, idx, subset)
         if best is None and rest.size:
             # Like scikit-learn, keep drawing features past max_features
             # until a valid split is found (or all are exhausted).
-            best = (self._vector_split(X, y, w, idx, rest) if fast
-                    else self._loop_split(X, y, w, idx, rest))
+            best = self._vector_split(X, y, w, idx, rest)
         if best is None:
             return None
         feature, threshold, score = best
@@ -229,23 +239,11 @@ class _TreeBuilder:
         gain = parent_impurity - score / total_w
         return feature, threshold, gain
 
-    def _loop_split(self, X, y, w, idx, features):
-        """Per-feature split search (multiclass fallback)."""
-        best = None
-        best_score = np.inf
-        for feature in features:
-            result = self._best_split_on_feature(X, y, w, idx, int(feature))
-            if result is not None and result[0] < best_score:
-                best_score, threshold = result
-                best = (int(feature), threshold, best_score)
-        return best
-
     def _vector_split(self, X, y, w, idx, features):
         """Split search vectorized across all candidate features at once.
 
-        Handles binary classification (gini/entropy) and MSE regression —
-        the hot paths for EM.  Returns ``(feature, threshold,
-        weighted_child_impurity_sum)`` or ``None``.
+        Returns ``(feature, threshold, weighted_child_impurity_sum)`` or
+        ``None``.
         """
         m = len(idx)
         cols = X[np.ix_(idx, features)]                   # (m, k)
@@ -263,8 +261,8 @@ class _TreeBuilder:
         total_w = cw[-1]
         lw = cw[:-1]
         rw = total_w - lw
-        eps = 1e-12
         if self.mode == "mse":
+            eps = 1e-12
             cwy = np.cumsum(ws * ys, axis=0)
             cwy2 = np.cumsum(ws * ys * ys, axis=0)
             l_sse = cwy2[:-1] - cwy[:-1] ** 2 / np.maximum(lw, eps)
@@ -275,13 +273,7 @@ class _TreeBuilder:
         else:
             cw1 = np.cumsum(ws * ys, axis=0)              # weight of class 1
             l1 = cw1[:-1]
-            r1 = cw1[-1] - l1
-            if self.mode == "entropy":
-                scores = (_binary_entropy_sum(l1, lw)
-                          + _binary_entropy_sum(r1, rw))
-            else:
-                scores = (2.0 * l1 * (lw - l1) / np.maximum(lw, eps)
-                          + 2.0 * r1 * (rw - r1) / np.maximum(rw, eps))
+            scores = _child_scores(self.mode, l1, lw, cw1[-1] - l1, rw)
         scores = np.where(valid, scores, np.inf)
         flat = int(np.argmin(scores))
         pos, col = np.unravel_index(flat, scores.shape)
@@ -290,72 +282,14 @@ class _TreeBuilder:
         threshold = float((xs[pos, col] + xs[pos + 1, col]) / 2.0)
         return int(features[col]), threshold, float(scores[pos, col])
 
-    def _best_split_on_feature(self, X, y, w, idx, feature):
-        """Return (weighted_child_impurity_sum, threshold) or None."""
-        values = X[idx, feature]
-        order = np.argsort(values, kind="stable")
-        xs = values[order]
-        if xs[0] == xs[-1]:
-            return None
-        ys = y[idx][order]
-        ws = w[idx][order]
-        n = len(idx)
-        # Candidate split after position i (left = [0..i]); valid where the
-        # value changes and both children satisfy min_samples_leaf.
-        distinct = xs[:-1] < xs[1:]
-        positions = np.flatnonzero(distinct)
-        leaf = self.min_samples_leaf
-        positions = positions[(positions + 1 >= leaf)
-                              & (n - positions - 1 >= leaf)]
-        if positions.size == 0:
-            return None
-        if self.mode == "mse":
-            wy = np.cumsum(ws * ys)
-            wy2 = np.cumsum(ws * ys * ys)
-            wsum = np.cumsum(ws)
-            total_wy, total_wy2, total_w = wy[-1], wy2[-1], wsum[-1]
-            lw = wsum[positions]
-            rw = total_w - lw
-            l_sse = wy2[positions] - wy[positions] ** 2 / np.maximum(lw, 1e-12)
-            r_wy = total_wy - wy[positions]
-            r_sse = (total_wy2 - wy2[positions]
-                     - r_wy ** 2 / np.maximum(rw, 1e-12))
-            scores = l_sse + r_sse
-        else:
-            onehot = np.zeros((n, self.n_classes))
-            onehot[np.arange(n), ys] = ws
-            prefix = np.cumsum(onehot, axis=0)
-            total = prefix[-1]
-            left_counts = prefix[positions]
-            right_counts = total - left_counts
-            lw = left_counts.sum(axis=1)
-            rw = right_counts.sum(axis=1)
-            scores = (self._child_impurity(left_counts, lw) * lw
-                      + self._child_impurity(right_counts, rw) * rw)
-        best_pos = int(np.argmin(scores))
-        pos = positions[best_pos]
-        threshold = (xs[pos] + xs[pos + 1]) / 2.0
-        return float(scores[best_pos]), float(threshold)
-
-    def _child_impurity(self, counts, totals):
-        probs = counts / np.maximum(totals, 1e-12)[:, None]
-        if self.mode == "entropy":
-            logs = np.where(probs > 0, np.log2(np.maximum(probs, 1e-300)), 0.0)
-            return -(probs * logs).sum(axis=1)
-        return 1.0 - (probs ** 2).sum(axis=1)
-
     def _random_split(self, X, y, w, idx, features, parent_impurity):
         """Extra-trees splitter: one uniform-random threshold per feature.
 
         Vectorized across the candidate features: draw all thresholds,
         form the (m, k) left-mask matrix and score every candidate with
-        matrix products.  Binary classification and MSE take the fast
-        path; multiclass falls back to a per-feature loop.
+        matrix products.
         """
         total_w = w[idx].sum()
-        if self.mode != "mse" and self.n_classes != 2:
-            return self._random_split_loop(X, y, w, idx, features,
-                                           parent_impurity)
         cols = X[np.ix_(idx, features)]                    # (m, k)
         lo, hi = cols.min(axis=0), cols.max(axis=0)
         usable = hi > lo
@@ -372,27 +306,9 @@ class _TreeBuilder:
         ws = w[idx]
         lw = ws @ mask
         rw = total_w - lw
-        eps = 1e-12
-        if self.mode == "mse":
-            ys = y[idx]
-            wy = (ws * ys) @ mask
-            wy2 = (ws * ys * ys) @ mask
-            total_wy = (ws * ys).sum()
-            total_wy2 = (ws * ys * ys).sum()
-            l_sse = wy2 - wy ** 2 / np.maximum(lw, eps)
-            r_wy = total_wy - wy
-            r_sse = total_wy2 - wy2 - r_wy ** 2 / np.maximum(rw, eps)
-            scores = l_sse + r_sse
-        else:
-            w1 = ws * y[idx]
-            l1 = w1 @ mask
-            r1 = w1.sum() - l1
-            if self.mode == "entropy":
-                scores = (_binary_entropy_sum(l1, lw)
-                          + _binary_entropy_sum(r1, rw))
-            else:
-                scores = (2.0 * l1 * (lw - l1) / np.maximum(lw, eps)
-                          + 2.0 * r1 * (rw - r1) / np.maximum(rw, eps))
+        w1 = ws * y[idx]
+        l1 = w1 @ mask
+        scores = _child_scores(self.mode, l1, lw, w1.sum() - l1, rw)
         scores = np.where(leaf_ok, scores, np.inf)
         col = int(np.argmin(scores))
         if not np.isfinite(scores[col]):
@@ -400,49 +316,19 @@ class _TreeBuilder:
         gain = parent_impurity - scores[col] / total_w
         return int(features[col]), float(thresholds[col]), float(gain)
 
-    def _random_split_loop(self, X, y, w, idx, features, parent_impurity):
-        """Multiclass fallback for the extra-trees splitter."""
-        best = None
-        best_score = np.inf
-        total_w = w[idx].sum()
-        for feature in features:
-            values = X[idx, feature]
-            lo, hi = values.min(), values.max()
-            if lo == hi:
-                continue
-            threshold = float(self.rng.uniform(lo, hi))
-            mask = values <= threshold
-            n_left = int(mask.sum())
-            if n_left < self.min_samples_leaf \
-                    or len(idx) - n_left < self.min_samples_leaf:
-                continue
-            left_idx, right_idx = idx[mask], idx[~mask]
-            lw, rw = w[left_idx].sum(), w[right_idx].sum()
-            score = (self._impurity(y, w, left_idx) * lw
-                     + self._impurity(y, w, right_idx) * rw)
-            if score < best_score:
-                best_score = score
-                best = (int(feature), threshold)
-        if best is None:
-            return None
-        gain = parent_impurity - best_score / total_w
-        return best[0], best[1], gain
-
 
 class DecisionTreeClassifier(BaseEstimator):
-    """CART classification tree.
+    """Two-class CART classification tree.
 
     Parameters mirror scikit-learn's: ``criterion`` ("gini"/"entropy"),
     ``max_depth``, ``min_samples_split``, ``min_samples_leaf``,
-    ``max_features``, ``max_leaf_nodes``, ``min_impurity_decrease``,
-    ``class_weight`` (None or "balanced"), ``splitter`` ("best" or the
-    extra-trees "random"), ``random_state``.
+    ``max_features``, ``class_weight`` (None or "balanced"), ``splitter``
+    ("best" or the extra-trees "random"), ``random_state``.
     """
 
     def __init__(self, criterion: str = "gini", max_depth=None,
                  min_samples_split: int = 2, min_samples_leaf: int = 1,
-                 max_features=None, max_leaf_nodes=None,
-                 min_impurity_decrease: float = 0.0, class_weight=None,
+                 max_features=None, class_weight=None,
                  splitter: str = "best", random_state: int = 0):
         if criterion not in ("gini", "entropy"):
             raise ValueError(f"criterion must be gini/entropy, got {criterion}")
@@ -451,8 +337,6 @@ class DecisionTreeClassifier(BaseEstimator):
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.max_leaf_nodes = max_leaf_nodes
-        self.min_impurity_decrease = min_impurity_decrease
         self.class_weight = class_weight
         self.splitter = splitter
         self.random_state = random_state
@@ -460,6 +344,7 @@ class DecisionTreeClassifier(BaseEstimator):
     def fit(self, X, y, sample_weight=None) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
         self.classes_, encoded = encode_labels(y)
+        check_at_most_two_classes(self, self.classes_)
         if sample_weight is None:
             sample_weight = np.ones(len(y))
         else:
@@ -470,8 +355,7 @@ class DecisionTreeClassifier(BaseEstimator):
         builder = _TreeBuilder(
             self.criterion, len(self.classes_), self.max_depth,
             self.min_samples_split, self.min_samples_leaf, self.max_features,
-            self.max_leaf_nodes, self.min_impurity_decrease, self.splitter,
-            np.random.default_rng(self.random_state))
+            self.splitter, np.random.default_rng(self.random_state))
         self.tree_ = builder.build(X, encoded, sample_weight)
         self.n_features_in_ = X.shape[1]
         return self
@@ -491,15 +375,11 @@ class DecisionTreeRegressor(BaseEstimator):
 
     def __init__(self, max_depth=None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features=None,
-                 max_leaf_nodes=None, min_impurity_decrease: float = 0.0,
-                 splitter: str = "best", random_state: int = 0):
+                 random_state: int = 0):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.max_leaf_nodes = max_leaf_nodes
-        self.min_impurity_decrease = min_impurity_decrease
-        self.splitter = splitter
         self.random_state = random_state
 
     def fit(self, X, y, sample_weight=None) -> "DecisionTreeRegressor":
@@ -511,8 +391,7 @@ class DecisionTreeRegressor(BaseEstimator):
             sample_weight = np.asarray(sample_weight, dtype=np.float64)
         builder = _TreeBuilder(
             "mse", 0, self.max_depth, self.min_samples_split,
-            self.min_samples_leaf, self.max_features, self.max_leaf_nodes,
-            self.min_impurity_decrease, self.splitter,
+            self.min_samples_leaf, self.max_features, "best",
             np.random.default_rng(self.random_state))
         self.tree_ = builder.build(X, y, sample_weight)
         self.n_features_in_ = X.shape[1]

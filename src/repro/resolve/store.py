@@ -63,6 +63,7 @@ own.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import pickle
 import re
@@ -528,6 +529,18 @@ class EntityStore:
             self._n_saved = len(self._decisions)
 
     def __setstate__(self, state: dict[str, Any]) -> None:
+        # The replay allocates a decision, a dict and a member list per
+        # row, none of them cyclic garbage, which would set off full
+        # collections over the whole heap: pause the collector meanwhile.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._restore(state)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _restore(self, state: dict[str, Any]) -> None:
         # Anything malformed raises ValueError or TypeError, which
         # load() reports as EntityStoreError.
         if not isinstance(state, dict) or set(state) != _STATE_KEYS \

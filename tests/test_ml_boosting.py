@@ -72,12 +72,6 @@ class TestGradientBoosting:
         model.fit(X_train, y_train)
         assert f1_score(y_test, model.predict(X_test)) > 0.85
 
-    def test_multiclass_rejected(self):
-        X = np.random.default_rng(0).normal(size=(30, 2))
-        y = np.arange(30) % 3
-        with pytest.raises(ValueError, match="binary-only"):
-            GradientBoostingClassifier().fit(X, y)
-
     def test_invalid_subsample(self):
         with pytest.raises(ValueError, match="subsample"):
             GradientBoostingClassifier(subsample=0.0)

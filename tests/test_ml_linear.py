@@ -42,11 +42,6 @@ class TestLogisticRegression:
         balanced = LogisticRegression(class_weight="balanced").fit(X, y)
         assert balanced.predict(X).sum() > plain.predict(X).sum()
 
-    def test_multiclass_rejected(self):
-        X = np.random.default_rng(0).normal(size=(30, 2))
-        with pytest.raises(ValueError, match="binary-only"):
-            LogisticRegression().fit(X, np.arange(30) % 3)
-
     def test_invalid_C(self):
         with pytest.raises(ValueError, match="C must be positive"):
             LogisticRegression(C=0.0)

@@ -1,9 +1,21 @@
 """Tests for the CART decision trees."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor, f1_score
+from repro.ml import (
+    AdaBoostClassifier,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    ExtraTreesClassifier,
+    GradientBoostingClassifier,
+    LinearSVC,
+    LogisticRegression,
+    RandomForestClassifier,
+    f1_score,
+)
 from repro.ml.tree import resolve_max_features
 
 
@@ -52,11 +64,6 @@ class TestClassifier:
         leaves = tree.tree_.apply(np.asarray(X_train, dtype=np.float64))
         _, counts = np.unique(leaves, return_counts=True)
         assert counts.min() >= 30
-
-    def test_max_leaf_nodes_cap(self, noisy_data):
-        X_train, y_train, _, _ = noisy_data
-        tree = DecisionTreeClassifier(max_leaf_nodes=5).fit(X_train, y_train)
-        assert tree.tree_.n_leaves <= 5
 
     def test_entropy_criterion_works(self, blob_data):
         X_train, y_train, X_test, y_test = blob_data
@@ -129,6 +136,15 @@ class TestClassifier:
         tree = DecisionTreeClassifier().fit(X, [1, 1])
         assert tree.predict(X).tolist() == [1, 1]
 
+    def test_single_class_forest(self):
+        """A forest fits one class, as its bootstrap trees may see one."""
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        forest = RandomForestClassifier(n_estimators=3).fit(
+            X, np.ones(20, dtype=int))
+        assert forest.predict(X).tolist() == [1] * 20
+        np.testing.assert_array_equal(forest.predict_proba(X),
+                                      np.ones((20, 1)))
+
     def test_constant_features_make_leaf(self):
         X = np.ones((10, 3))
         y = np.asarray([0, 1] * 5)
@@ -160,3 +176,58 @@ class TestRegressor:
         X = np.random.default_rng(0).normal(size=(20, 2))
         tree = DecisionTreeRegressor().fit(X, np.full(20, 3.5))
         assert np.allclose(tree.predict(X), 3.5)
+
+
+@pytest.mark.parametrize("model", [
+    LogisticRegression, LinearSVC, GradientBoostingClassifier,
+    DecisionTreeClassifier, RandomForestClassifier, ExtraTreesClassifier,
+    AdaBoostClassifier,
+], ids=lambda model: model.__name__)
+def test_multiclass_rejected(model):
+    """Entity matching is two-class; every classifier refuses three."""
+    X = np.random.default_rng(0).normal(size=(30, 2))
+    with pytest.raises(ValueError, match="binary-only"):
+        model().fit(X, np.arange(30) % 3)
+
+
+def _tree_digest(trees) -> str:
+    digest = hashlib.sha256()
+    for tree in trees:
+        t = tree.tree_
+        for array in (t.feature, t.threshold, t.left, t.right, t.value):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedGrowth:
+    """Node-for-node pins of tree growth: every split, threshold and leaf.
+
+    Gini and MSE scoring use only + - * /, cumsum and stable argsort, so
+    the bytes should not depend on the CPU.  Entropy (log2) and the
+    extra-trees splitter (a BLAS matrix product) are left out.  After a
+    change that is meant to grow the same trees, these digests must not
+    move; a change that regrows them on purpose records new ones.
+    """
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(240, 8))
+        X[:, :4] = np.round(X[:, :4], 1)          # tied values
+        y = X[:, 0] + 0.5 * X[:, 5] + rng.normal(scale=0.8, size=240) > 0.8
+        return X, y
+
+    def test_random_forest_gini_balanced_string_labels(self):
+        X, y = self._data()
+        labels = np.where(y, "match", "non-match")
+        forest = RandomForestClassifier(
+            n_estimators=8, criterion="gini", class_weight="balanced",
+            min_samples_leaf=3, random_state=0).fit(X, labels)
+        assert _tree_digest(forest.estimators_) == (
+            "d44c2f07525acc98af6cd95d430a6890bbbe802f228423b18dcf6cb5b12995f4")
+
+    def test_regressor_mse(self):
+        X, y = self._data()
+        tree = DecisionTreeRegressor(max_depth=6).fit(X, X[:, 1] - 2.0 * y)
+        assert _tree_digest([tree]) == (
+            "9aa39e4be085f11d245ed6104423016820235204deb16e36c33e60a8c67e30a4")

@@ -1,5 +1,6 @@
 """Unit tests for the versioned EntityStore and its persistence."""
 
+import gc
 import hashlib
 import json
 import sys
@@ -460,6 +461,34 @@ class TestPersistence:
         with pytest.raises(EntityStoreError, match="score") as raised:
             EntityStore.load(write_forged(tmp_path, state, store))
         assert isinstance(raised.value, EntityStoreError)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_pauses_the_collector_and_restores_its_state(
+            self, store, tmp_path, monkeypatch, enabled):
+        """The replay runs with the cyclic collector off; afterwards the
+        caller's setting is back, also when the load fails."""
+        seen = []
+        restore = store_module.EntityStore._restore
+
+        def spy(self, state):
+            seen.append(gc.isenabled())
+            return restore(self, state)
+
+        monkeypatch.setattr(store_module.EntityStore, "_restore", spy)
+        good = store.save(tmp_path / "good")
+        bad = forged_state(store)
+        bad["counters"] = {**bad["counters"], "n_entity_merges": 7}
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert EntityStore.load(good).entities() == store.entities()
+            assert gc.isenabled() is enabled
+            with pytest.raises(EntityStoreError, match="counters"):
+                EntityStore.load(write_forged(tmp_path, bad, store))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False, False]
 
     def test_counters_that_the_log_does_not_replay_fail_load(
             self, store, tmp_path):
