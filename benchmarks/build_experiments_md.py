@@ -163,17 +163,20 @@ reduction/recall trade-off the paper's Section II-A describes."""),
      ["extra_query_strategies", "extra_ensemble", "extra_metalearning",
       "extra_labelers"],
      """The paper's conclusion names four future directions; all are
-implemented and benched here: (a) alternative query strategies — every
-informed strategy (uncertainty/margin/entropy/QBC) beats passive random
-sampling; (b) auto-sklearn-style greedy ensemble selection adds test F1
-over the single best pipeline on the hardest dataset; (c) meta-learning
-warm starts seeded from other product datasets reach a good pipeline
-within a very short budget; (d) transitivity and label-propagation
+implemented and benched here: (a) alternative query strategies — both
+informed strategies (vote-fraction uncertainty and query by committee)
+beat passive random sampling; maximum margin and predictive entropy are
+not separate strategies, because for a two-class forest both rank the
+pool as uncertainty does; (b) auto-sklearn-style greedy ensemble
+selection adds test F1 over the single best pipeline on the hardest
+dataset; (c) meta-learning warm starts seeded from other product
+datasets reach a good pipeline within a very short budget; (d) label
 inference: label propagation infers hundreds of extra labels at ~100%
-accuracy on the clean publication data, while transitivity infers none
-on these benchmarks — each entity appears once per source, so the match
-relation has no multi-edge clusters to close (it shines in single-table
-dedup settings instead)."""),
+accuracy on the clean publication data.  Transitive closure of the
+labeled matches is not a labeler: it inferred none on these benchmarks
+(each entity appears once per source, so the match relation has no
+multi-edge clusters to close), and the closure itself is what
+`resolve`'s union-find computes."""),
 ]
 
 FOOTER = """\

@@ -19,10 +19,8 @@ def test_future_query_strategies(benchmark):
     table = run_once(benchmark, lambda: run_query_strategies(ACTIVE_BENCH))
     save_table(table, "extra_query_strategies")
     scores = {row["strategy"]: row["test_f1"] for row in table.rows}
-    assert set(scores) == {"uncertainty", "margin", "entropy", "committee",
-                           "random"}
-    informed = [scores[s] for s in ("uncertainty", "margin", "entropy",
-                                    "committee")]
+    assert set(scores) == {"uncertainty", "committee", "random"}
+    informed = [scores[s] for s in ("uncertainty", "committee")]
     # At least one informed strategy should beat passive random sampling.
     assert max(informed) >= scores["random"] - 1.0
     print(f"\nquery strategies: "
@@ -57,7 +55,7 @@ def test_future_label_inference(benchmark):
     table = run_once(benchmark, lambda: run_labeler_study(BENCH))
     save_table(table, "extra_labelers")
     by_name = {row["labeler"]: row for row in table.rows}
-    assert set(by_name) == {"transitivity", "label_propagation"}
+    assert set(by_name) == {"label_propagation"}
     # Inference only counts if the inferred labels are trustworthy.
     for row in table.rows:
         if row["inferred"] > 0:

@@ -2,8 +2,7 @@
 
 Layout:
 
-* :mod:`~repro.blocking.base` — the :class:`BaseBlocker` interface and
-  the ``|`` / ``&`` / ``>>`` composition operators;
+* :mod:`~repro.blocking.base` — the :class:`BaseBlocker` interface;
 * :mod:`~repro.blocking.blockers` — scan-based blockers
   (:class:`AttributeEquivalenceBlocker`, :class:`OverlapBlocker`);
 * :mod:`~repro.blocking.indexed` — indexed blockers with persistent,
@@ -11,8 +10,6 @@ Layout:
   :class:`MinHashLSHBlocker`);
 * :mod:`~repro.blocking.index` — the standing :class:`BlockIndex`
   (save/load, ``add_records``, probe);
-* :mod:`~repro.blocking.compose` — the composite blockers the operators
-  build;
 * :mod:`~repro.blocking.metrics` — blocking-quality evaluation (pair
   completeness, reduction ratio, block-size histogram, JSONL telemetry).
 """
@@ -23,7 +20,6 @@ from .blockers import (
     OverlapBlocker,
     blocking_recall,
 )
-from .compose import CascadeBlocker, IntersectionBlocker, UnionBlocker
 from .index import BlockIndex, BlockIndexError, table_chain_fingerprint
 from .indexed import IndexedBlocker, MinHashLSHBlocker, QGramBlocker
 from .metrics import (
@@ -41,13 +37,10 @@ __all__ = [
     "BlockIndex",
     "BlockIndexError",
     "BlockingReport",
-    "CascadeBlocker",
     "IndexedBlocker",
-    "IntersectionBlocker",
     "MinHashLSHBlocker",
     "OverlapBlocker",
     "QGramBlocker",
-    "UnionBlocker",
     "block_size_histogram",
     "blocking_recall",
     "evaluate_blocking",

@@ -1,36 +1,21 @@
-"""The blocker interface and its composition operators.
+"""The blocker interface.
 
 Every blocker answers two questions:
 
 * :meth:`BaseBlocker.block` — generate the candidate :class:`PairSet`
   for two tables (the batch entry point);
 * :meth:`BaseBlocker.admits` — would this blocker keep one concrete
-  ``(left, right)`` record pair?  The per-pair predicate is what makes
-  blockers composable: :class:`~repro.blocking.compose.CascadeBlocker`
-  filters a cheap blocker's survivors through a stricter blocker's
-  ``admits`` without building the stricter blocker's index, and
-  :meth:`filter_pairs` re-applies any blocker to an existing pair set.
-
-Composition is spelled with operators::
-
-    QGramBlocker("name") | MinHashLSHBlocker("name")     # union
-    QGramBlocker("name") & AttributeEquivalenceBlocker("city")  # intersection
-    OverlapBlocker("name") >> QGramBlocker("name", min_overlap=3)  # cascade
-
-All three return composite blockers from :mod:`repro.blocking.compose`
-that are themselves :class:`BaseBlocker` instances, so algebra nests.
+  ``(left, right)`` record pair?  The per-pair predicate is the naive
+  oracle the indexed blockers are checked against (the equivalence
+  tests and ``benchmarks/bench_blocking.py``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
 
 from ..data.pairs import PairSet
 from ..data.table import Record, Table
-
-if TYPE_CHECKING:
-    from .compose import CascadeBlocker, IntersectionBlocker, UnionBlocker
 
 
 class BaseBlocker(ABC):
@@ -53,50 +38,6 @@ class BaseBlocker(ABC):
     def admits(self, left: Record, right: Record) -> bool:
         """Would this blocker emit the concrete pair ``(left, right)``?"""
 
-    def filter_pairs(self, pairs: PairSet) -> PairSet:
-        """The subset of ``pairs`` this blocker admits (labels kept)."""
-        kept = [pair for pair in pairs if self.admits(pair.left, pair.right)]
-        return PairSet(pairs.table_a, pairs.table_b, kept)
-
-    # -- composition algebra -------------------------------------------
-
-    def __or__(self, other: "BaseBlocker") -> "UnionBlocker":
-        """``a | b`` — pairs admitted by either blocker."""
-        from .compose import UnionBlocker
-
-        if not isinstance(other, BaseBlocker):
-            return NotImplemented  # type: ignore[return-value]
-        return UnionBlocker(*_operands(self, other, UnionBlocker))
-
-    def __and__(self, other: "BaseBlocker") -> "IntersectionBlocker":
-        """``a & b`` — pairs admitted by both blockers."""
-        from .compose import IntersectionBlocker
-
-        if not isinstance(other, BaseBlocker):
-            return NotImplemented  # type: ignore[return-value]
-        return IntersectionBlocker(*_operands(self, other,
-                                              IntersectionBlocker))
-
-    def __rshift__(self, other: "BaseBlocker") -> "CascadeBlocker":
-        """``a >> b`` — run ``a``, then filter survivors through ``b``."""
-        from .compose import CascadeBlocker
-
-        if not isinstance(other, BaseBlocker):
-            return NotImplemented  # type: ignore[return-value]
-        return CascadeBlocker(self, other)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-def _operands(left: BaseBlocker, right: BaseBlocker,
-              kind: type) -> tuple[BaseBlocker, ...]:
-    """Flatten same-kind composites so ``a | b | c`` is one 3-way union
-    (associative operators need no nesting)."""
-    parts: list[BaseBlocker] = []
-    for blocker in (left, right):
-        if type(blocker) is kind:
-            parts.extend(blocker.blockers)  # type: ignore[attr-defined]
-        else:
-            parts.append(blocker)
-    return tuple(parts)

@@ -18,10 +18,9 @@ those call sites share:
   reads that empties itself when an insert would cross its bound.
 
 :func:`process_map` is the project's only process pool: an ordered
-``fn(*task)`` map that the feature engine
-(:mod:`repro.features.columnar`) and the composite blockers
-(:mod:`repro.blocking.compose`) fan out over, with
-:func:`resolve_n_jobs` normalizing their ``n_jobs`` knobs.
+``fn(*task)`` map that the feature engine (:mod:`repro.features.columnar`)
+fans out over, with :func:`resolve_n_jobs` normalizing its ``n_jobs``
+knob.
 
 A debug-mode **lock-order witness** (:func:`enable_lock_witness`) is
 the project's lock-order check: every witnessed acquisition records

@@ -2,22 +2,12 @@
 
 from .active import ActiveIteration, ActiveRunHistory, AutoMLEMActive
 from .automl_em import AutoMLEM
-from .labelers import (
-    InferredLabels,
-    LabelPropagationLabeler,
-    TransitivityLabeler,
-)
+from .labelers import InferredLabels, LabelPropagationLabeler
 from .oracle import GroundTruthOracle, LabelBudgetExceeded
-from .selftraining import (
-    SelfTrainingSelection,
-    select_confident,
-    select_uncertain,
-)
+from .selftraining import SelfTrainingSelection, select_confident
 from .thresholding import ThresholdResult, apply_threshold, tune_threshold
 from .strategies import (
     CommitteeStrategy,
-    EntropyStrategy,
-    MarginStrategy,
     QueryStrategy,
     RandomStrategy,
     UncertaintyStrategy,
@@ -30,21 +20,17 @@ __all__ = [
     "AutoMLEM",
     "AutoMLEMActive",
     "CommitteeStrategy",
-    "EntropyStrategy",
     "GroundTruthOracle",
     "InferredLabels",
     "LabelBudgetExceeded",
     "LabelPropagationLabeler",
-    "MarginStrategy",
     "QueryStrategy",
     "RandomStrategy",
     "SelfTrainingSelection",
     "ThresholdResult",
-    "TransitivityLabeler",
     "UncertaintyStrategy",
     "apply_threshold",
     "make_strategy",
     "select_confident",
-    "select_uncertain",
     "tune_threshold",
 ]

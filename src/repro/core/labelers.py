@@ -1,28 +1,20 @@
-"""Alternative automatic label-inference approaches.
+"""Label inference by propagation over the candidate pairs' features.
 
 Section I of the paper: *"There are certainly other approaches that can
 be used to infer labels, such as transitivity [39], labeling function,
-clustering, and label propagation [43]."*  Two of them are implemented
-here so they can be plugged into the AutoML-EM-Active loop in place of
-(or on top of) self-training:
-
-* :class:`TransitivityLabeler` — matches are an equivalence relation
-  over records: if (a, b) and (b, c) match then (a, c) must match, and a
-  pair joining two *different* match-clusters with a known non-match
-  edge between them must be a non-match.
-* :class:`LabelPropagationLabeler` — Zhu & Ghahramani's iterative label
-  propagation over a k-NN similarity graph of the candidate pairs'
-  feature vectors.
+clustering, and label propagation [43]."*
+:class:`LabelPropagationLabeler` is Zhu & Ghahramani's iterative label
+propagation over a k-NN similarity graph of the candidate pairs'
+feature vectors.  Transitivity is not a labeler here: the closure of
+the match relation is what :class:`~repro.resolve.store.EntityStore`'s
+union-find computes when it resolves decisions into entities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
-
-from ..data.pairs import MATCH, NON_MATCH, PairSet, RecordPair
 
 
 @dataclass
@@ -35,71 +27,6 @@ class InferredLabels:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-def _node(side: str, record_id: int) -> tuple[str, int]:
-    return (side, record_id)
-
-
-class TransitivityLabeler:
-    """Closure of the match relation over labeled pairs.
-
-    Build it from the currently labeled pairs; :meth:`infer` then labels
-    any unlabeled pair whose endpoints fall in the same match-cluster
-    (→ match, confidence 1) or in two clusters connected by a known
-    non-match edge (→ non-match, confidence 1).
-    """
-
-    def __init__(self, labeled_pairs: list[RecordPair]):
-        graph = nx.Graph()
-        self._non_matches: list[tuple] = []
-        for pair in labeled_pairs:
-            if pair.label is None:
-                raise ValueError(f"pair {pair.key} is unlabeled")
-            left = _node("a", pair.left.record_id)
-            right = _node("b", pair.right.record_id)
-            graph.add_node(left)
-            graph.add_node(right)
-            if pair.label == MATCH:
-                graph.add_edge(left, right)
-            else:
-                self._non_matches.append((left, right))
-        self._cluster_of: dict = {}
-        for cluster_id, component in enumerate(
-                nx.connected_components(graph)):
-            for node in component:
-                self._cluster_of[node] = cluster_id
-        # Non-match edges between clusters make those *clusters* known
-        # non-matching.
-        self._non_matching_clusters: set[tuple[int, int]] = set()
-        for left, right in self._non_matches:
-            cl, cr = self._cluster_of.get(left), self._cluster_of.get(right)
-            if cl is not None and cr is not None and cl != cr:
-                self._non_matching_clusters.add((min(cl, cr), max(cl, cr)))
-
-    def infer_pair(self, pair: RecordPair) -> int | None:
-        """The transitively implied label of one pair, or ``None``."""
-        left = self._cluster_of.get(_node("a", pair.left.record_id))
-        right = self._cluster_of.get(_node("b", pair.right.record_id))
-        if left is None or right is None:
-            return None
-        if left == right:
-            return MATCH
-        if (min(left, right), max(left, right)) in self._non_matching_clusters:
-            return NON_MATCH
-        return None
-
-    def infer(self, pool: PairSet) -> InferredLabels:
-        """All implied labels for a pool of (possibly unlabeled) pairs."""
-        indices, labels = [], []
-        for i, pair in enumerate(pool):
-            implied = self.infer_pair(pair)
-            if implied is not None:
-                indices.append(i)
-                labels.append(implied)
-        indices = np.asarray(indices, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
-        return InferredLabels(indices, labels, np.ones(len(indices)))
 
 
 class LabelPropagationLabeler:

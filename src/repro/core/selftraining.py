@@ -71,11 +71,3 @@ def select_confident(confidences: np.ndarray, predictions: np.ndarray,
                              negatives[:take_negative]])
     return SelfTrainingSelection(chosen, predictions[chosen])
 
-
-def select_uncertain(confidences: np.ndarray, batch_size: int) -> np.ndarray:
-    """The active-learning side: indices of the *least* confident items."""
-    confidences = np.asarray(confidences, dtype=np.float64)
-    if batch_size < 0:
-        raise ValueError(f"batch_size must be >= 0, got {batch_size}")
-    batch_size = min(batch_size, len(confidences))
-    return np.argsort(confidences, kind="stable")[:batch_size]

@@ -1,4 +1,5 @@
-"""Active-learning query strategies beyond vote-fraction uncertainty.
+"""Active-learning query strategies: vote-fraction uncertainty and
+query by committee, with random sampling as the control.
 
 The paper's conclusion names this extension explicitly: *"We would like
 to extend it to other active learning algorithms, such as query by
@@ -8,11 +9,14 @@ send to the human oracle:
 
 * ``uncertainty`` — lowest majority-vote fraction (the paper's default,
   Figure 7's R2/R3 regions);
-* ``margin`` — smallest gap between the two class probabilities;
 * ``committee`` — highest vote entropy across tree sub-committees
   (query-by-committee with the forest as the committee);
-* ``entropy`` — highest predictive entropy of the averaged probabilities;
 * ``random`` — the passive-learning control.
+
+Maximum margin and predictive entropy are left out: for two classes
+both decrease in |p - 1/2| of the forest's averaged probability, so
+they rank the pool the same way, and with pure leaves that ranking is
+``uncertainty``'s.
 """
 
 from __future__ import annotations
@@ -50,28 +54,6 @@ class UncertaintyStrategy(QueryStrategy):
 
     def scores(self, model, X_pool, rng):
         return 1.0 - model.vote_fraction(X_pool)
-
-
-class MarginStrategy(QueryStrategy):
-    """Smallest probability margin between the top two classes."""
-
-    name = "margin"
-
-    def scores(self, model, X_pool, rng):
-        probs = np.sort(model.predict_proba(X_pool), axis=1)
-        margin = probs[:, -1] - probs[:, -2]
-        return 1.0 - margin
-
-
-class EntropyStrategy(QueryStrategy):
-    """Highest predictive entropy of the averaged class probabilities."""
-
-    name = "entropy"
-
-    def scores(self, model, X_pool, rng):
-        probs = model.predict_proba(X_pool)
-        safe = np.maximum(probs, 1e-12)
-        return -(safe * np.log(safe)).sum(axis=1)
 
 
 class CommitteeStrategy(QueryStrategy):
@@ -123,8 +105,6 @@ class RandomStrategy(QueryStrategy):
 
 _STRATEGIES = {
     "uncertainty": UncertaintyStrategy,
-    "margin": MarginStrategy,
-    "entropy": EntropyStrategy,
     "committee": CommitteeStrategy,
     "random": RandomStrategy,
 }

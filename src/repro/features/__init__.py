@@ -2,7 +2,7 @@
 
 from .autoem import TABLE_II, autoem_feature_plan, autoem_measures_for
 from .columnar import columnar_transform
-from .magellan import TABLE_I, magellan_feature_plan, magellan_measures_for
+from .magellan import TABLE_I, magellan_feature_plan
 from .profile import (
     FeatureProfile,
     ProfileAccumulator,
@@ -31,7 +31,6 @@ __all__ = [
     "infer_column_type",
     "infer_schema_types",
     "magellan_feature_plan",
-    "magellan_measures_for",
     "make_autoem_features",
     "make_magellan_features",
 ]

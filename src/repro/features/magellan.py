@@ -36,11 +36,6 @@ TABLE_I: dict[DataType, tuple[str, ...]] = {
 }
 
 
-def magellan_measures_for(dtype: DataType) -> tuple[str, ...]:
-    """The Table I similarity measures for one data type."""
-    return TABLE_I[dtype]
-
-
 def magellan_feature_plan(types: dict[str, DataType]
                           ) -> list[tuple[str, str]]:
     """Expand a typed schema into ``(attribute, measure)`` feature slots.

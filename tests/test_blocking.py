@@ -250,16 +250,3 @@ class TestConstructorValidation:
 
         blocker = MinHashLSHBlocker("name", num_perm=128, bands=32, rows=4)
         assert blocker.rows == 4
-
-
-class TestFilterPairs:
-    def test_filter_keeps_labels(self, tables):
-        a, b = tables
-        loose = OverlapBlocker("name", min_overlap=1).block(a, b)
-        labeled = type(loose)(loose.table_a, loose.table_b,
-                              [p.with_label(1) for p in loose])
-        strict = OverlapBlocker("name", min_overlap=2)
-        kept = strict.filter_pairs(labeled)
-        assert {p.key for p in kept} <= {p.key for p in labeled}
-        assert all(p.label == 1 for p in kept)
-        assert all(strict.admits(p.left, p.right) for p in kept)

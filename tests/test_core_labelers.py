@@ -1,77 +1,9 @@
-"""Tests for transitivity and label-propagation label inference."""
+"""Tests for label-propagation label inference."""
 
 import numpy as np
 import pytest
 
-from repro.core import LabelPropagationLabeler, TransitivityLabeler
-from repro.data import MATCH, NON_MATCH, PairSet, RecordPair, Table
-
-
-@pytest.fixture()
-def tables():
-    a = Table("A", ["v"], [[f"a{i}"] for i in range(5)])
-    b = Table("B", ["v"], [[f"b{i}"] for i in range(5)])
-    return a, b
-
-
-class TestTransitivity:
-    def test_match_closure(self, tables):
-        a, b = tables
-        # a0=b0 and (via b0's entity) a0=b1  =>  cluster {a0, b0, b1}
-        labeled = [RecordPair(a[0], b[0], MATCH),
-                   RecordPair(a[0], b[1], MATCH),
-                   RecordPair(a[1], b[1], MATCH)]
-        labeler = TransitivityLabeler(labeled)
-        # a1 joined the same cluster through b1 -> a1 = b0 implied.
-        assert labeler.infer_pair(RecordPair(a[1], b[0])) == MATCH
-
-    def test_negative_between_clusters(self, tables):
-        a, b = tables
-        labeled = [RecordPair(a[0], b[0], MATCH),
-                   RecordPair(a[1], b[1], MATCH),
-                   RecordPair(a[0], b[1], NON_MATCH)]
-        labeler = TransitivityLabeler(labeled)
-        # clusters {a0,b0} and {a1,b1} are known non-matching.
-        assert labeler.infer_pair(RecordPair(a[1], b[0])) == NON_MATCH
-
-    def test_unknown_records_give_none(self, tables):
-        a, b = tables
-        labeler = TransitivityLabeler([RecordPair(a[0], b[0], MATCH)])
-        assert labeler.infer_pair(RecordPair(a[4], b[4])) is None
-
-    def test_unrelated_clusters_give_none(self, tables):
-        a, b = tables
-        labeled = [RecordPair(a[0], b[0], MATCH),
-                   RecordPair(a[1], b[1], MATCH)]
-        labeler = TransitivityLabeler(labeled)
-        # No non-match edge between the clusters: nothing can be implied.
-        assert labeler.infer_pair(RecordPair(a[0], b[1])) is None
-
-    def test_infer_over_pool(self, tables):
-        a, b = tables
-        labeled = [RecordPair(a[0], b[0], MATCH),
-                   RecordPair(a[0], b[1], MATCH)]
-        labeler = TransitivityLabeler(labeled)
-        pool = PairSet(a, b, [RecordPair(a[0], b[1]),  # implied match
-                              RecordPair(a[3], b[3])])  # unknown
-        inferred = labeler.infer(pool)
-        assert inferred.indices.tolist() == [0]
-        assert inferred.labels.tolist() == [MATCH]
-        assert inferred.confidences.tolist() == [1.0]
-
-    def test_unlabeled_input_rejected(self, tables):
-        a, b = tables
-        with pytest.raises(ValueError, match="unlabeled"):
-            TransitivityLabeler([RecordPair(a[0], b[0])])
-
-    def test_consistency_with_gold_on_benchmark(self, small_benchmark):
-        pairs = list(small_benchmark.pairs)
-        labeler = TransitivityLabeler(pairs[:400])
-        inferred = labeler.infer(small_benchmark.pairs)
-        gold = small_benchmark.pairs.labels
-        if len(inferred):
-            agreement = (inferred.labels == gold[inferred.indices]).mean()
-            assert agreement > 0.95
+from repro.core import LabelPropagationLabeler
 
 
 class TestLabelPropagation:

@@ -6,10 +6,27 @@ import pytest
 from repro.core import (
     GroundTruthOracle,
     LabelBudgetExceeded,
+    UncertaintyStrategy,
     select_confident,
-    select_uncertain,
 )
 from repro.data import MATCH, NON_MATCH, PairSet, RecordPair, Table
+
+
+class FixedVotes:
+    """A fitted forest's stand-in: ``vote_fraction`` returns fixed values."""
+
+    def __init__(self, fractions):
+        self.fractions = fractions
+
+    def vote_fraction(self, X):
+        return self.fractions
+
+
+def select_uncertain(confidences, batch_size):
+    """The active loop's query pick: least confident majority votes."""
+    return UncertaintyStrategy().select(
+        FixedVotes(confidences), np.zeros((len(confidences), 1)),
+        batch_size, np.random.default_rng(0))
 
 
 @pytest.fixture()

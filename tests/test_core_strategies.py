@@ -5,8 +5,6 @@ import pytest
 
 from repro.core import (
     CommitteeStrategy,
-    EntropyStrategy,
-    MarginStrategy,
     QueryStrategy,
     RandomStrategy,
     UncertaintyStrategy,
@@ -26,7 +24,7 @@ def fitted_model():
     return model, pool
 
 
-ALL_NAMES = ("uncertainty", "margin", "entropy", "committee", "random")
+ALL_NAMES = ("uncertainty", "committee", "random")
 
 
 class TestFactory:
@@ -37,7 +35,7 @@ class TestFactory:
         assert strategy.name == name
 
     def test_instance_passthrough(self):
-        strategy = MarginStrategy()
+        strategy = CommitteeStrategy(n_committees=3)
         assert make_strategy(strategy) is strategy
 
     def test_unknown(self):
@@ -73,21 +71,6 @@ class TestSelection:
         chosen = UncertaintyStrategy().select(model, pool, 15, rng)
         votes = model.vote_fraction(pool)
         assert votes[chosen].mean() < votes.mean()
-
-    def test_margin_agrees_with_uncertainty_direction(self, fitted_model,
-                                                      rng):
-        model, pool = fitted_model
-        chosen = MarginStrategy().select(model, pool, 15, rng)
-        probs = model.predict_proba(pool)
-        margins = np.abs(probs[:, 1] - probs[:, 0])
-        assert margins[chosen].mean() < margins.mean()
-
-    def test_entropy_prefers_high_entropy(self, fitted_model, rng):
-        model, pool = fitted_model
-        chosen = EntropyStrategy().select(model, pool, 15, rng)
-        probs = np.maximum(model.predict_proba(pool), 1e-12)
-        entropy = -(probs * np.log(probs)).sum(axis=1)
-        assert entropy[chosen].mean() > entropy.mean()
 
     def test_committee_scores_bounded(self, fitted_model, rng):
         model, pool = fitted_model

@@ -46,8 +46,7 @@ class TestExtraRunners:
         from repro.experiments import run_labeler_study
         table = run_labeler_study(tiny_config, "fodors_zagats",
                                   n_labeled=100)
-        assert set(table.column("labeler")) == {"transitivity",
-                                                "label_propagation"}
+        assert set(table.column("labeler")) == {"label_propagation"}
         for row in table.rows:
             assert row["inferred"] >= 0
             assert 0 <= row["accuracy_pct"] <= 100

@@ -14,7 +14,6 @@ from repro.features import (
     infer_column_type,
     infer_schema_types,
     magellan_feature_plan,
-    magellan_measures_for,
     make_autoem_features,
     make_magellan_features,
 )
@@ -91,9 +90,9 @@ class TestFeaturePlans:
 
     def test_autoem_matches_magellan_for_numeric_and_bool(self):
         assert autoem_measures_for(DataType.NUMERIC) == \
-            magellan_measures_for(DataType.NUMERIC)
+            TABLE_I[DataType.NUMERIC]
         assert autoem_measures_for(DataType.BOOLEAN) == \
-            magellan_measures_for(DataType.BOOLEAN)
+            TABLE_I[DataType.BOOLEAN]
 
     def test_paper_example_counts(self):
         # Section III-B: 2 single-word + 2 long-text attributes.
@@ -105,7 +104,7 @@ class TestFeaturePlans:
     def test_autoem_always_superset_width(self):
         for dtype in DataType:
             assert len(autoem_measures_for(dtype)) >= \
-                len(magellan_measures_for(dtype))
+                len(TABLE_I[dtype])
 
 
 class TestFeatureGenerator:

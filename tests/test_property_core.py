@@ -4,9 +4,20 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.automl import build_config_space
-from repro.core.selftraining import select_confident, select_uncertain
+from repro.core.selftraining import select_confident
+from repro.core.strategies import UncertaintyStrategy
 from repro.data import MATCH, NON_MATCH, PairSet, RecordPair, Table
 from repro.data.splits import stratified_split
+
+
+class FixedVotes:
+    """A fitted forest's stand-in: ``vote_fraction`` returns fixed values."""
+
+    def __init__(self, fractions):
+        self.fractions = fractions
+
+    def vote_fraction(self, X):
+        return self.fractions
 
 
 def _pairs(n_pos, n_neg):
@@ -87,7 +98,8 @@ class TestSelectionProperties:
     def test_uncertain_picks_minimum(self, pool, batch, seed):
         rng = np.random.default_rng(seed)
         confidences = rng.random(pool)
-        chosen = select_uncertain(confidences, batch)
+        chosen = UncertaintyStrategy().select(
+            FixedVotes(confidences), np.zeros((pool, 1)), batch, rng)
         if len(chosen) < pool:
             threshold = confidences[chosen].max()
             others = np.delete(confidences, chosen)

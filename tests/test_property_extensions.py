@@ -1,5 +1,4 @@
-"""Property-based tests for the extension modules (explain/threshold/
-ensemble weights)."""
+"""Property-based tests for the decision-threshold extension."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -38,23 +37,3 @@ class TestThresholdProperties:
         result = tune_threshold(probabilities, y)
         assert -0.01 <= result.threshold <= 1.01
 
-
-class TestLimeProperties:
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 1000))
-    def test_constant_model_gets_zero_attributions(self, seed):
-        from repro.explain import LimeExplainer
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(100, 3))
-
-        def constant_proba(Z):
-            return np.column_stack([np.full(len(Z), 0.3),
-                                    np.full(len(Z), 0.7)])
-
-        explainer = LimeExplainer(constant_proba, X, n_samples=100,
-                                  seed=seed)
-        explanation = explainer.explain(X[0])
-        # A constant black-box has nothing to attribute (up to ridge
-        # shrinkage numerics).
-        assert np.abs(explanation.attributions).max() < 1e-6
-        assert explanation.predicted_probability == 0.7
