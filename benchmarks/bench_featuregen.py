@@ -1,4 +1,4 @@
-"""Feature-generation throughput bench: naive vs columnar vs parallel.
+"""Feature-generation throughput bench: naive vs columnar vs request-sized.
 
 Builds a duplicate-heavy synthetic candidate set — blocking output
 repeats records heavily, and the AutoML-EM-Active loop re-scores the
@@ -17,14 +17,11 @@ dominates.
 Every path is timed cold: the process-wide memos of
 :mod:`repro.similarity.sequence` (the DP kernel's ``DP_MEMO`` and the
 Jaro/Jaro-Winkler ``JARO_MEMO``) are cleared before each one, so no path
-reuses a score an earlier path computed.  The parallel
-path runs at the engine's default pool threshold
-(:data:`repro.features.columnar.PARALLEL_MIN_UNIQUE_PAIRS`); the report
-records whether the workload crossed it.
+reuses a score an earlier path computed.
 
 Usage::
 
-    python benchmarks/bench_featuregen.py [--pairs 6000] [--n-jobs 4]
+    python benchmarks/bench_featuregen.py [--pairs 6000] [--duplication 4]
     python benchmarks/bench_featuregen.py --check   # exit 1 if columnar
                                                     # is slower than naive
 
@@ -40,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -55,14 +51,10 @@ from bit_parity import assert_bits_equal  # noqa: E402
 from common import provenance  # noqa: E402
 from feature_oracle import transform_naive  # noqa: E402
 
-from repro.concurrency import resolve_n_jobs  # noqa: E402
 from repro.data.pairs import PairSet, RecordPair  # noqa: E402
 from repro.data.table import Table  # noqa: E402
 from repro.features import FeatureGenerator, autoem_feature_plan  # noqa: E402
-from repro.features.columnar import (  # noqa: E402
-    PARALLEL_MIN_UNIQUE_PAIRS,
-    _unique_value_pairs,
-)
+from repro.features.columnar import _unique_value_pairs  # noqa: E402
 from repro.features.types import DataType  # noqa: E402
 from repro.similarity import sequence  # noqa: E402
 
@@ -140,12 +132,8 @@ def _timed(func) -> tuple[float, np.ndarray]:
 
 
 def run_bench(n_pairs: int = 6000, duplication: int = 4,
-              n_jobs: int | None = None, seed: int = 0) -> dict:
+              seed: int = 0) -> dict:
     """Time every execution path on one workload; return the report."""
-    if n_jobs is None:
-        # At least 2 so the pool path is genuinely exercised even on a
-        # single-core box (where it measures pure pool overhead).
-        n_jobs = max(2, min(4, os.cpu_count() or 1))
     pairs = build_workload(n_pairs=n_pairs, duplication=duplication,
                            seed=seed)
     plan = autoem_feature_plan(TYPES)
@@ -162,11 +150,7 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
     requests_seconds, requests = _timed(
         lambda: _transform_in_requests(FeatureGenerator(plan), pairs))
 
-    parallel_seconds, parallel = _timed(
-        lambda: FeatureGenerator(plan, n_jobs=n_jobs).transform(pairs))
-
-    for name, matrix in (("columnar", columnar), ("requests", requests),
-                         ("parallel", parallel)):
+    for name, matrix in (("columnar", columnar), ("requests", requests)):
         assert_bits_equal(matrix, reference,
                           err_msg=f"{name} path diverged")
 
@@ -190,15 +174,9 @@ def run_bench(n_pairs: int = 6000, duplication: int = 4,
             "columnar": path(columnar_seconds),
             "columnar_requests": path(requests_seconds,
                                       pairs_per_call=REQUEST_PAIRS),
-            "parallel": path(
-                parallel_seconds, n_jobs=n_jobs,
-                pooled=(resolve_n_jobs(n_jobs) > 1 and n_unique_value_pairs
-                        >= PARALLEL_MIN_UNIQUE_PAIRS)),
         },
         "speedup_columnar_vs_naive": round(
             naive_seconds / max(columnar_seconds, 1e-9), 2),
-        "speedup_parallel_vs_naive": round(
-            naive_seconds / max(parallel_seconds, 1e-9), 2),
     }
 
 
@@ -208,9 +186,6 @@ def main(argv=None) -> int:
                         help="candidate-set size (default 6000)")
     parser.add_argument("--duplication", type=int, default=4,
                         help="repeats per distinct record combo")
-    parser.add_argument("--n-jobs", type=int, default=None,
-                        help="workers for the parallel path "
-                             "(default min(4, cores))")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help=f"report path (default {DEFAULT_OUTPUT.name})")
@@ -219,7 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run_bench(n_pairs=args.pairs, duplication=args.duplication,
-                       n_jobs=args.n_jobs, seed=args.seed)
+                       seed=args.seed)
     args.output.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
     print(json.dumps(report, indent=2))

@@ -16,7 +16,7 @@ pytestmark = pytest.mark.perf
 
 
 def test_columnar_not_slower_than_naive(tmp_path):
-    report = run_bench(n_pairs=2000, duplication=4, n_jobs=2, seed=0)
+    report = run_bench(n_pairs=2000, duplication=4, seed=0)
     (tmp_path / "bench_featuregen.json").write_text(
         json.dumps(report, indent=2), encoding="utf-8")
     assert report["speedup_columnar_vs_naive"] >= 1.0, report["paths"]

@@ -39,7 +39,7 @@ class MagellanMatcher:
     def __init__(self, models: tuple[str, ...] | None = None,
                  forest_size: int = 100,
                  exclude_attributes: tuple[str, ...] = (),
-                 n_jobs: int = 1, seed: int = 0):
+                 seed: int = 0):
         self.models = tuple(models) if models else tuple(DEFAULT_MODEL_ZOO)
         unknown = set(self.models) - set(DEFAULT_MODEL_ZOO)
         if unknown:
@@ -47,13 +47,12 @@ class MagellanMatcher:
                              f"known: {sorted(DEFAULT_MODEL_ZOO)}")
         self.forest_size = forest_size
         self.exclude_attributes = tuple(exclude_attributes)
-        self.n_jobs = n_jobs
         self.seed = seed
 
     def make_feature_generator(self, pairs: PairSet) -> FeatureGenerator:
         return make_magellan_features(
             pairs.table_a, pairs.table_b,
-            exclude_attributes=self.exclude_attributes, n_jobs=self.n_jobs)
+            exclude_attributes=self.exclude_attributes)
 
     def _make_model(self, name: str):
         if name == "random_forest":

@@ -113,7 +113,7 @@ def _automl_em(args, **kwargs):
 
     return AutoMLEM(n_iterations=args.budget, forest_size=args.forest_size,
                     model_space="all" if args.all_models
-                    else "random_forest", n_jobs=args.n_jobs,
+                    else "random_forest",
                     trial_timeout=args.trial_timeout, seed=args.seed,
                     **kwargs)
 
@@ -127,7 +127,7 @@ def _cmd_match(args) -> int:
         from .baselines import MagellanMatcher
 
         matcher = MagellanMatcher(forest_size=args.forest_size,
-                                  n_jobs=args.n_jobs, seed=args.seed)
+                                  seed=args.seed)
     else:
         from .baselines import DeepMatcherLite
 
@@ -246,7 +246,6 @@ def _cmd_predict(args) -> int:
     table_a, table_b, _ = _load_tables(args, args.data_dir)
     pairs = _read_pairs(args.data_dir, args.pairs, table_a, table_b)
     with BatchMatcher(bundle, batch_size=args.batch_size,
-                      n_jobs=args.n_jobs,
                       request_log=args.log) as matcher:
         result = matcher.match_pairs(pairs)
     if args.output:
@@ -268,7 +267,6 @@ def _cmd_serve_batch(args) -> int:
     table_a, table_b, _ = _load_tables(args, args.data_dir)
     blocker = _make_blocker("overlap", args)
     with BatchMatcher(bundle, blocker, batch_size=args.batch_size,
-                      n_jobs=args.n_jobs,
                       request_log=args.log) as matcher:
         result = matcher.match(table_a, table_b)
     if args.output:
@@ -303,7 +301,7 @@ def _cmd_serve_stream(args) -> int:
                                 log=log)
         matcher = StreamMatcher(bundle, index=index,
                                 max_batch_rows=args.batch_size,
-                                n_jobs=args.n_jobs, request_log=log,
+                                request_log=log,
                                 resolver=store)
         with MatchService(matcher, max_queue=args.max_queue,
                           overflow=args.overflow) as service:
@@ -365,8 +363,7 @@ def _cmd_resolve(args) -> int:
         from .serve import BatchMatcher
 
         bundle = _resolve_bundle(args)
-        with BatchMatcher(bundle, batch_size=args.batch_size,
-                          n_jobs=args.n_jobs) as matcher:
+        with BatchMatcher(bundle, batch_size=args.batch_size) as matcher:
             result = matcher.match_pairs(pairs)
         decisions = decisions_from_result(result)
         if pairs.is_labeled:
@@ -728,7 +725,6 @@ def _add_bundle_args(parser) -> None:
                         help="registry version (default: latest)")
     parser.add_argument("--batch-size", type=int, default=4096,
                         help="featurization micro-batch row cap")
-    parser.add_argument("--n-jobs", type=int, default=1)
 
 
 def _add_serve_args(parser) -> None:
@@ -752,8 +748,6 @@ def _add_automl_args(parser) -> None:
     parser.add_argument("--forest-size", type=int, default=50)
     parser.add_argument("--all-models", action="store_true",
                         help="search the full model space, not RF-only")
-    parser.add_argument("--n-jobs", type=int, default=1,
-                        help="feature-generation workers (-1 = all cores)")
     parser.add_argument("--trial-timeout", type=float, default=None,
                         help="per-trial wall-clock limit in seconds; a "
                              "timed-out pipeline is scored as a failed "

@@ -1,5 +1,4 @@
-"""Concurrency primitives: thread coordination for the serving stack,
-and the one process-pool map.
+"""Concurrency primitives: thread coordination for the serving stack.
 
 The serving layer promises that "a streaming matcher may be driven from
 several threads" (:mod:`repro.serve.telemetry`), which makes every
@@ -17,11 +16,6 @@ those call sites share:
 * :class:`BoundedMemo` — the one memo class: a dict with lock-free
   reads that empties itself when an insert would cross its bound.
 
-:func:`process_map` is the project's only process pool: an ordered
-``fn(*task)`` map that the feature engine (:mod:`repro.features.columnar`)
-fans out over, with :func:`resolve_n_jobs` normalizing its ``n_jobs``
-knob.
-
 A debug-mode **lock-order witness** (:func:`enable_lock_witness`) is
 the project's lock-order check: every witnessed acquisition records
 "A was held when B was taken" edges in a global order graph, and an
@@ -35,14 +29,9 @@ test suites.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
 from contextlib import contextmanager
-from typing import Any, TypeVar
-
-T = TypeVar("T")
 
 _lock_names = itertools.count(1)
 
@@ -264,34 +253,3 @@ class BoundedMemo(dict):
         # entries are deliberately dropped — a memo is cheap to refill
         # and only bloats pickled blockers and persisted block indexes.
         return (type(self), (self.max_entries,))
-
-
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` knob: ``None``->1, negatives count from
-    the CPU count (``-1`` = all cores, joblib-style)."""
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs == 0:
-        raise ValueError("n_jobs must be >= 1 or negative (-1 = all cores)")
-    if n_jobs < 0:
-        n_jobs = max(1, (os.cpu_count() or 1) + 1 + n_jobs)
-    return n_jobs
-
-
-def process_map(fn: Callable[..., T], tasks: Iterable[tuple[Any, ...]],
-                n_jobs: int | None) -> list[T]:
-    """``[fn(*task) for task in tasks]``, in task order, over a process
-    pool of at most one worker per task when ``n_jobs`` resolves above 1.
-
-    Whether a pool pays off is the caller's decision; with ``n_jobs``
-    1 the tasks run in this process.  ``fn`` and every task must pickle.
-    """
-    task_list = list(tasks)
-    n_jobs = resolve_n_jobs(n_jobs)
-    if n_jobs <= 1 or not task_list:
-        return [fn(*task) for task in task_list]
-    with ProcessPoolExecutor(max_workers=min(n_jobs,
-                                             len(task_list))) as pool:
-        futures = [pool.submit(fn, *task) for task in task_list]
-        return [future.result() for future in futures]

@@ -86,8 +86,7 @@ class AutoMLEMActive:
     automl_kwargs:
         Keyword arguments for the final :class:`AutoMLEM` stage (budget,
         model space, seed, ...).  They also build the generator that
-        featurizes the pool when none is passed to :meth:`fit`, so
-        ``{"n_jobs": 2}`` featurizes the pool over two workers.
+        featurizes the pool when none is passed to :meth:`fit`.
     trial_timeout / run_log:
         Per-trial time limit and JSONL telemetry path for the final
         AutoML stage (shorthand for the same keys in ``automl_kwargs``,

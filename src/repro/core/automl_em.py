@@ -43,9 +43,6 @@ class AutoMLEM:
         Figure 12 ablation switches.
     forest_size:
         Tree count for forest classifiers (auto-sklearn fixes 100).
-    n_jobs:
-        Worker processes for feature generation (1 = sequential, -1 =
-        all cores); forwarded to the :class:`FeatureGenerator`.
     trial_timeout / trial_isolation:
         Per-trial wall-clock limit (seconds) and isolation mode for the
         search, forwarded to the AutoML engine's
@@ -77,7 +74,6 @@ class AutoMLEM:
                  include_feature_preprocessing: bool = True,
                  forest_size: int = 100, ensemble_size: int = 1,
                  exclude_attributes: tuple[str, ...] = (),
-                 n_jobs: int = 1,
                  trial_timeout: float | None = None,
                  trial_isolation: str = "auto",
                  run_log=None, resume_from=None,
@@ -98,7 +94,6 @@ class AutoMLEM:
         self.forest_size = forest_size
         self.ensemble_size = ensemble_size
         self.exclude_attributes = tuple(exclude_attributes)
-        self.n_jobs = n_jobs
         self.trial_timeout = trial_timeout
         self.trial_isolation = trial_isolation
         self.run_log = run_log
@@ -114,8 +109,7 @@ class AutoMLEM:
         maker = (make_autoem_features if self.feature_plan == "autoem"
                  else make_magellan_features)
         return maker(pairs.table_a, pairs.table_b,
-                     exclude_attributes=self.exclude_attributes,
-                     n_jobs=self.n_jobs)
+                     exclude_attributes=self.exclude_attributes)
 
     # -- training -------------------------------------------------------
 

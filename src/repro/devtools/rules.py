@@ -323,7 +323,8 @@ class EventLogHandleBypass(Rule):
     """REP008: direct access to an EventLog's private file handle.
 
     ``EventLog.event`` serializes writes under a lock so concurrent
-    writers (the serving worker pool, a racing ``close``) emit whole
+    writers (the serving thread, caller threads that drive a
+    ``StreamMatcher`` directly, a racing ``close``) emit whole
     JSONL lines.  Reaching for ``._fh`` from outside the class bypasses
     that lock and reintroduces interleaved lines — all file access must
     go through ``event()`` / ``close()``.  Only the defining module

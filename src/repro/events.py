@@ -44,10 +44,11 @@ class EventLog:
 
     Each record is written and flushed as soon as it exists, so an
     interrupted run keeps everything up to its last event.  Writes are
-    serialized by an internal lock, so concurrent writers (a
-    :class:`~repro.serve.service.MatchService` worker pool feeding a
-    matcher, a shadow evaluator and an entity store that share one log)
-    always emit whole, non-interleaved lines, and :meth:`close` is
+    serialized by an internal lock, so concurrent writers (the
+    :class:`~repro.serve.service.MatchService` serving thread, caller
+    threads that drive a :class:`~repro.serve.matcher.StreamMatcher`
+    directly, and a shadow evaluator and an entity store that share one
+    log) always emit whole, non-interleaved lines, and :meth:`close` is
     idempotent even when several threads race it.  The lock is private
     by design: all file access must go through :meth:`event` /
     :meth:`close` — the ``REP008`` lint rule rejects any other ``._fh``

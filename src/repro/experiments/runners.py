@@ -36,7 +36,6 @@ class DatasetBundle:
     train: PairSet
     valid: PairSet
     test: PairSet
-    n_jobs: int = 1
     _features: dict = field(default_factory=dict)
 
     def features(self, plan: str):
@@ -44,8 +43,7 @@ class DatasetBundle:
         if plan not in self._features:
             maker = (make_autoem_features if plan == "autoem"
                      else make_magellan_features)
-            generator = maker(self.benchmark.table_a, self.benchmark.table_b,
-                              n_jobs=self.n_jobs)
+            generator = maker(self.benchmark.table_a, self.benchmark.table_b)
             self._features[plan] = (generator.transform(self.train),
                                     generator.transform(self.valid),
                                     generator.transform(self.test),
@@ -90,21 +88,15 @@ def _next_blocking_log() -> Path | None:
 
 
 def load_bundle(name: str, config: ExperimentConfig = FAST,
-                generator_seed: int = 1, n_jobs: int = 1) -> DatasetBundle:
-    """Load (or reuse) a generated benchmark bundle.
-
-    ``n_jobs`` sets the feature-generation worker count for matrices the
-    bundle has not materialized yet (results are identical either way,
-    so it is not part of the cache key).
-    """
+                generator_seed: int = 1) -> DatasetBundle:
+    """Load (or reuse) a generated benchmark bundle."""
     key = (name, config.scales.get(name, 1.0), generator_seed,
            config.split_seed)
     if key not in _BUNDLES:
         benchmark = load_benchmark(name, seed=generator_seed,
                                    scale=config.scales.get(name, 1.0))
         train, valid, test = benchmark.splits(seed=config.split_seed)
-        _BUNDLES[key] = DatasetBundle(name, benchmark, train, valid, test,
-                                      n_jobs=n_jobs)
+        _BUNDLES[key] = DatasetBundle(name, benchmark, train, valid, test)
     return _BUNDLES[key]
 
 

@@ -36,14 +36,10 @@ the same work column-first:
    and DP.  A fit-sized transform, whose misses would not fit the memo,
    skips the shared run: its column calls run the kernel one layer at a
    time, as they would without it.
-5. **Optional process pool.**  For large candidate sets the unique pairs
-   are chunked across ``n_jobs`` workers; below
-   :data:`PARALLEL_MIN_UNIQUE_PAIRS` total unique pairs the sequential
-   path is used (pool startup would dominate).
 
 Scores are guarded ``inf -> nan`` so unbounded distance measures cannot
 leak infinities into feature matrices (imputation handles ``nan``; it
-does not handle ``inf``).  All paths are bit-identical to the naive
+does not handle ``inf``).  The result is bit-identical to the naive
 reference loop — ``tests/test_features_columnar.py`` enforces it.
 """
 
@@ -53,7 +49,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..concurrency import BoundedMemo, process_map, resolve_n_jobs
+from ..concurrency import BoundedMemo
 from ..similarity import sequence
 from ..similarity.registry import token_counts_column
 
@@ -64,13 +60,6 @@ if TYPE_CHECKING:
 #: Raw attribute value as stored in a record: the engine scores whatever
 #: the tables hold (strings, numbers, bools, ``None``).
 Value = object
-
-#: Below this many unique value pairs per transform the process pool is
-#: not worth its startup cost and the sequential path runs instead.
-PARALLEL_MIN_UNIQUE_PAIRS = 2048
-
-#: Smallest chunk of unique value pairs shipped to one worker task.
-_MIN_CHUNK = 128
 
 #: Value types whose ``-0.0`` and ``0.0`` compare and hash equal but
 #: render differently (:func:`_value_key`).
@@ -116,13 +105,6 @@ def _fill_dp_memo(groups: Sequence[tuple[Sequence["SimilarityMeasure"],
         for measure in measures if measure.dp_layer is not None)
 
 
-def _score_chunk(measures: Sequence["SimilarityMeasure"],
-                 value_pairs: Sequence[tuple[Value, Value]]) -> np.ndarray:
-    """Worker task: score one chunk of unique value pairs (picklable)."""
-    _fill_dp_memo([(measures, value_pairs)])
-    return score_value_pairs(measures, value_pairs)
-
-
 def _value_key(value: Value) -> tuple:
     """Type-tagged dedup key for one attribute value.
 
@@ -158,7 +140,7 @@ def _unique_value_pairs(pairs: Sequence,
 
 
 def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
-                       pairs: Sequence, *, n_jobs: int | None = 1,
+                       pairs: Sequence, *,
                        token_cache: BoundedMemo | None = None
                        ) -> np.ndarray:
     """Materialize a feature plan column-first over ``pairs``.
@@ -168,49 +150,18 @@ def columnar_transform(measures: Sequence[tuple[str, "SimilarityMeasure"]],
     one per output column in order.  ``pairs`` is any iterable of
     record pairs with a stable length (``PairSet`` or a list).
     """
-    n_jobs = resolve_n_jobs(n_jobs)
     matrix = np.empty((len(pairs), len(measures)), dtype=np.float64)
     groups: dict[str, list] = {}
     for column, (attribute, measure) in enumerate(measures):
         groups.setdefault(attribute, []).append((column, measure))
     per_attribute = []
-    total_unique = 0
     for attribute, slots in groups.items():
         unique, inverse = _unique_value_pairs(pairs, attribute)
         per_attribute.append((slots, unique, inverse))
-        total_unique += len(unique)
-    if n_jobs > 1 and total_unique >= PARALLEL_MIN_UNIQUE_PAIRS:
-        _transform_parallel(matrix, per_attribute, n_jobs)
-    else:
-        cache = BoundedMemo() if token_cache is None else token_cache
-        _fill_dp_memo([([m for _, m in slots], unique)
-                       for slots, unique, _ in per_attribute])
-        for slots, unique, inverse in per_attribute:
-            scores = score_value_pairs([m for _, m in slots], unique, cache)
-            matrix[:, [c for c, _ in slots]] = scores[inverse, :]
-    return matrix
-
-
-def _transform_parallel(matrix: np.ndarray, per_attribute: list,
-                        n_jobs: int) -> None:
-    """Chunk unique pairs across a process pool and scatter the results.
-
-    Chunking is per attribute so a worker scores every measure of its
-    attribute over its chunk with one shared token cache and one DP
-    kernel run — the same cache locality the sequential path has, minus
-    cross-chunk reuse.
-    """
-    unique_scores = [np.empty((len(unique), len(slots)), dtype=np.float64)
-                     for slots, unique, _ in per_attribute]
-    tasks, offsets = [], []
-    for gi, (slots, unique, _) in enumerate(per_attribute):
-        measure_list = [m for _, m in slots]
-        chunk = max(_MIN_CHUNK, -(-len(unique) // (2 * n_jobs)))
-        for start in range(0, len(unique), chunk):
-            tasks.append((measure_list, unique[start:start + chunk]))
-            offsets.append((gi, start))
-    for (gi, start), block in zip(offsets,
-                                  process_map(_score_chunk, tasks, n_jobs)):
-        unique_scores[gi][start:start + len(block)] = block
-    for (slots, _, inverse), scores in zip(per_attribute, unique_scores):
+    cache = BoundedMemo() if token_cache is None else token_cache
+    _fill_dp_memo([([m for _, m in slots], unique)
+                   for slots, unique, _ in per_attribute])
+    for slots, unique, inverse in per_attribute:
+        scores = score_value_pairs([m for _, m in slots], unique, cache)
         matrix[:, [c for c, _ in slots]] = scores[inverse, :]
+    return matrix

@@ -9,9 +9,8 @@ pipeline step, not the feature generator's job.
 
 Execution is columnar (:mod:`repro.features.columnar`):
 value pairs are deduplicated per attribute, tokenization is shared
-across measures, and large transforms can fan out over a process pool
-via ``n_jobs``.  The row-at-a-time reference loop every path must
-bit-match lives with the tests (``tests/feature_oracle.py``).
+across measures, and the DP kernel runs once per set of layers.  The
+row-at-a-time reference loop the engine must bit-match lives with the tests (``tests/feature_oracle.py``).
 """
 
 from __future__ import annotations
@@ -38,20 +37,13 @@ class FeatureGenerator:
     exclude_attributes:
         Attributes to drop from the plan (e.g. ids or free-text fields a
         user wants to ignore).
-    n_jobs:
-        Worker count for :meth:`transform`; 1 = sequential, ``-1`` =
-        all cores.  The pool only engages above
-        :data:`~repro.features.columnar.PARALLEL_MIN_UNIQUE_PAIRS`
-        unique value pairs.
     """
 
     def __init__(self, plan: list[tuple[str, str]],
-                 exclude_attributes: tuple[str, ...] = (), *,
-                 n_jobs: int = 1):
+                 exclude_attributes: tuple[str, ...] = ()):
         self.plan = [(a, m) for a, m in plan if a not in exclude_attributes]
         if not self.plan:
             raise ValueError("feature plan is empty")
-        self.n_jobs = n_jobs
         self._measures = [(a, get_measure(m)) for a, m in self.plan]
         self._token_cache = BoundedMemo()
 
@@ -65,29 +57,27 @@ class FeatureGenerator:
 
     def transform(self, pairs: PairSet) -> np.ndarray:
         """Compute the feature matrix for ``pairs`` (nan = missing)."""
-        return columnar_transform(self._measures, pairs, n_jobs=self.n_jobs,
+        return columnar_transform(self._measures, pairs,
                                   token_cache=self._token_cache)
 
 
 def make_magellan_features(table_a: Table, table_b: Table,
                            types: dict[str, DataType] | None = None,
-                           exclude_attributes: tuple[str, ...] = (), *,
-                           n_jobs: int = 1) -> FeatureGenerator:
+                           exclude_attributes: tuple[str, ...] = ()
+                           ) -> FeatureGenerator:
     """Table I generator for a table pair (types inferred if omitted)."""
     if types is None:
         types = infer_schema_types(table_a, table_b)
     return FeatureGenerator(magellan_feature_plan(types),
-                            exclude_attributes=exclude_attributes,
-                            n_jobs=n_jobs)
+                            exclude_attributes=exclude_attributes)
 
 
 def make_autoem_features(table_a: Table, table_b: Table,
                          types: dict[str, DataType] | None = None,
-                         exclude_attributes: tuple[str, ...] = (), *,
-                         n_jobs: int = 1) -> FeatureGenerator:
+                         exclude_attributes: tuple[str, ...] = ()
+                         ) -> FeatureGenerator:
     """Table II generator for a table pair (types inferred if omitted)."""
     if types is None:
         types = infer_schema_types(table_a, table_b)
     return FeatureGenerator(autoem_feature_plan(types),
-                            exclude_attributes=exclude_attributes,
-                            n_jobs=n_jobs)
+                            exclude_attributes=exclude_attributes)

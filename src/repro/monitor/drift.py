@@ -14,8 +14,10 @@ the reservoir samples), null-rate shift, score-distribution PSI and
 match-rate shift, plus the drifted/quiet verdict the trigger policies
 consume.
 
-The monitor is driven concurrently by :class:`~repro.serve.service.
-MatchService` worker threads, so all state lives behind one
+The monitor is driven by the :class:`~repro.serve.service.MatchService`
+serving thread and by any caller threads that drive a
+:class:`~repro.serve.matcher.StreamMatcher` directly, so all state
+lives behind one
 :class:`~repro.concurrency.WitnessedLock`, taken by taps, resets and
 reports alike.  Taps buffer their micro-batches and the per-column
 reduction work runs once per ``_FLUSH_ROWS`` buffered rows, keeping the

@@ -11,8 +11,10 @@ to a :class:`~repro.events.EventLog`, and once the numbers
 justify it, :meth:`promote` atomically flips the registry ``LATEST``
 pointer so subsequent loads serve the challenger.
 
-The evaluator is driven from :class:`~repro.serve.service.MatchService`
-worker threads via the matcher's shadow tap; one lock serializes both
+The evaluator is driven through the matcher's shadow tap, from the
+:class:`~repro.serve.service.MatchService` serving thread or from
+caller threads that drive a :class:`~repro.serve.matcher.StreamMatcher`
+directly; one lock serializes both
 the seeded sampling stream and the challenger scoring, so results are
 reproducible for a given request sequence.
 """

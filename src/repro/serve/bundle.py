@@ -152,9 +152,9 @@ class ModelBundle:
 
     # -- serving --------------------------------------------------------
 
-    def feature_generator(self, *, n_jobs: int = 1) -> FeatureGenerator:
+    def feature_generator(self) -> FeatureGenerator:
         """A :class:`FeatureGenerator` reproducing the training features."""
-        return FeatureGenerator(list(self.plan), n_jobs=n_jobs)
+        return FeatureGenerator(list(self.plan))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """P(match) per row of a feature matrix."""

@@ -141,13 +141,13 @@ class MatchResult:
 class _MatcherBase:
     """Shared bundle/featurizer/telemetry plumbing of the two matchers."""
 
-    def __init__(self, bundle: ModelBundle, *, n_jobs: int = 1,
+    def __init__(self, bundle: ModelBundle, *,
                  request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
         self.bundle = bundle
-        self.generator = bundle.feature_generator(n_jobs=n_jobs)
+        self.generator = bundle.feature_generator()
         self.metrics = ServeMetrics()
         self._exit = ExitStack()
         self.request_log = self._exit.enter_context(
@@ -269,8 +269,6 @@ class BatchMatcher(_MatcherBase):
         Micro-batch row cap for featurization + scoring; peak feature
         memory is ``O(batch_size × n_features)`` regardless of how many
         candidate pairs blocking produces.
-    n_jobs:
-        Forwarded to the bundle's :class:`FeatureGenerator`.
     request_log:
         Optional JSONL telemetry: a path (rewritten, and closed by
         :meth:`close`) or an open :class:`~repro.events.EventLog` (left
@@ -287,14 +285,14 @@ class BatchMatcher(_MatcherBase):
     """
 
     def __init__(self, bundle: ModelBundle, blocker: Blocker | None = None,
-                 *, batch_size: int = 4096, n_jobs: int = 1,
+                 *, batch_size: int = 4096,
                  request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        super().__init__(bundle, n_jobs=n_jobs, request_log=request_log,
+        super().__init__(bundle, request_log=request_log,
                          monitor=monitor, shadow=shadow, resolver=resolver)
         self.blocker = blocker
         self.batch_size = batch_size
@@ -340,12 +338,12 @@ class StreamMatcher(_MatcherBase):
 
     def __init__(self, bundle: ModelBundle, *,
                  index: BlockIndex | None = None,
-                 max_batch_rows: int | None = None, n_jobs: int = 1,
+                 max_batch_rows: int | None = None,
                  request_log: EventLog | str | Path | None = None,
                  monitor: MonitorTap | None = None,
                  shadow: ShadowTap | None = None,
                  resolver: ResolverTap | None = None):
-        super().__init__(bundle, n_jobs=n_jobs, request_log=request_log,
+        super().__init__(bundle, request_log=request_log,
                          monitor=monitor, shadow=shadow, resolver=resolver)
         if max_batch_rows is not None and max_batch_rows < 1:
             raise ValueError(

@@ -126,12 +126,6 @@ class TestAlgorithmOne:
         X_test = generator.transform(test)
         assert active.evaluate_matrix(X_test, test.labels)["f1"] > 0.6
 
-    def test_automl_kwargs_n_jobs_reaches_generator(self, pool_and_test):
-        pool, _ = pool_and_test
-        active = make_active(automl_kwargs={**AUTOML_KWARGS, "n_jobs": 2},
-                             n_iterations=1).fit(pool)
-        assert active.feature_generator_.n_jobs == 2
-
     def test_feature_matrix_length_mismatch(self, pool_and_test):
         pool, _ = pool_and_test
         with pytest.raises(ValueError, match="rows for"):

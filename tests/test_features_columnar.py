@@ -1,7 +1,7 @@
 """Equivalence tests for the columnar feature engine.
 
-Every fast path — columnar, tokenization-cached, process-parallel and
-request-sized — must produce values bit-identical (nan-aware) to the
+Every fast path — columnar, tokenization-cached and request-sized —
+must produce values bit-identical (nan-aware) to the
 naive row-at-a-time reference loop, across string, numeric and boolean
 attributes, missing values, and every registered measure.
 """
@@ -21,10 +21,9 @@ from repro.data import PairSet, RecordPair, Table
 from repro.features import (
     FeatureGenerator,
     autoem_feature_plan,
-    columnar,
     magellan_feature_plan,
 )
-from repro.concurrency import BoundedMemo, resolve_n_jobs
+from repro.concurrency import BoundedMemo
 from repro.features.types import DataType
 from repro.similarity import (
     ALL_BOOLEAN_MEASURES,
@@ -83,14 +82,6 @@ class TestEquivalence:
 
     def test_all_registered_measures_covered(self):
         assert len(FULL_PLAN) == 21
-
-    def test_parallel_matches_naive(self, duplicate_heavy_pairs,
-                                    monkeypatch):
-        monkeypatch.setattr(columnar, "PARALLEL_MIN_UNIQUE_PAIRS", 0)
-        generator = FeatureGenerator(FULL_PLAN, n_jobs=2)
-        reference = transform_naive(generator, duplicate_heavy_pairs)
-        assert_bits_equal(generator.transform(
-            duplicate_heavy_pairs), reference)
 
     def test_repeated_transform_with_warm_token_cache(
             self, duplicate_heavy_pairs):
@@ -316,13 +307,6 @@ class TestInfGuard:
 
 
 class TestKnobValidation:
-    def test_resolve_n_jobs(self):
-        assert resolve_n_jobs(None) == 1
-        assert resolve_n_jobs(3) == 3
-        assert resolve_n_jobs(-1) >= 1
-        with pytest.raises(ValueError, match="n_jobs"):
-            resolve_n_jobs(0)
-
     def test_token_cache_bounded(self):
         cache = BoundedMemo(max_entries=2)
         cache[("space", "a")] = ["a"]

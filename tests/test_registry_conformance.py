@@ -134,8 +134,8 @@ def test_every_model_builds_a_full_estimator_surface(model):
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_every_measure_survives_a_pickle_round_trip(name):
-    """The featurization pool pickles measures, so each one's function
-    must be importable by name (module level, no lambda)."""
+    """Each measure pickles, so its function must be importable by name
+    (module level, no lambda)."""
     measure = MEASURES[name]
     restored = pickle.loads(pickle.dumps(measure))
     assert restored.name == name
